@@ -236,21 +236,18 @@ def readout_shift(config: ProtocolConfig) -> float:
     return delta * (1.0 - 0.5 * config.g)
 
 
-def resolve_swap_probability(config: ProtocolConfig, n_max: int = 4) -> float:
+def resolve_swap_probability(config: ProtocolConfig) -> float:
     """Exchange success probability for step (iv).
 
-    Uses the configured override when present, otherwise evaluates the
-    open-system swap fidelity at the budget's rates.
+    Uses the configured override when present, otherwise the closed-form
+    open-system swap probability at the budget's rates.
     """
     if config.swap_probability is not None:
         return config.swap_probability
-    params = dynamics.ExchangeParams(
-        omega_ex=config.budget.omega_ex,
-        gamma_L=config.budget.gamma_L,
-        gamma_S=config.budget.gamma_S,
-        n_bar=config.budget.n_bar,
+    b = config.budget
+    return dynamics.swap_probability(
+        dynamics.ExchangeParams(b.omega_ex, b.gamma_L, b.gamma_S, b.n_bar)
     )
-    return dynamics.swap_fidelity(params, n_max=n_max)
 
 
 def _residual_excited_probability(n_bar: float) -> float:

@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -89,6 +93,22 @@ class TestFieldCommand:
         assert "# fd_agreement_ok = 1" in lines
         worst = [l for l in lines if l.startswith("# fd_agreement_max_rel_err")]
         assert len(worst) == 1 and float(worst[0].split("=")[1]) <= 1e-6
+
+    def test_fd_check_ignores_gradient_zeros(self, capsys, tmp_path, electron_raw):
+        # a spot-check point lands where B2 ~ 0.005 T/m^2 against a peak of
+        # ~9356 T/m^2; a point-wise relative error would read 1.2e-4 there
+        electron_raw["magnet"].update(
+            {"inner_radius_m": 5.14887e-3, "outer_radius_m": 1.50374e-2,
+             "height_m": 9.83524e-3}
+        )
+        electron_raw["magnet"]["profile"]["samples"] = 1447
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, _ = run_cli(capsys, "field", "--config", path)
+        assert code == 0
+        lines = out.splitlines()
+        assert "# fd_agreement_ok = 1" in lines
+        worst = [l for l in lines if l.startswith("# fd_agreement_max_rel_err")]
+        assert float(worst[0].split("=")[1]) <= 1e-6
 
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
@@ -181,6 +201,31 @@ class TestLineshapeAndProtocolCommands:
         # rerun is byte-identical
         code, again, _ = run_cli(capsys, "protocol", "--config", path)
         assert out == again
+
+    def test_protocol_near_feasibility_edge(self, capsys, tmp_path, electron_raw):
+        # figure 0.975 is feasible; the swap probability must not need a
+        # Fock truncation that such a hot exchange overflows
+        electron_raw["resonator"]["detune_linewidths"] = 3
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, _ = run_cli(capsys, "budget", "--config", path, "--format", "records")
+        report = json.loads(out)
+        assert_rel(report["figure"], 0.975, 0.01)
+        assert report["feasible"] is True
+        code, out, err = run_cli(capsys, "protocol", "--config", path)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("# jump_rate = ")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the Fock-space oracle; every command skips it
+    src = str(Path(cfg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, wireqls.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSweepCommand:
