@@ -204,7 +204,10 @@ def thermal_occupation(omega_z: float, T: float) -> float:
         raise ValueError("temperature must be non-negative")
     if T == 0.0:
         return 0.0
-    return 1.0 / math.expm1(HBAR * omega_z / (K_B * T))
+    try:
+        return 1.0 / math.expm1(HBAR * omega_z / (K_B * T))
+    except OverflowError:  # hbar w / k_B T > ~709.8: the occupation underflows
+        return 0.0
 
 
 def qls_budget(

@@ -145,7 +145,7 @@ def cmd_protocol(rc: cfg.RunConfig, out_dir: str | None, seed: int | None) -> in
     records = protocol.simulate_point(pc, 0.0, point_index=0)
     buf = io.StringIO()
     protocol.write_records_csv(records, buf)
-    rate = sum(r.declared_jump for r in records) / len(records)
+    rate = int(np.count_nonzero(records.declared_jump)) / pc.cycles
     buf.write(f"# jump_rate = {rate!r}\n")
     _emit(buf.getvalue(), out_dir, "records.csv")
     return 0
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ of a path.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -91,6 +92,10 @@ class _Block:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(self._key(name), f"expected a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # also rejects nan
+                raise ConfigError(
+                    self._key(name), f"expected a finite number, got {value!r}"
+                )
             return float(value)
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -442,6 +447,8 @@ def set_by_path(data: dict, dotted: str, value) -> dict:
     """Copy `data` with the numeric leaf at `dotted` replaced by `value`.
 
     Used by parameter sweeps; the leaf must already exist and be numeric.
+    An integral value on an integer leaf is written as an int, so integer
+    leaves can be swept.
     """
     out = copy.deepcopy(data)
     node = out
@@ -456,5 +463,7 @@ def set_by_path(data: dict, dotted: str, value) -> dict:
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise ConfigError(dotted, "sweep axis must name a numeric leaf")
+    if isinstance(current, int) and float(value).is_integer():
+        value = int(value)
     node[leaf] = value
     return out

@@ -39,14 +39,13 @@ __all__ = [
     "DetectionModel",
     "DriveModel",
     "ProtocolConfig",
-    "ProtocolRecord",
+    "ProtocolRecords",
     "Lineshape",
     "TimingBudget",
     "drive_probability",
     "readout_shift",
     "resolve_swap_probability",
     "point_rng",
-    "run_cycle",
     "simulate_point",
     "lineshape_scan",
     "analytic_jump_probability",
@@ -160,19 +159,20 @@ class ProtocolConfig:
         )
 
 
-@dataclass(frozen=True)
-class ProtocolRecord:
-    """Outcome log of one cycle; declared_jump implies the measured shift
-    reached the threshold."""
+@dataclass(frozen=True, eq=False)
+class ProtocolRecords:
+    """Outcome log of one point's cycles, one array entry per cycle;
+    declared_jump holds exactly where the measured shift reached the
+    threshold."""
 
-    cycle: int
-    n_c_after_drive: int
-    transfer_s_ok: bool
-    exchange_ok: bool
-    transfer_l_ok: bool
-    measured_shift: float  # [rad/s]
-    declared_jump: bool
-    wall_time: float       # cumulative [s]
+    cycle: np.ndarray            # 0, 1, ..., cycles - 1
+    n_c_after_drive: np.ndarray  # int
+    transfer_s_ok: np.ndarray    # bool
+    exchange_ok: np.ndarray      # bool
+    transfer_l_ok: np.ndarray    # bool
+    measured_shift: np.ndarray   # [rad/s]
+    declared_jump: np.ndarray    # bool
+    wall_time: np.ndarray        # cumulative at cycle end [s]
 
 
 @dataclass(frozen=True)
@@ -203,20 +203,26 @@ class TimingBudget:
 
 
 def drive_probability(
-    drive: DriveModel, width: float, detuning: float, drift: float = 0.0
-) -> float:
+    drive: DriveModel,
+    width: float,
+    detuning: float | np.ndarray,
+    drift: float | np.ndarray = 0.0,
+) -> float | np.ndarray:
     """Excitation probability of the drive at a detuning from the nominal
-    line center, with the center displaced by `drift`."""
-    x = detuning - drift
-    if drive.profile == "exponential":
-        if x < 0.0:
-            return 0.0
-        if width == 0.0:
-            return drive.peak_probability if x == 0.0 else 0.0
-        return drive.peak_probability * math.exp(-x / width)
+    line center, with the center displaced by `drift`; scalars or arrays.
+
+    Exponents are clipped where the profile has already underflowed to
+    zero (exp(-745.2) is the last nonzero double), so the branch np.where
+    discards cannot overflow.
+    """
+    x = np.subtract(detuning, drift)
     if width == 0.0:
-        return drive.peak_probability if x == 0.0 else 0.0
-    return drive.peak_probability * math.exp(-0.5 * (x / width) ** 2)
+        return drive.peak_probability * (x == 0.0)
+    if drive.profile == "exponential":
+        decay = np.exp(-np.clip(x, 0.0, 800.0 * width) / width)
+        return drive.peak_probability * np.where(x >= 0.0, decay, 0.0)
+    z = np.minimum(np.abs(x), 40.0 * width) / width
+    return drive.peak_probability * np.exp(-0.5 * z * z)
 
 
 def readout_shift(config: ProtocolConfig) -> float:
@@ -262,116 +268,62 @@ def _detection_probability(shift: float, sigma: float, threshold: float) -> floa
     return 0.5 * math.erfc((threshold - shift) / (sigma * math.sqrt(2.0)))
 
 
-def run_cycle(
-    config: ProtocolConfig,
-    detuning: float,
-    rng: np.random.Generator,
-    drift: float = 0.0,
-    wall_time: float = 0.0,
-    swap_probability: float | None = None,
-    cycle_index: int = 0,
-) -> ProtocolRecord:
-    """Execute one cycle of the sequence; stochastic outcomes are data.
-
-    `drift` is the accumulated field-noise displacement of the cyclotron
-    line in rad/s; `wall_time` the clock at cycle start. The swap
-    probability may be passed in to avoid re-deriving it per cycle.
-    """
-    p_swap = (
-        swap_probability
-        if swap_probability is not None
-        else resolve_swap_probability(config)
-    )
-    p_res = _residual_excited_probability(config.sideband_cooling_residual)
-    p_pi = config.pi_pulse_fidelity
-
-    # (i) sideband cooling with residual occupation
-    n_z_s = 1 if rng.random() < p_res else 0
-    n_z_l = 1 if rng.random() < p_res else 0
-    # (ii) spectroscopy drive
-    p_exc = drive_probability(
-        config.drive, config.shifts_S.broadening, detuning, drift
-    )
-    n_c_s = 1 if rng.random() < p_exc else 0
-    n_c_after_drive = n_c_s
-    # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
-    transfer_s_ok = False
-    if n_c_s == 1 and n_z_s == 0 and rng.random() < p_pi:
-        n_z_s, n_c_s = 1, 0
-        transfer_s_ok = True
-    # (iv) wire exchange of the axial quanta
-    exchange_ok = False
-    if n_z_s != n_z_l and rng.random() < p_swap:
-        n_z_s, n_z_l = n_z_l, n_z_s
-        exchange_ok = True
-    # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
-    n_c_l = 0
-    transfer_l_ok = False
-    if n_z_l == 1 and rng.random() < p_pi:
-        n_z_l, n_c_l = 0, 1
-        transfer_l_ok = True
-    # (vi) axial-frequency measurement of the logic particle
-    true_shift = readout_shift(config) * n_c_l
-    sigma = config.detection.sigma
-    measured = true_shift + (rng.normal(0.0, sigma) if sigma > 0.0 else 0.0)
-    declared = measured >= config.detection.threshold
-    # (vii) bookkeeping
-    return ProtocolRecord(
-        cycle=cycle_index,
-        n_c_after_drive=n_c_after_drive,
-        transfer_s_ok=transfer_s_ok,
-        exchange_ok=exchange_ok,
-        transfer_l_ok=transfer_l_ok,
-        measured_shift=measured,
-        declared_jump=bool(declared),
-        wall_time=wall_time + config.cycle_time,
-    )
-
-
 def point_rng(seed: int, point_index: int) -> np.random.Generator:
     """Deterministic per-point RNG stream, independent across points."""
     return np.random.default_rng([seed, point_index])
 
 
 def simulate_point(
-    config: ProtocolConfig,
-    detuning: float,
-    point_index: int = 0,
-    swap_probability: float | None = None,
-) -> list[ProtocolRecord]:
+    config: ProtocolConfig, detuning: float, point_index: int = 0
+) -> ProtocolRecords:
     """Run `config.cycles` cycles at one drive detuning.
 
-    The cyclotron line center random-walks with the magnet field noise:
-    each cycle adds a Gaussian step of relative size
-    field_noise * sqrt(cycle_time / minute) to the line position.
+    Each stage is one boolean array operation over all cycles. The
+    cyclotron line center random-walks with the magnet field noise: each
+    cycle adds a Gaussian step of relative size
+    field_noise * sqrt(cycle_time / minute) to the line position. Every
+    draw is made whatever the config, so the stream never branches on it.
     """
+    n = config.cycles
     rng = point_rng(config.seed, point_index)
-    p_swap = (
-        swap_probability
-        if swap_probability is not None
-        else resolve_swap_probability(config)
+    u_res_s, u_res_l, u_drive, u_pi_s, u_swap, u_pi_l = rng.random((6, n))
+    steps, noise = rng.standard_normal((2, n))
+    drift = np.cumsum(steps) * (
+        config.field_noise
+        * config.omega_c_spec
+        * math.sqrt(config.cycle_time / SECONDS_PER_MINUTE)
     )
-    step_scale = config.field_noise * config.omega_c_spec
-    records = []
-    drift = 0.0
-    wall = 0.0
-    for i in range(config.cycles):
-        if step_scale > 0.0:
-            drift += rng.normal(0.0, 1.0) * step_scale * math.sqrt(
-                config.cycle_time / SECONDS_PER_MINUTE
-            )
-        rec = run_cycle(
-            config,
-            detuning,
-            rng,
-            drift=drift,
-            wall_time=wall,
-            swap_probability=p_swap,
-            cycle_index=i,
-        )
-        wall = rec.wall_time
-        records.append(rec)
-    return records
+    p_res = _residual_excited_probability(config.sideband_cooling_residual)
+    p_pi = config.pi_pulse_fidelity
+
+    # (i) sideband cooling with residual occupation
+    n_z_s = u_res_s < p_res
+    n_z_l = u_res_l < p_res
+    # (ii) spectroscopy drive
+    excited = u_drive < drive_probability(
+        config.drive, config.shifts_S.broadening, detuning, drift
+    )
+    # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
+    transfer_s = excited & ~n_z_s & (u_pi_s < p_pi)
+    n_z_s = n_z_s | transfer_s
+    # (iv) wire exchange of the axial quanta, only when they differ
+    exchange = (n_z_s != n_z_l) & (u_swap < resolve_swap_probability(config))
+    n_z_l = n_z_l ^ exchange
+    # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
+    transfer_l = n_z_l & (u_pi_l < p_pi)
+    # (vi) axial-frequency measurement of the logic particle
+    measured = readout_shift(config) * transfer_l + config.detection.sigma * noise
+    # (vii) bookkeeping
+    return ProtocolRecords(
+        cycle=np.arange(n),
+        n_c_after_drive=excited.astype(int),
+        transfer_s_ok=transfer_s,
+        exchange_ok=exchange,
+        transfer_l_ok=transfer_l,
+        measured_shift=measured,
+        declared_jump=measured >= config.detection.threshold,
+        wall_time=np.arange(1, n + 1) * config.cycle_time,
+    )
 
 
 def lineshape_scan(config: ProtocolConfig) -> Lineshape:
@@ -384,13 +336,11 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
     detunings = np.asarray(config.drive.detunings, dtype=float)
     if detunings.size == 0:
         raise ValueError("drive detuning grid must be non-empty")
-    p_swap = resolve_swap_probability(config)
     fractions = np.empty(detunings.size)
     errors = np.empty(detunings.size)
     for k, det in enumerate(detunings):
-        records = simulate_point(config, float(det), k, swap_probability=p_swap)
-        hits = sum(r.declared_jump for r in records)
-        f = hits / config.cycles
+        records = simulate_point(config, float(det), k)
+        f = np.count_nonzero(records.declared_jump) / config.cycles
         fractions[k] = f
         errors[k] = math.sqrt(f * (1.0 - f) / config.cycles)
     return Lineshape(
@@ -416,8 +366,8 @@ def analytic_jump_probability(
     )
     p_res = _residual_excited_probability(config.sideband_cooling_residual)
     p_pi = config.pi_pulse_fidelity
-    p_exc = drive_probability(
-        config.drive, config.shifts_S.broadening, detuning, drift
+    p_exc = float(
+        drive_probability(config.drive, config.shifts_S.broadening, detuning, drift)
     )
     shift = readout_shift(config)
     sigma = config.detection.sigma
@@ -577,18 +527,26 @@ def timing_budget(
     )
 
 
-def write_records_csv(records: list[ProtocolRecord], stream) -> None:
+def write_records_csv(records: ProtocolRecords, stream) -> None:
     """Record stream as CSV; shifts in rad/s, times in seconds."""
     stream.write(
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
-    for r in records:
+    rows = zip(
+        records.cycle.tolist(),
+        records.n_c_after_drive.tolist(),
+        records.transfer_s_ok.tolist(),
+        records.exchange_ok.tolist(),
+        records.transfer_l_ok.tolist(),
+        records.measured_shift.tolist(),
+        records.declared_jump.tolist(),
+        records.wall_time.tolist(),
+    )
+    for cycle, n_c, s_ok, ex_ok, l_ok, shift, declared, wall in rows:
         stream.write(
-            f"{r.cycle},{r.n_c_after_drive},{int(r.transfer_s_ok)},"
-            f"{int(r.exchange_ok)},{int(r.transfer_l_ok)},"
-            f"{float(r.measured_shift)!r},{int(r.declared_jump)},"
-            f"{float(r.wall_time)!r}\n"
+            f"{cycle},{n_c},{int(s_ok)},{int(ex_ok)},{int(l_ok)},"
+            f"{shift!r},{int(declared)},{wall!r}\n"
         )
 
 

@@ -161,6 +161,13 @@ class TestThermalOccupation:
     def test_zero_temperature(self):
         assert circuit.thermal_occupation(OMEGA_Z, 0.0) == 0.0
 
+    def test_underflows_to_zero_when_exp_overflows(self):
+        # hbar w / k_B T ~ 960 at 10 uK: exp overflows, the occupation is 0
+        assert circuit.thermal_occupation(OMEGA_Z, 1e-5) == 0.0
+        # the last temperatures expm1 still reaches keep the Bose value
+        n = circuit.thermal_occupation(OMEGA_Z, 1.4e-5)
+        assert 0.0 < n == pytest.approx(bose(OMEGA_Z, 1.4e-5), rel=1e-9)
+
     def test_low_frequency_proton_regime(self):
         n = circuit.thermal_occupation(TWO_PI * 1e6, 0.010)
         assert n == pytest.approx(bose(TWO_PI * 1e6, 0.010), rel=1e-12)

@@ -67,6 +67,32 @@ class TestBudgetCommand:
         assert code == 2
         assert "gain" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_exit_code_and_path(
+        self, capsys, tmp_path, electron_raw, value
+    ):
+        electron_raw["resonator"]["R_p_ohm"] = value
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "budget", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert "resonator.R_p_ohm" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("d_eff_m", 1.0e-300), ("axial_frequency_hz", 1.0e300)]
+    )
+    def test_arithmetic_error_is_one_line(
+        self, capsys, tmp_path, electron_raw, key, value
+    ):
+        # division by zero and float overflow inside the budget
+        electron_raw["traps"]["logic"][key] = value
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("budget", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_directory(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "budget", "--config", "paper-electron", "--out", str(tmp_path / "o")
@@ -202,6 +228,24 @@ class TestLineshapeAndProtocolCommands:
         code, again, _ = run_cli(capsys, "protocol", "--config", path)
         assert out == again
 
+    def test_every_output_value_parses_as_float(self, capsys, tmp_path, electron_raw):
+        # numpy scalars must not leak their repr, e.g. np.float64(0.65)
+        electron_raw["protocol"]["cycles"] = 30
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("lineshape", "protocol"):
+            code, out, _ = run_cli(capsys, command, "--config", path)
+            assert code == 0
+            lines = out.splitlines()
+            for line in lines[1:]:
+                if line.startswith("# "):
+                    key, value = line[2:].split(" = ")
+                    assert key.isidentifier()
+                    float(value)
+                else:
+                    for value in line.split(","):
+                        float(value)
+            assert any(line.startswith("# ") for line in lines)
+
     def test_protocol_near_feasibility_edge(self, capsys, tmp_path, electron_raw):
         # figure 0.975 is feasible; the swap probability must not need a
         # Fock truncation that such a hot exchange overflows
@@ -268,6 +312,30 @@ class TestSweepCommand:
         figures = [float(l.split(",")[5]) for l in out.splitlines()[1:]]
         assert all(a > b for a, b in zip(figures, figures[1:]))
         assert figures[0] / figures[-1] == pytest.approx(8.0, rel=0.1)
+
+    def test_temperature_sweep_below_exp_overflow(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "environment.temperature_k", "--range", "0.00001:0.01:3",
+        )
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[4]) == 0.0
+
+    @pytest.mark.parametrize("axis", ["magnet.profile.samples", "protocol.cycles"])
+    def test_integer_leaf_sweep(self, capsys, axis):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", axis, "--range", "100:200:2",
+        )
+        assert code == 0, err
+        assert [l.split(",")[0] for l in out.splitlines()[1:]] == ["100.0", "200.0"]
+        # a non-integral value on an integer leaf stays a schema error
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", axis, "--range", "100:101:3",
+        )
+        assert code == 2
+        assert axis in err and "integer" in err
 
     def test_non_numeric_axis_schema_error(self, capsys):
         code, _, err = run_cli(
