@@ -202,7 +202,7 @@ def thermal_occupation(omega_z: float, T: float) -> float:
         raise ValueError("omega_z must be positive")
     if T < 0:
         raise ValueError("temperature must be non-negative")
-    if T == 0.0:
+    if K_B * T == 0.0:  # T = 0, or k_B T underflows: the occupation is zero
         return 0.0
     try:
         return 1.0 / math.expm1(HBAR * omega_z / (K_B * T))

@@ -2,8 +2,9 @@
 
 Every command takes --config (a scenario file path or a bundled scenario
 name) and writes CSV/text to stdout, or into --out <dir> when given.
---seed overrides the scenario seed; --format switches budget output between
-the human-readable report and JSON records. Exit codes: 0 success, 2 schema
+`lineshape` and `protocol` take --seed to override the scenario seed;
+`budget` takes --format to switch between the human-readable report and JSON
+records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema
 errors (with the offending key path), 1 other domain errors.
 """
 
@@ -64,11 +65,10 @@ def _budget_dict(rc: cfg.RunConfig) -> dict:
     }
 
 
-def cmd_budget(rc: cfg.RunConfig, out_dir: str | None, fmt: str) -> int:
+def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     d = _budget_dict(rc)
-    if fmt == "records":
-        _emit(json.dumps(d, indent=2, sort_keys=True) + "\n", out_dir, "budget.json")
-        return 0
+    if (args.format or rc.output_format) == "records":
+        return "budget.json", json.dumps(d, indent=2, sort_keys=True) + "\n"
     lines = [
         f"scenario: {d['scenario']} ({d['particle']})",
         f"omega_z: {_fmt(d['omega_z_rad_per_s'])} rad/s"
@@ -93,13 +93,10 @@ def cmd_budget(rc: cfg.RunConfig, out_dir: str | None, fmt: str) -> int:
             "WARNING: figure exceeds the feasibility threshold; "
             "the exchange decoheres before completing"
         )
-    _emit("\n".join(lines) + "\n", out_dir, "budget.txt")
-    return 0
+    return "budget.txt", "\n".join(lines) + "\n"
 
 
-def cmd_field(rc: cfg.RunConfig, out_dir: str | None) -> int:
-    if rc.magnet is None:
-        raise cfg.ConfigError("magnet", "missing required key")
+def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     ring = cfg.build_ring(rc)
     spec = rc.magnet
     grid = np.linspace(spec.z_min, spec.z_max, spec.samples)
@@ -119,12 +116,11 @@ def cmd_field(rc: cfg.RunConfig, out_dir: str | None) -> int:
     worst = float(np.max(err / np.where(scale > 0.0, scale, np.inf), initial=0.0))
     buf.write(f"# fd_agreement_max_rel_err = {worst!r}\n")
     buf.write(f"# fd_agreement_ok = {int(worst <= 1e-6)}\n")
-    _emit(buf.getvalue(), out_dir, "field.csv")
-    return 0
+    return "field.csv", buf.getvalue()
 
 
-def cmd_lineshape(rc: cfg.RunConfig, out_dir: str | None, seed: int | None) -> int:
-    pc = cfg.build_protocol(rc, seed=seed)
+def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+    pc = cfg.build_protocol(rc, seed=args.seed)
     shape = protocol.lineshape_scan(pc)
     center, width = protocol.fitted_center_width(shape)
     summary = {
@@ -135,45 +131,58 @@ def cmd_lineshape(rc: cfg.RunConfig, out_dir: str | None, seed: int | None) -> i
     }
     buf = io.StringIO()
     protocol.write_lineshape_csv(shape, buf, summary=summary)
-    _emit(buf.getvalue(), out_dir, "lineshape.csv")
-    return 0
+    return "lineshape.csv", buf.getvalue()
 
 
-def cmd_protocol(rc: cfg.RunConfig, out_dir: str | None, seed: int | None) -> int:
+def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     # record stream at zero drive detuning (on the nominal line center)
-    pc = cfg.build_protocol(rc, seed=seed)
+    pc = cfg.build_protocol(rc, seed=args.seed)
     records = protocol.simulate_point(pc, 0.0, point_index=0)
     buf = io.StringIO()
     protocol.write_records_csv(records, buf)
     rate = int(np.count_nonzero(records.declared_jump)) / pc.cycles
     buf.write(f"# jump_rate = {rate!r}\n")
-    _emit(buf.getvalue(), out_dir, "records.csv")
-    return 0
+    return "records.csv", buf.getvalue()
 
 
-def cmd_sweep(rc: cfg.RunConfig, axis: str, values, out_dir: str | None) -> int:
+def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+    try:
+        start, stop, points = args.range.split(":")
+        values = np.linspace(float(start), float(stop), int(points))
+    except (ValueError, TypeError):
+        raise cfg.ConfigError("range", "expected start:stop:points") from None
     header = (
-        f"{axis},omega_ex_rad_per_s,t_ex_s,gamma_per_s,n_bar,figure,feasible\n"
+        f"{args.axis},omega_ex_rad_per_s,t_ex_s,gamma_per_s,n_bar,figure,feasible\n"
     )
     rows = [header]
     for value in values:
-        data = cfg.set_by_path(rc.raw, axis, float(value))
+        data = cfg.set_by_path(rc.raw, args.axis, float(value))
         swept = cfg.parse_config(data)
         b = cfg.build_budget(swept)
         rows.append(
             f"{_fmt(value)},{_fmt(b.omega_ex)},{_fmt(b.t_ex)},{_fmt(b.gamma)},"
             f"{_fmt(b.n_bar)},{_fmt(b.figure)},{int(b.feasible)}\n"
         )
-    _emit("".join(rows), out_dir, "sweep.csv")
-    return 0
+    return "sweep.csv", "".join(rows)
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    try:
-        start, stop, points = spec.split(":")
-        return np.linspace(float(start), float(stop), int(points))
-    except (ValueError, TypeError):
-        raise cfg.ConfigError("range", "expected start:stop:points") from None
+_FLAGS = {
+    "--format": dict(choices=cfg.OUTPUT_FORMATS, default=None),
+    "--seed": dict(type=int, default=None, help="override scenario seed"),
+    "--axis": dict(required=True, help="dotted config path"),
+    "--range": dict(required=True, help="start:stop:points"),
+}
+
+# name -> (command, help, the flags it reads beyond --config and --out); a
+# command returns (output filename, text)
+_COMMANDS = {
+    "budget": (cmd_budget, "exchange/dissipation budget report", ("--format",)),
+    "field": (cmd_field, "bottle-ring on-axis field profile CSV", ()),
+    "lineshape": (cmd_lineshape, "quantum-jump lineshape scan CSV", ("--seed",)),
+    "protocol": (cmd_protocol, "per-cycle protocol record stream CSV", ("--seed",)),
+    "sweep": (cmd_sweep, "budget report swept along one config axis",
+              ("--axis", "--range")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,21 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
         "wire-coupled two-trap quantum logic readout.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("budget", "exchange/dissipation budget report"),
-        ("field", "bottle-ring on-axis field profile CSV"),
-        ("lineshape", "quantum-jump lineshape scan CSV"),
-        ("protocol", "per-cycle protocol record stream CSV"),
-        ("sweep", "budget report swept along one config axis"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario path or bundled name")
         p.add_argument("--out", default=None, help="output directory (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--format", choices=cfg.OUTPUT_FORMATS, default=None)
-        if name == "sweep":
-            p.add_argument("--axis", required=True, help="dotted config path")
-            p.add_argument("--range", required=True, help="start:stop:points")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -205,19 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = cfg.load_config(args.config)
-        fmt = args.format or rc.output_format
-        out_dir = args.out if args.out is not None else rc.output_dir
-        if args.command == "budget":
-            return cmd_budget(rc, out_dir, fmt)
-        if args.command == "field":
-            return cmd_field(rc, out_dir)
-        if args.command == "lineshape":
-            return cmd_lineshape(rc, out_dir, args.seed)
-        if args.command == "protocol":
-            return cmd_protocol(rc, out_dir, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(rc, args.axis, _parse_range(args.range), out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        filename, text = _COMMANDS[args.command][0](rc, args)
+        _emit(text, args.out if args.out is not None else rc.output_dir, filename)
+        return 0
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ Schema (units in key names; * = optional):
        center_z_m*, background_field_tesla*, calibrate_b2_tesla_per_m2*,
        profile: {z_min_m, z_max_m, samples, logic_site_m*, spectroscopy_site_m*}}
     protocol*:
-      {cycles, pi_pulse_fidelity, sideband_cooling_residual, cooling_time_s*,
-       pulse_time_s*, mode*, field_noise_per_sqrt_minute*,
+      {cycles (at most 1000000), pi_pulse_fidelity, sideband_cooling_residual,
+       cooling_time_s*, pulse_time_s*, mode*, field_noise_per_sqrt_minute*,
        detection: {averaging_time_s, noise_density_hz_per_sqrt_hz, threshold_hz*},
        drive: {profile*, peak_probability*, grid: {start_hz, stop_hz, points}}}
 
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
+MAX_CYCLES = 1_000_000  # one point allocates every draw of its cycles at once
 
 
 class ConfigError(ValueError):
@@ -254,6 +255,8 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
     block.finish()
     if spec.grid_points < 1:
         raise ConfigError(f"{block.path}.drive.grid.points", "need at least one point")
+    if spec.cycles > MAX_CYCLES:
+        raise ConfigError(f"{block.path}.cycles", f"at most {MAX_CYCLES} cycles")
     return spec
 
 
@@ -356,7 +359,13 @@ def load_config(path_or_name: str | Path) -> RunConfig:
                 f"(bundled: {bundled_scenarios()})",
             )
         text = candidate.read_text()
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:  # one line: the problem and its position
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
+        raise ConfigError("<root>", f"invalid YAML: {problem}{where}") from None
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
     return parse_config(data)
@@ -404,6 +413,9 @@ def build_protocol(
     if config.protocol is None:
         raise ConfigError("protocol", "missing required key")
     spec = config.protocol
+    seed = config.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     budget = build_budget(config)
     shifts_l = spectroscopy.shift_set_for_trap(
         config.trap_logic, m=config.mass, q=config.charge
@@ -433,7 +445,7 @@ def build_protocol(
         ),
         field_noise=spec.field_noise,
         cycles=spec.cycles,
-        seed=config.seed if seed is None else seed,
+        seed=seed,
         omega_c_spec=cyclotron_frequency(
             config.trap_spectroscopy.B, config.charge, config.mass
         ),

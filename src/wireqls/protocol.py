@@ -127,7 +127,6 @@ class ProtocolConfig:
     cooling_time: float = 0.100       # [s]
     pulse_time: float = 1e-3          # [s] per sideband pulse
     mode: str = "cyclotron"           # or "anomaly"
-    g: float = G_E
     swap_probability: float | None = None  # override; default from dynamics
 
     def __post_init__(self) -> None:
@@ -239,7 +238,7 @@ def readout_shift(config: ProtocolConfig) -> float:
     delta = config.shifts_L.delta
     if config.mode == "cyclotron":
         return delta
-    return delta * (1.0 - 0.5 * config.g)
+    return delta * (1.0 - 0.5 * G_E)
 
 
 def resolve_swap_probability(config: ProtocolConfig) -> float:

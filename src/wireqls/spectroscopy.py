@@ -156,9 +156,7 @@ def heating_rate(
     return q**2 * s_e / (4.0 * m * HBAR * omega_z)
 
 
-def shift_set_for_trap(
-    trap: TrapParams, m: float = M_E, q: float = E, g: float = G_E
-) -> ShiftSet:
+def shift_set_for_trap(trap: TrapParams, m: float = M_E, q: float = E) -> ShiftSet:
     """Bundle the three shift/linewidth numbers for one trap."""
     omega_c = cyclotron_frequency(trap.B, q, m)
     return ShiftSet(

@@ -93,6 +93,30 @@ class TestBudgetCommand:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_temperature_where_kt_underflows(self, capsys, tmp_path, electron_raw):
+        electron_raw["environment"]["temperature_k"] = 1.0e-320
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "budget", "--config", path)
+        assert code == 0, err
+        assert "n_bar: 0.0\n" in out
+
+    @pytest.mark.parametrize("text", ["scenario: [unclosed\n", "seed: 1\x00\n"])
+    def test_malformed_yaml_is_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "budget", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: <root>: invalid YAML") and err.count("\n") == 1
+
+    def test_cycles_bounded(self, capsys, tmp_path, electron_raw):
+        electron_raw["protocol"]["cycles"] = 1000001
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "budget", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: protocol.cycles: ") and err.count("\n") == 1
+
     def test_output_directory(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "budget", "--config", "paper-electron", "--out", str(tmp_path / "o")
@@ -161,6 +185,20 @@ class TestLineshapeAndProtocolCommands:
         _, out_a, _ = run_cli(capsys, "lineshape", "--config", path, "--seed", "1")
         _, out_b, _ = run_cli(capsys, "lineshape", "--config", path, "--seed", "2")
         assert out_a != out_b
+
+    @pytest.mark.parametrize("command", ["lineshape", "protocol"])
+    @pytest.mark.parametrize("where", ["scenario", "flag"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, electron_raw, command, where):
+        argv = [command, "--config"]
+        if where == "scenario":
+            electron_raw["seed"] = -1
+            argv.append(write_scenario(tmp_path, electron_raw))
+        else:
+            argv += ["paper-electron", "--seed", "-1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: seed: ") and err.count("\n") == 1
 
     def test_fitted_width_near_drive_width(self, capsys, tmp_path, electron_raw):
         # ideal stages: the fitted width lands on the configured broadening
@@ -258,6 +296,27 @@ class TestLineshapeAndProtocolCommands:
         code, out, err = run_cli(capsys, "protocol", "--config", path)
         assert code == 0, err
         assert out.splitlines()[-1].startswith("# jump_rate = ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("budget", "--seed", "3"),
+        ("field", "--format", "records"),
+        ("field", "--seed", "3"),
+        ("sweep", "--seed", "3"),
+        ("lineshape", "--format", "records"),
+        ("protocol", "--format", "records"),
+    ],
+)
+def test_subcommand_rejects_flag_it_does_not_read(capsys, command, flag, value):
+    argv = [command, "--config", "paper-electron", flag, value]
+    if command == "sweep":
+        argv += ["--axis", "resonator.R_p_ohm", "--range", "1:2:2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy():
