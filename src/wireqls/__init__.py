@@ -10,16 +10,21 @@ dynamics      two-mode Lindblad exchange, swap fidelity
 protocol      seven-step cycle state machine and Monte Carlo lineshapes
 config        scenario schema and loaders
 cli           command-line entry points
+
+The modules load on first attribute access (`wireqls.protocol`), so the
+budget commands start without numpy.
 """
 
-from . import (  # noqa: F401
-    circuit,
-    config,
-    constants,
-    dynamics,
-    magnetics,
-    protocol,
-    spectroscopy,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = frozenset(
+    {"circuit", "config", "constants", "dynamics", "magnetics", "protocol", "spectroscopy"}
+)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

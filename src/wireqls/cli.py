@@ -6,6 +6,10 @@ name) and writes CSV/text to stdout, or into --out <dir> when given.
 `budget` takes --format to switch between the human-readable report and JSON
 records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema
 errors (with the offending key path), 1 other domain errors.
+
+numpy and the Monte Carlo module are imported by the commands that compute
+arrays (`field`, `lineshape`, `protocol`), so `budget` and `sweep` start
+without them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfg
-from . import magnetics, protocol
+from . import magnetics
 from .constants import angular_to_hz
 
 __all__ = ["main"]
@@ -97,6 +99,8 @@ def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
 
 
 def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+    import numpy as np
+
     ring = cfg.build_ring(rc)
     spec = rc.magnet
     grid = np.linspace(spec.z_min, spec.z_max, spec.samples)
@@ -120,6 +124,10 @@ def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
 
 
 def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+    import numpy as np
+
+    from . import protocol
+
     pc = cfg.build_protocol(rc, seed=args.seed)
     shape = protocol.lineshape_scan(pc)
     center, width = protocol.fitted_center_width(shape)
@@ -135,6 +143,10 @@ def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str
 
 
 def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+    import numpy as np
+
+    from . import protocol
+
     # record stream at zero drive detuning (on the nominal line center)
     pc = cfg.build_protocol(rc, seed=args.seed)
     records = protocol.simulate_point(pc, 0.0, point_index=0)
@@ -148,7 +160,7 @@ def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]
 def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     try:
         start, stop, points = args.range.split(":")
-        values = np.linspace(float(start), float(stop), int(points))
+        values = cfg.linspace(float(start), float(stop), int(points))
     except (ValueError, TypeError):
         raise cfg.ConfigError("range", "expected start:stop:points") from None
     header = (
@@ -156,7 +168,7 @@ def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     )
     rows = [header]
     for value in values:
-        data = cfg.set_by_path(rc.raw, args.axis, float(value))
+        data = cfg.set_by_path(rc.raw, args.axis, value)
         swept = cfg.parse_config(data)
         b = cfg.build_budget(swept)
         rows.append(

@@ -18,15 +18,21 @@ Schema (units in key names; * = optional):
     magnet*:
       {inner_radius_m, outer_radius_m, height_m, mu0_magnetization_tesla,
        center_z_m*, background_field_tesla*, calibrate_b2_tesla_per_m2*,
-       profile: {z_min_m, z_max_m, samples, logic_site_m*, spectroscopy_site_m*}}
+       profile: {z_min_m, z_max_m, samples (2 to 100000), logic_site_m*,
+                 spectroscopy_site_m*}}
     protocol*:
-      {cycles (at most 1000000), pi_pulse_fidelity, sideband_cooling_residual,
-       cooling_time_s*, pulse_time_s*, mode*, field_noise_per_sqrt_minute*,
+      {cycles (1 to 1000000), pi_pulse_fidelity (in [0, 1]),
+       sideband_cooling_residual (>= 0), cooling_time_s*, pulse_time_s*,
+       mode* (cyclotron|anomaly), field_noise_per_sqrt_minute*,
        detection: {averaging_time_s, noise_density_hz_per_sqrt_hz, threshold_hz*},
-       drive: {profile*, peak_probability*, grid: {start_hz, stop_hz, points}}}
+       drive: {profile* (exponential|gaussian), peak_probability*,
+               grid: {start_hz, stop_hz, points (1 to 100000)}}}
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
+
+Parsing a scenario and building its budget need no numpy; `build_protocol`
+imports the array modules when it is called.
 """
 
 from __future__ import annotations
@@ -36,12 +42,15 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
-from . import circuit, magnetics, protocol, spectroscopy
+from . import circuit, magnetics, spectroscopy
 from .constants import cyclotron_frequency, hz_to_angular, particle_mass_charge
+
+if TYPE_CHECKING:
+    from . import protocol
 
 __all__ = [
     "ConfigError",
@@ -56,10 +65,14 @@ __all__ = [
     "build_budget",
     "build_ring",
     "build_protocol",
+    "linspace",
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
 MAX_CYCLES = 1_000_000  # one point allocates every draw of its cycles at once
+MAX_GRID = 100_000  # detuning grid points, field profile samples
+MODES = ("cyclotron", "anomaly")
+DRIVE_PROFILES = ("exponential", "gaussian")
 
 
 class ConfigError(ValueError):
@@ -218,6 +231,8 @@ def _parse_magnet(block: _Block) -> MagnetSpec:
         raise ConfigError(f"{block.path}.profile.z_min_m", "z_min_m must be < z_max_m")
     if spec.samples < 2:
         raise ConfigError(f"{block.path}.profile.samples", "need at least 2 samples")
+    if spec.samples > MAX_GRID:
+        raise ConfigError(f"{block.path}.profile.samples", f"at most {MAX_GRID} samples")
     return spec
 
 
@@ -253,10 +268,25 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
     grid.finish()
     drive.finish()
     block.finish()
+    # a bad value exits 2 with its key path; ProtocolConfig and DriveModel
+    # repeat the range checks for library callers
+    path = block.path
     if spec.grid_points < 1:
-        raise ConfigError(f"{block.path}.drive.grid.points", "need at least one point")
+        raise ConfigError(f"{path}.drive.grid.points", "need at least one point")
+    if spec.grid_points > MAX_GRID:
+        raise ConfigError(f"{path}.drive.grid.points", f"at most {MAX_GRID} points")
+    if spec.cycles < 1:
+        raise ConfigError(f"{path}.cycles", "need at least one cycle")
     if spec.cycles > MAX_CYCLES:
-        raise ConfigError(f"{block.path}.cycles", f"at most {MAX_CYCLES} cycles")
+        raise ConfigError(f"{path}.cycles", f"at most {MAX_CYCLES} cycles")
+    if not 0.0 <= spec.pi_pulse_fidelity <= 1.0:
+        raise ConfigError(f"{path}.pi_pulse_fidelity", "must lie in [0, 1]")
+    if spec.sideband_cooling_residual < 0.0:
+        raise ConfigError(f"{path}.sideband_cooling_residual", "must be non-negative")
+    if spec.mode not in MODES:
+        raise ConfigError(f"{path}.mode", f"must be one of {MODES}")
+    if spec.drive_profile not in DRIVE_PROFILES:
+        raise ConfigError(f"{path}.drive.profile", f"must be one of {DRIVE_PROFILES}")
     return spec
 
 
@@ -410,6 +440,8 @@ def build_protocol(
     config: RunConfig, seed: int | None = None
 ) -> protocol.ProtocolConfig:
     """Assemble the full per-cycle configuration from the scenario."""
+    from . import protocol
+
     if config.protocol is None:
         raise ConfigError("protocol", "missing required key")
     spec = config.protocol
@@ -424,9 +456,7 @@ def build_protocol(
         config.trap_spectroscopy, m=config.mass, q=config.charge
     )
     threshold = spec.threshold if spec.threshold is not None else 0.5 * shifts_l.delta
-    detunings = tuple(
-        float(x) for x in np.linspace(spec.grid_start, spec.grid_stop, spec.grid_points)
-    )
+    detunings = tuple(linspace(spec.grid_start, spec.grid_stop, spec.grid_points))
     return protocol.ProtocolConfig(
         budget=budget,
         shifts_L=shifts_l,
@@ -453,6 +483,29 @@ def build_protocol(
         pulse_time=spec.pulse_time,
         mode=spec.mode,
     )
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from `start` to `stop`, both included.
+
+    The same arithmetic as `numpy.linspace`, so the values agree bit for
+    bit: i * step + start, with i / (num - 1) * (stop - start) + start where
+    the step underflows to zero, and the last value set to `stop`.
+    """
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num <= 1:
+        return [0.0 * delta + start] * num
+    div = num - 1
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
 def set_by_path(data: dict, dotted: str, value) -> dict:

@@ -16,6 +16,9 @@ differentiation. B2 as stored includes that factor 1/2.
 Everything is linear in M, so ratios of field values between positions are
 pure geometry; `RingMagnet.calibrated_to` exploits this to pin B2 at the
 trap center to a target value.
+
+numpy is imported by the functions that evaluate the field, so a scenario's
+`RingMagnet` is built without it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import IO
-
-import numpy as np
 
 __all__ = [
     "MU0_M_SATURATION",
@@ -110,6 +111,8 @@ def _face_term(u, r2):
 
 def _derivatives(ring: RingMagnet, z):
     """B, dB/dz, d2B/dz2 of the ring's own on-axis field."""
+    import numpy as np
+
     scale = 0.5 * MU_0 * ring.magnetization
     a2 = ring.r_in**2
     b2 = ring.r_out**2
@@ -131,6 +134,8 @@ def on_axis_field(ring: RingMagnet, z):
     Accepts a scalar or array of positions; decays like |z|^-3 far away
     (dipole limit) and is even about the ring midplane.
     """
+    import numpy as np
+
     field, _, _ = _derivatives(ring, z)
     return float(field) if np.isscalar(z) else field
 
@@ -141,6 +146,8 @@ def gradients(ring: RingMagnet, z):
     B1 is odd and B2 even about the ring midplane; both scale linearly
     with the magnetization.
     """
+    import numpy as np
+
     _, d1, d2 = _derivatives(ring, z)
     if np.isscalar(z):
         return float(d1), float(0.5 * d2)
@@ -179,6 +186,8 @@ def fd_gradients(ring: RingMagnet, z: float, step: float | None = None):
 def field_profile(ring: RingMagnet, z, background: float = 0.0) -> FieldProfile:
     """Sample (B, B1, B2) on a grid; `background` adds a uniform solenoid
     field to B and leaves the gradients untouched."""
+    import numpy as np
+
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     field, d1, d2 = _derivatives(ring, zs)
     return FieldProfile(z=zs, B=field + background, B1=d1, B2=0.5 * d2)

@@ -532,21 +532,18 @@ def write_records_csv(records: ProtocolRecords, stream) -> None:
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
+    # the bool columns as 0/1 ints, so one %-template formats a whole row
     rows = zip(
         records.cycle.tolist(),
         records.n_c_after_drive.tolist(),
-        records.transfer_s_ok.tolist(),
-        records.exchange_ok.tolist(),
-        records.transfer_l_ok.tolist(),
+        records.transfer_s_ok.view(np.uint8).tolist(),
+        records.exchange_ok.view(np.uint8).tolist(),
+        records.transfer_l_ok.view(np.uint8).tolist(),
         records.measured_shift.tolist(),
-        records.declared_jump.tolist(),
+        records.declared_jump.view(np.uint8).tolist(),
         records.wall_time.tolist(),
     )
-    for cycle, n_c, s_ok, ex_ok, l_ok, shift, declared, wall in rows:
-        stream.write(
-            f"{cycle},{n_c},{int(s_ok)},{int(ex_ok)},{int(l_ok)},"
-            f"{shift!r},{int(declared)},{wall!r}\n"
-        )
+    stream.writelines(map("%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__, rows))
 
 
 def write_lineshape_csv(

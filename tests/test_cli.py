@@ -31,6 +31,25 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_python(code: str) -> str:
+    """Stripped stdout of `code` run in a fresh interpreter on this package."""
+    src = str(Path(cfg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.strip()
+
+
+def set_key(raw: dict, dotted: str, value) -> None:
+    *parents, leaf = dotted.split(".")
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+
+
 class TestBudgetCommand:
     def test_paper_electron_report(self, capsys):
         code, out, _ = run_cli(
@@ -117,6 +136,17 @@ class TestBudgetCommand:
         assert out == ""
         assert err.startswith("config error: protocol.cycles: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dotted", ["protocol.drive.grid.points", "magnet.profile.samples"])
+    def test_grid_size_bounded(self, capsys, tmp_path, electron_raw, dotted):
+        set_key(electron_raw, dotted, cfg.MAX_GRID)
+        cfg.parse_config(electron_raw)  # the cap itself is accepted
+        set_key(electron_raw, dotted, cfg.MAX_GRID + 1)
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "budget", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {dotted}: ") and err.count("\n") == 1
+
     def test_output_directory(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "budget", "--config", "paper-electron", "--out", str(tmp_path / "o")
@@ -199,6 +229,29 @@ class TestLineshapeAndProtocolCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: seed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("cycles", 0),
+            ("pi_pulse_fidelity", 1.5),
+            ("pi_pulse_fidelity", -0.1),
+            ("sideband_cooling_residual", -0.01),
+            ("mode", "bogus"),
+            ("drive.profile", "bogus"),
+        ],
+    )
+    def test_protocol_range_is_schema_error(
+        self, capsys, tmp_path, electron_raw, dotted, value
+    ):
+        set_key(electron_raw, f"protocol.{dotted}", value)
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("protocol", "budget"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"config error: protocol.{dotted}: ")
+            assert err.count("\n") == 1
 
     def test_fitted_width_near_drive_width(self, capsys, tmp_path, electron_raw):
         # ideal stages: the fitted width lands on the configured broadening
@@ -321,14 +374,36 @@ def test_subcommand_rejects_flag_it_does_not_read(capsys, command, flag, value):
 
 def test_cli_import_does_not_load_scipy():
     # scipy serves only the Fock-space oracle; every command skips it
-    src = str(Path(cfg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, wireqls.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+    out = run_python("import sys, wireqls.cli; print('scipy' in sys.modules)")
+    assert out == "False"
+
+
+def test_budget_and_sweep_do_not_load_numpy():
+    # numpy serves the commands that compute arrays: field, lineshape, protocol
+    argvs = [
+        ["budget", "--config", "paper-electron"],
+        ["budget", "--config", "paper-electron", "--format", "records"],
+        ["sweep", "--config", "paper-electron",
+         "--axis", "resonator.detune_linewidths", "--range", "5:200:5"],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert result.stdout.strip() == "False"
+    assert out == "False"
+
+
+def test_package_loads_modules_on_first_access():
+    out = run_python(
+        "import sys, wireqls\n"
+        "print('wireqls.protocol' in sys.modules,"
+        " callable(wireqls.protocol.simulate_point), hasattr(wireqls, 'nope'))"
+    )
+    assert out == "False True False"
 
 
 class TestSweepCommand:
@@ -403,6 +478,26 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "numeric" in err
+
+    @pytest.mark.parametrize("points, rows", [("0", []), ("1", ["5.0"])])
+    def test_empty_and_single_point_ranges(self, capsys, points, rows):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "resonator.detune_linewidths", "--range", f"5:200:{points}",
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("resonator.detune_linewidths,")
+        assert [l.split(",")[0] for l in lines[1:]] == rows
+
+    def test_negative_points_schema_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "resonator.detune_linewidths", "--range", "5:200:-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: range: expected start:stop:points\n"
 
     def test_bad_range_spec(self, capsys):
         code, _, err = run_cli(

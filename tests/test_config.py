@@ -1,7 +1,13 @@
 import copy
+import math
+import struct
+import sys
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wireqls import config as cfg
 from wireqls.constants import M_E, M_P, TWO_PI
@@ -171,3 +177,41 @@ class TestSweepPathHelper:
         with pytest.raises(cfg.ConfigError) as exc:
             cfg.set_by_path(electron_raw, "particle", 1.0)
         assert "numeric" in str(exc.value)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BIG = sys.float_info.max
+
+
+@st.composite
+def _ends(draw):
+    """(start, stop): independent, equal, or one ulp apart."""
+    start = draw(FINITE)
+    kind = draw(st.sampled_from(("any", "equal", "ulp up", "ulp down")))
+    if kind == "any":
+        return start, draw(FINITE)
+    if kind == "equal":
+        return start, start
+    stop = math.nextafter(start, math.inf if kind == "ulp up" else -math.inf)
+    return start, stop if math.isfinite(stop) else start
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestLinspace:
+    @given(ends=_ends(), num=st.integers(0, 2000))
+    @example(ends=(0.0, 5e-322), num=1001)   # the step underflows to zero
+    @example(ends=(-BIG, BIG), num=5)        # stop - start overflows
+    @example(ends=(-0.0, 1.0), num=1)        # 0 * delta + start is +0.0
+    @example(ends=(1.5, -2.5), num=0)
+    def test_matches_numpy_bit_for_bit(self, ends, num):
+        start, stop = ends
+        with np.errstate(all="ignore"):  # 0 * inf where stop - start overflows
+            expected = np.linspace(start, stop, num).tolist()
+        assert _bits(cfg.linspace(start, stop, num)) == _bits(expected)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            cfg.linspace(0.0, 1.0, -1)
