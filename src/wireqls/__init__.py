@@ -12,7 +12,7 @@ config        scenario schema and loaders
 cli           command-line entry points
 
 The modules load on first attribute access (`wireqls.protocol`), so the
-budget commands start without numpy.
+`budget`, `field` and `sweep` commands start without numpy.
 """
 
 import importlib

@@ -22,10 +22,12 @@ Schema (units in key names; * = optional):
                  spectroscopy_site_m*}}
     protocol*:
       {cycles (1 to 1000000), pi_pulse_fidelity (in [0, 1]),
-       sideband_cooling_residual (>= 0), cooling_time_s*, pulse_time_s*,
-       mode* (cyclotron|anomaly), field_noise_per_sqrt_minute*,
-       detection: {averaging_time_s, noise_density_hz_per_sqrt_hz, threshold_hz*},
-       drive: {profile* (exponential|gaussian), peak_probability*,
+       sideband_cooling_residual (>= 0), cooling_time_s* (>= 0),
+       pulse_time_s* (>= 0), mode* (cyclotron|anomaly),
+       field_noise_per_sqrt_minute* (>= 0),
+       detection: {averaging_time_s (> 0), noise_density_hz_per_sqrt_hz (>= 0),
+                   threshold_hz*},
+       drive: {profile* (exponential|gaussian), peak_probability* (in [0, 1]),
                grid: {start_hz, stop_hz, points (1 to 100000)}}}
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
@@ -268,8 +270,8 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
     grid.finish()
     drive.finish()
     block.finish()
-    # a bad value exits 2 with its key path; ProtocolConfig and DriveModel
-    # repeat the range checks for library callers
+    # a bad value exits 2 with its key path; ProtocolConfig, DriveModel and
+    # DetectionModel repeat their range checks for library callers
     path = block.path
     if spec.grid_points < 1:
         raise ConfigError(f"{path}.drive.grid.points", "need at least one point")
@@ -287,6 +289,20 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         raise ConfigError(f"{path}.mode", f"must be one of {MODES}")
     if spec.drive_profile not in DRIVE_PROFILES:
         raise ConfigError(f"{path}.drive.profile", f"must be one of {DRIVE_PROFILES}")
+    if not 0.0 <= spec.peak_probability <= 1.0:
+        raise ConfigError(f"{path}.drive.peak_probability", "must lie in [0, 1]")
+    if spec.averaging_time <= 0.0:
+        raise ConfigError(f"{path}.detection.averaging_time_s", "must be positive")
+    if spec.noise_density < 0.0:
+        raise ConfigError(
+            f"{path}.detection.noise_density_hz_per_sqrt_hz", "must be non-negative"
+        )
+    if spec.field_noise < 0.0:
+        raise ConfigError(f"{path}.field_noise_per_sqrt_minute", "must be non-negative")
+    if spec.cooling_time < 0.0:
+        raise ConfigError(f"{path}.cooling_time_s", "must be non-negative")
+    if spec.pulse_time < 0.0:
+        raise ConfigError(f"{path}.pulse_time_s", "must be non-negative")
     return spec
 
 
@@ -511,19 +527,21 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 def set_by_path(data: dict, dotted: str, value) -> dict:
     """Copy `data` with the numeric leaf at `dotted` replaced by `value`.
 
-    Used by parameter sweeps; the leaf must already exist and be numeric.
+    Only the mappings along the path are copied; the copy shares every
+    other block with `data`, so neither may be mutated in place. Used by
+    parameter sweeps; the leaf must already exist and be numeric.
     An integral value on an integer leaf is written as an int, so integer
     leaves can be swept.
     """
-    out = copy.deepcopy(data)
-    node = out
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
+    *parents, leaf = dotted.split(".")
+    out = node = dict(data)
+    for part in parents:
+        child = node.get(part)
+        if not isinstance(child, dict):
             raise ConfigError(dotted, "no such key in the scenario")
+        node[part] = dict(child)
         node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
+    if leaf not in node:
         raise ConfigError(dotted, "no such key in the scenario")
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float)):

@@ -17,8 +17,8 @@ Everything is linear in M, so ratios of field values between positions are
 pure geometry; `RingMagnet.calibrated_to` exploits this to pin B2 at the
 trap center to a target value.
 
-numpy is imported by the functions that evaluate the field, so a scenario's
-`RingMagnet` is built without it.
+The field is evaluated with arithmetic operators only: a float position
+gives floats without numpy, and an ndarray of positions gives ndarrays.
 """
 
 from __future__ import annotations
@@ -92,36 +92,29 @@ class RingMagnet:
 class FieldProfile:
     """Sampled on-axis profile; B2 carries the (1/2) d^2B/dz^2 convention."""
 
-    z: np.ndarray   # [m]
-    B: np.ndarray   # [T]
-    B1: np.ndarray  # [T/m]
-    B2: np.ndarray  # [T/m^2]
+    z: tuple[float, ...]   # [m]
+    B: tuple[float, ...]   # [T]
+    B1: tuple[float, ...]  # [T/m]
+    B2: tuple[float, ...]  # [T/m^2]
 
 
 def _face_term(u, r2):
-    # u / sqrt(u^2 + r^2) and its first three derivatives, for one radius
-    s = u * u + r2
-    inv = s**-0.5
-    g0 = u * inv
-    g1 = r2 * inv**3
-    g2 = -3.0 * r2 * u * inv**5
-    g3 = -3.0 * r2 * (r2 - 4.0 * u * u) * inv**7
-    return g0, g1, g2, g3
+    # u / sqrt(u^2 + r^2) and its first two derivatives, for one radius
+    inv = (u * u + r2) ** -0.5
+    return u * inv, r2 * inv**3, -3.0 * r2 * u * inv**5
 
 
 def _derivatives(ring: RingMagnet, z):
     """B, dB/dz, d2B/dz2 of the ring's own on-axis field."""
-    import numpy as np
-
     scale = 0.5 * MU_0 * ring.magnetization
     a2 = ring.r_in**2
     b2 = ring.r_out**2
-    u_top = np.asarray(z, dtype=float) - (ring.center_z + 0.5 * ring.height)
-    u_bot = np.asarray(z, dtype=float) - (ring.center_z - 0.5 * ring.height)
-    ta0, ta1, ta2, _ = _face_term(u_top, a2)
-    tb0, tb1, tb2, _ = _face_term(u_top, b2)
-    ba0, ba1, ba2, _ = _face_term(u_bot, a2)
-    bb0, bb1, bb2, _ = _face_term(u_bot, b2)
+    u_top = z - (ring.center_z + 0.5 * ring.height)
+    u_bot = z - (ring.center_z - 0.5 * ring.height)
+    ta0, ta1, ta2 = _face_term(u_top, a2)
+    tb0, tb1, tb2 = _face_term(u_top, b2)
+    ba0, ba1, ba2 = _face_term(u_bot, a2)
+    bb0, bb1, bb2 = _face_term(u_bot, b2)
     field = scale * ((ta0 - tb0) - (ba0 - bb0))
     d1 = scale * ((ta1 - tb1) - (ba1 - bb1))
     d2 = scale * ((ta2 - tb2) - (ba2 - bb2))
@@ -131,13 +124,10 @@ def _derivatives(ring: RingMagnet, z):
 def on_axis_field(ring: RingMagnet, z):
     """On-axis field B_z(z) of the ring in tesla.
 
-    Accepts a scalar or array of positions; decays like |z|^-3 far away
+    Accepts a float or an ndarray of positions; decays like |z|^-3 far away
     (dipole limit) and is even about the ring midplane.
     """
-    import numpy as np
-
-    field, _, _ = _derivatives(ring, z)
-    return float(field) if np.isscalar(z) else field
+    return _derivatives(ring, z)[0]
 
 
 def gradients(ring: RingMagnet, z):
@@ -146,11 +136,7 @@ def gradients(ring: RingMagnet, z):
     B1 is odd and B2 even about the ring midplane; both scale linearly
     with the magnetization.
     """
-    import numpy as np
-
     _, d1, d2 = _derivatives(ring, z)
-    if np.isscalar(z):
-        return float(d1), float(0.5 * d2)
     return d1, 0.5 * d2
 
 
@@ -184,13 +170,16 @@ def fd_gradients(ring: RingMagnet, z: float, step: float | None = None):
 
 
 def field_profile(ring: RingMagnet, z, background: float = 0.0) -> FieldProfile:
-    """Sample (B, B1, B2) on a grid; `background` adds a uniform solenoid
-    field to B and leaves the gradients untouched."""
-    import numpy as np
-
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    field, d1, d2 = _derivatives(ring, zs)
-    return FieldProfile(z=zs, B=field + background, B1=d1, B2=0.5 * d2)
+    """Sample (B, B1, B2) on the positions `z`; `background` adds a uniform
+    solenoid field to B and leaves the gradients untouched."""
+    zs = tuple(float(v) for v in z)
+    rows = [_derivatives(ring, v) for v in zs]
+    return FieldProfile(
+        z=zs,
+        B=tuple(field + background for field, _, _ in rows),
+        B1=tuple(d1 for _, d1, _ in rows),
+        B2=tuple(0.5 * d2 for _, _, d2 in rows),
+    )
 
 
 def write_profile_csv(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,17 @@ class TestFieldCommand:
         worst = [l for l in lines if l.startswith("# fd_agreement_max_rel_err")]
         assert float(worst[0].split("=")[1]) <= 1e-6
 
+    @pytest.mark.parametrize("dotted", ["magnet.height_m", "magnet.profile.z_max_m"])
+    def test_overflowing_geometry_is_one_line(self, capsys, tmp_path, electron_raw, dotted):
+        set_key(electron_raw, dotted, 1.0e300)
+        path = write_scenario(tmp_path, electron_raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "field", "--config", path)
+        assert code in (1, 2)
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
         assert code == 2
@@ -244,6 +256,30 @@ class TestLineshapeAndProtocolCommands:
     def test_protocol_range_is_schema_error(
         self, capsys, tmp_path, electron_raw, dotted, value
     ):
+        set_key(electron_raw, f"protocol.{dotted}", value)
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("protocol", "budget"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"config error: protocol.{dotted}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("drive.peak_probability", 1.5),
+            ("detection.averaging_time_s", 0.0),
+            ("detection.noise_density_hz_per_sqrt_hz", -1.0),
+            ("field_noise_per_sqrt_minute", -1.0),
+            ("cooling_time_s", -1.0),
+            ("pulse_time_s", -1.0),
+        ],
+    )
+    def test_protocol_model_range_is_schema_error(
+        self, capsys, tmp_path, electron_raw, dotted, value
+    ):
+        # ranges the protocol models also check for library callers
         set_key(electron_raw, f"protocol.{dotted}", value)
         path = write_scenario(tmp_path, electron_raw)
         for command in ("protocol", "budget"):
@@ -397,6 +433,25 @@ def test_budget_and_sweep_do_not_load_numpy():
     assert out == "False"
 
 
+def test_field_does_not_load_numpy(tmp_path, electron_raw):
+    # the ring's closed form is evaluated in plain Python
+    electron_raw["magnet"]["profile"]["samples"] = 2000
+    argvs = [
+        ["field", "--config", "paper-electron"],
+        ["field", "--config", write_scenario(tmp_path, electron_raw)],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert '# fd_agreement_ok = 1' in buf.getvalue(), argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out == "False"
+
+
 def test_package_loads_modules_on_first_access():
     out = run_python(
         "import sys, wireqls\n"
@@ -498,6 +553,15 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert err == "config error: range: expected start:stop:points\n"
+
+    def test_point_count_bounded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "resonator.detune_linewidths", "--range", "5:200:100001",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: range: at most 100000 points\n"
 
     def test_bad_range_spec(self, capsys):
         code, _, err = run_cli(

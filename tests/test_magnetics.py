@@ -121,6 +121,29 @@ class TestCalibration:
         assert 1e3 < b2 < 1e6
 
 
+class TestScalarPath:
+    def test_float_argument_gives_floats(self):
+        assert type(magnetics.on_axis_field(RING, 0.01)) is float
+        b1, b2 = magnetics.gradients(RING, 0.01)
+        assert type(b1) is float and type(b2) is float
+
+    def test_profile_matches_array_evaluation(self):
+        # the float path (plain Python pow) against the same closed form on
+        # ndarrays (numpy pow): they may differ only in the last bits
+        ring = RING.calibrated_to(9000.0)
+        grid = [float(z) for z in np.linspace(-0.1, 0.1, 801)]
+        grid += [float(z) for z in np.random.default_rng(5).uniform(-0.3, 0.3, 200)]
+        profile = magnetics.field_profile(ring, grid, background=6.0)
+        zs = np.asarray(grid)
+        b1, b2 = magnetics.gradients(ring, zs)
+        assert profile.z == tuple(grid)
+        np.testing.assert_allclose(
+            profile.B, magnetics.on_axis_field(ring, zs) + 6.0, rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(profile.B1, b1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(profile.B2, b2, rtol=1e-12, atol=0)
+
+
 class TestFiniteDifferenceOracle:
     def test_analytic_matches_fd_at_random_points(self):
         rng = np.random.default_rng(11)
@@ -141,7 +164,9 @@ class TestProfileExport:
         z = np.linspace(-0.02, 0.08, 21)
         plain = magnetics.field_profile(RING, z)
         shifted = magnetics.field_profile(RING, z, background=6.0)
-        np.testing.assert_allclose(shifted.B - plain.B, 6.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.subtract(shifted.B, plain.B), 6.0, rtol=0, atol=1e-12
+        )
         np.testing.assert_allclose(shifted.B1, plain.B1, rtol=0)
         np.testing.assert_allclose(shifted.B2, plain.B2, rtol=0)
 
