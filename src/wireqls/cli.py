@@ -1,7 +1,9 @@
 """Command-line surface: budget, field, lineshape, protocol, sweep.
 
 Every command takes --config (a scenario file path or a bundled scenario
-name) and writes CSV/text to stdout, or into --out <dir> when given.
+name) and writes CSV/text to stdout, or into --out <dir> when given; `main`
+writes it once, after the command has computed and checked everything, and
+`protocol` hands it a writer that streams the record table in row chunks.
 `lineshape` and `protocol` take --seed to override the scenario seed;
 `budget` takes --format to switch between the human-readable report and JSON
 records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema
@@ -19,10 +21,17 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import config as cfg
 from . import magnetics
 from .constants import angular_to_hz
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import TextIO
+
+    Writer = Callable[[TextIO], None]
 
 __all__ = ["main"]
 
@@ -31,13 +40,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
+def _emit(body: str | Writer, out_dir: str | None, filename: str) -> None:
+    """Write a command's output to stdout, or to `filename` in `out_dir`;
+    `body` is the text, or a function that writes it to a stream."""
+    write = body if callable(body) else lambda stream: stream.write(body)
     if out_dir is None:
-        sys.stdout.write(text)
-    else:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
+        write(sys.stdout)
+        return
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    with open(path / filename, "w") as stream:
+        write(stream)
 
 
 def _budget_dict(rc: cfg.RunConfig) -> dict:
@@ -142,19 +155,22 @@ def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str
     return "lineshape.csv", buf.getvalue()
 
 
-def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, Writer]:
     import numpy as np
 
     from . import protocol
 
-    # record stream at zero drive detuning (on the nominal line center)
+    # record stream at zero drive detuning (on the nominal line center); the
+    # table is written row chunk by row chunk straight to its destination
     pc = cfg.build_protocol(rc, seed=args.seed)
     records = protocol.simulate_point(pc, 0.0, point_index=0)
-    buf = io.StringIO()
-    protocol.write_records_csv(records, buf)
     rate = int(np.count_nonzero(records.declared_jump)) / pc.cycles
-    buf.write(f"# jump_rate = {rate!r}\n")
-    return "records.csv", buf.getvalue()
+
+    def write(stream: TextIO) -> None:
+        protocol.write_records_csv(records, stream)
+        stream.write(f"# jump_rate = {rate!r}\n")
+
+    return "records.csv", write
 
 
 def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
@@ -191,7 +207,8 @@ _FLAGS = {
 }
 
 # name -> (command, help, the flags it reads beyond --config and --out); a
-# command returns (output filename, text)
+# command computes and checks everything first, then returns (output
+# filename, text) or (output filename, function writing the text to a stream)
 _COMMANDS = {
     "budget": (cmd_budget, "exchange/dissipation budget report", ("--format",)),
     "field": (cmd_field, "bottle-ring on-axis field profile CSV", ()),
@@ -222,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = cfg.load_config(args.config)
-        filename, text = _COMMANDS[args.command][0](rc, args)
-        _emit(text, args.out if args.out is not None else rc.output_dir, filename)
+        filename, body = _COMMANDS[args.command][0](rc, args)
+        _emit(body, args.out if args.out is not None else rc.output_dir, filename)
         return 0
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

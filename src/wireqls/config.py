@@ -19,7 +19,7 @@ Schema (units in key names; * = optional):
       {inner_radius_m, outer_radius_m, height_m, mu0_magnetization_tesla,
        center_z_m*, background_field_tesla*, calibrate_b2_tesla_per_m2*,
        profile: {z_min_m, z_max_m, samples (2 to 100000), logic_site_m*,
-                 spectroscopy_site_m*}}
+                 spectroscopy_site_m*}}  (positions within +-10 m)
     protocol*:
       {cycles (1 to 1000000), pi_pulse_fidelity (in [0, 1]),
        sideband_cooling_residual (>= 0), cooling_time_s* (>= 0),
@@ -28,7 +28,8 @@ Schema (units in key names; * = optional):
        detection: {averaging_time_s (> 0), noise_density_hz_per_sqrt_hz (>= 0),
                    threshold_hz*},
        drive: {profile* (exponential|gaussian), peak_probability* (in [0, 1]),
-               grid: {start_hz, stop_hz, points (1 to 100000)}}}
+               grid: {start_hz, stop_hz (both within +-1e12),
+                      points (1 to 100000)}}}
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
@@ -71,8 +72,12 @@ __all__ = [
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
-MAX_CYCLES = 1_000_000  # one point allocates every draw of its cycles at once
+# a point holds its record columns (36 bytes a cycle) and, while it draws,
+# a few float rows; `protocol` writes the table in fixed row chunks
+MAX_CYCLES = 1_000_000
 MAX_GRID = 100_000  # detuning grid points, field profile samples
+MAX_DRIVE_HZ = 1.0e12  # |drive grid end| [Hz], above any modelled cyclotron line
+MAX_PROFILE_M = 10.0  # |field profile end or trap site| [m]
 MODES = ("cyclotron", "anomaly")
 DRIVE_PROFILES = ("exponential", "gaussian")
 
@@ -98,7 +103,11 @@ class _Block:
     def _key(self, name: str) -> str:
         return f"{self.path}.{name}" if self.path else name
 
-    def take(self, name: str, kind: type, required: bool = True, default=None):
+    def take(
+        self, name: str, kind: type, required: bool = True, default=None, bound=None
+    ):
+        """The value at `name`, checked against `kind`; a float beyond
+        +-`bound` is rejected."""
         self.seen.add(name)
         if name not in self.data:
             if required:
@@ -112,6 +121,8 @@ class _Block:
                 raise ConfigError(
                     self._key(name), f"expected a finite number, got {value!r}"
                 )
+            if bound is not None and abs(value) > bound:
+                raise ConfigError(self._key(name), f"must lie within +-{bound:g}")
             return float(value)
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -171,7 +182,8 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario; `raw` is the original mapping for round-trips."""
+    """Validated scenario; `raw` is the parsed mapping itself, for
+    round-trips and sweeps; treat it as read-only."""
 
     scenario: str
     seed: int
@@ -219,12 +231,15 @@ def _parse_magnet(block: _Block) -> MagnetSpec:
         ring=ring,
         calibrate_b2=calibrate,
         background=background,
-        z_min=profile.take("z_min_m", float),
-        z_max=profile.take("z_max_m", float),
+        z_min=profile.take("z_min_m", float, bound=MAX_PROFILE_M),
+        z_max=profile.take("z_max_m", float, bound=MAX_PROFILE_M),
         samples=profile.take("samples", int),
-        logic_site=profile.take("logic_site_m", float, required=False, default=0.0),
+        logic_site=profile.take(
+            "logic_site_m", float, required=False, default=0.0, bound=MAX_PROFILE_M
+        ),
         spectroscopy_site=profile.take(
-            "spectroscopy_site_m", float, required=False, default=0.05
+            "spectroscopy_site_m", float, required=False, default=0.05,
+            bound=MAX_PROFILE_M,
         ),
     )
     profile.finish()
@@ -263,8 +278,8 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         threshold=None if threshold_hz is None else hz_to_angular(threshold_hz),
         drive_profile=profile,
         peak_probability=peak,
-        grid_start=hz_to_angular(grid.take("start_hz", float)),
-        grid_stop=hz_to_angular(grid.take("stop_hz", float)),
+        grid_start=hz_to_angular(grid.take("start_hz", float, bound=MAX_DRIVE_HZ)),
+        grid_stop=hz_to_angular(grid.take("stop_hz", float, bound=MAX_DRIVE_HZ)),
         grid_points=grid.take("points", int),
     )
     grid.finish()
@@ -307,7 +322,11 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a mapping against the strict schema and build a RunConfig."""
+    """Validate a mapping against the strict schema and build a RunConfig.
+
+    The RunConfig keeps `data` itself as `raw`, not a copy, so the caller
+    must not mutate `data` afterwards; `dump_config` returns a copy.
+    """
     root = _Block(data, "")
     scenario = root.take("scenario", str)
     seed = root.take("seed", int)
@@ -381,7 +400,7 @@ def parse_config(data: dict) -> RunConfig:
         trap_spectroscopy=trap_spec,
         magnet=magnet,
         protocol=proto,
-        raw=copy.deepcopy(data),
+        raw=data,
     )
 
 

@@ -65,6 +65,8 @@ SECONDS_PER_MINUTE = 60.0
 DETECTION_SNR_Z = 3.0
 DETECTION_TIME_FLOOR = 0.050  # [s]
 
+RECORDS_CHUNK = 4096  # record rows formatted per write
+
 
 @dataclass(frozen=True)
 class DetectionModel:
@@ -281,36 +283,45 @@ def simulate_point(
     cyclotron line center random-walks with the magnet field noise: each
     cycle adds a Gaussian step of relative size
     field_noise * sqrt(cycle_time / minute) to the line position. Every
-    draw is made whatever the config, so the stream never branches on it.
+    draw is made whatever the config, so the stream never branches on it:
+    six uniform rows, then two normal rows, one row at a time (the same
+    stream as one (6, n) and one (2, n) block), each uniform row reduced
+    to its stage outcome as soon as it is drawn.
     """
     n = config.cycles
     rng = point_rng(config.seed, point_index)
-    u_res_s, u_res_l, u_drive, u_pi_s, u_swap, u_pi_l = rng.random((6, n))
-    steps, noise = rng.standard_normal((2, n))
-    drift = np.cumsum(steps) * (
+    p_res = _residual_excited_probability(config.sideband_cooling_residual)
+    p_pi = config.pi_pulse_fidelity
+    # the six uniform rows, each kept only as its stage's outcome
+    n_z_s = rng.random(n) < p_res  # (i) residual occupation after cooling
+    n_z_l = rng.random(n) < p_res
+    u_drive = rng.random(n)  # (ii) compared once the drift is known
+    pi_s = rng.random(n) < p_pi  # (iii)
+    swap = rng.random(n) < resolve_swap_probability(config)  # (iv)
+    pi_l = rng.random(n) < p_pi  # (v)
+    # the first normal row: the field walk's steps
+    drift = np.cumsum(rng.standard_normal(n)) * (
         config.field_noise
         * config.omega_c_spec
         * math.sqrt(config.cycle_time / SECONDS_PER_MINUTE)
     )
-    p_res = _residual_excited_probability(config.sideband_cooling_residual)
-    p_pi = config.pi_pulse_fidelity
 
-    # (i) sideband cooling with residual occupation
-    n_z_s = u_res_s < p_res
-    n_z_l = u_res_l < p_res
     # (ii) spectroscopy drive
     excited = u_drive < drive_probability(
         config.drive, config.shifts_S.broadening, detuning, drift
     )
+    del u_drive, drift
     # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
-    transfer_s = excited & ~n_z_s & (u_pi_s < p_pi)
+    transfer_s = excited & ~n_z_s & pi_s
     n_z_s = n_z_s | transfer_s
     # (iv) wire exchange of the axial quanta, only when they differ
-    exchange = (n_z_s != n_z_l) & (u_swap < resolve_swap_probability(config))
+    exchange = (n_z_s != n_z_l) & swap
     n_z_l = n_z_l ^ exchange
     # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
-    transfer_l = n_z_l & (u_pi_l < p_pi)
-    # (vi) axial-frequency measurement of the logic particle
+    transfer_l = n_z_l & pi_l
+    # (vi) axial-frequency measurement of the logic particle, with the
+    # second normal row as its noise
+    noise = rng.standard_normal(n)
     measured = readout_shift(config) * transfer_l + config.detection.sigma * noise
     # (vii) bookkeeping
     return ProtocolRecords(
@@ -527,23 +538,30 @@ def timing_budget(
 
 
 def write_records_csv(records: ProtocolRecords, stream) -> None:
-    """Record stream as CSV; shifts in rad/s, times in seconds."""
+    """Record stream as CSV; shifts in rad/s, times in seconds.
+
+    Rows are formatted and written RECORDS_CHUNK at a time, so the text
+    held in memory does not grow with the table.
+    """
     stream.write(
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
     # the bool columns as 0/1 ints, so one %-template formats a whole row
-    rows = zip(
-        records.cycle.tolist(),
-        records.n_c_after_drive.tolist(),
-        records.transfer_s_ok.view(np.uint8).tolist(),
-        records.exchange_ok.view(np.uint8).tolist(),
-        records.transfer_l_ok.view(np.uint8).tolist(),
-        records.measured_shift.tolist(),
-        records.declared_jump.view(np.uint8).tolist(),
-        records.wall_time.tolist(),
+    columns = (
+        records.cycle,
+        records.n_c_after_drive,
+        records.transfer_s_ok.view(np.uint8),
+        records.exchange_ok.view(np.uint8),
+        records.transfer_l_ok.view(np.uint8),
+        records.measured_shift,
+        records.declared_jump.view(np.uint8),
+        records.wall_time,
     )
-    stream.writelines(map("%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__, rows))
+    row = "%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__
+    for lo in range(0, len(records.cycle), RECORDS_CHUNK):
+        rows = zip(*(c[lo : lo + RECORDS_CHUNK].tolist() for c in columns))
+        stream.write("".join(map(row, rows)))
 
 
 def write_lineshape_csv(

@@ -202,6 +202,21 @@ class TestFieldCommand:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key", ["z_min_m", "z_max_m", "logic_site_m", "spectroscopy_site_m"]
+    )
+    def test_profile_extent_bounded(self, capsys, tmp_path, electron_raw, key):
+        dotted = f"magnet.profile.{key}"
+        sign = -1.0 if key == "z_min_m" else 1.0
+        set_key(electron_raw, dotted, sign * cfg.MAX_PROFILE_M)
+        cfg.parse_config(electron_raw)  # the bound itself is accepted
+        set_key(electron_raw, dotted, sign * 1.0e300)
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "field", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {dotted}: ") and err.count("\n") == 1
+
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
         assert code == 2
@@ -354,6 +369,58 @@ class TestLineshapeAndProtocolCommands:
         # rerun is byte-identical
         code, again, _ = run_cli(capsys, "protocol", "--config", path)
         assert out == again
+
+    def test_protocol_out_file_matches_stdout(self, capsys, tmp_path, electron_raw):
+        # several record chunks and a partial last one
+        electron_raw["protocol"]["cycles"] = 9001
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, _ = run_cli(capsys, "protocol", "--config", path, "--seed", "5")
+        assert code == 0
+        code, none, _ = run_cli(
+            capsys, "protocol", "--config", path, "--seed", "5", "--out", str(tmp_path / "o")
+        )
+        assert code == 0 and none == ""
+        assert (tmp_path / "o" / "records.csv").read_bytes() == out.encode()
+        assert out.count("\n") == 9001 + 2
+
+    @pytest.mark.parametrize(
+        "where, exit_code", [("no protocol block", 2), ("threshold above delta", 1)]
+    )
+    def test_failed_protocol_writes_nothing(
+        self, capsys, tmp_path, electron_raw, where, exit_code
+    ):
+        if where == "no protocol block":
+            config = "paper-proton"
+        else:  # passes the schema, fails in the protocol model
+            electron_raw["protocol"]["detection"]["threshold_hz"] = 1.0e6
+            config = write_scenario(tmp_path, electron_raw)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "protocol", "--config", config, "--out", str(out_dir))
+        assert code == exit_code
+        assert out == "" and err.count("\n") == 1
+        assert not (out_dir / "records.csv").exists()
+        code, out, _ = run_cli(capsys, "protocol", "--config", config)
+        assert code == exit_code and out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", ["start_hz", "stop_hz"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_drive_grid_ends_bounded(self, capsys, tmp_path, electron_raw, key, sign):
+        grid = electron_raw["protocol"]["drive"]["grid"]
+        electron_raw["protocol"]["cycles"] = 50
+        grid.update({"start_hz": -cfg.MAX_DRIVE_HZ, "stop_hz": cfg.MAX_DRIVE_HZ,
+                     "points": 3})
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "lineshape", "--config", path)
+        assert code == 0, err  # the bound itself runs without a warning
+        assert "# center_uncertainty_rad_per_s" in out
+        grid[key] = sign * 1.0e300
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "lineshape", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: protocol.drive.grid.{key}: ")
+        assert err.count("\n") == 1
 
     def test_every_output_value_parses_as_float(self, capsys, tmp_path, electron_raw):
         # numpy scalars must not leak their repr, e.g. np.float64(0.65)
@@ -562,6 +629,26 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert err == "config error: range: at most 100000 points\n"
+
+    def test_sweep_leaves_scenario_unchanged(self):
+        rc = cfg.load_config("paper-electron")
+        before = copy.deepcopy(rc.raw)
+        args = cli.build_parser().parse_args(
+            ["sweep", "--config", "paper-electron", "--axis",
+             "traps.logic.temperature_k", "--range", "0.004:0.02:9"]
+        )
+        texts = [cli.cmd_sweep(rc, args)[1] for _ in range(2)]
+        assert rc.raw == before
+        assert texts[0] == texts[1]
+        rows = texts[0].splitlines()[1:]
+        assert len(rows) == 9
+        for row in rows:
+            value, *cells = row.split(",")
+            data = copy.deepcopy(before)
+            data["traps"]["logic"]["temperature_k"] = float(value)
+            b = cfg.build_budget(cfg.parse_config(data))
+            assert cells == [repr(b.omega_ex), repr(b.t_ex), repr(b.gamma),
+                             repr(b.n_bar), repr(b.figure), str(int(b.feasible))]
 
     def test_bad_range_spec(self, capsys):
         code, _, err = run_cli(

@@ -415,3 +415,135 @@ class TestDayScaleReport:
             "one-day statistical projections of order 1e-14 additionally "
             "assume drift tracking outside this model)"
         )
+
+
+def _block_kernel(config, detuning, point_index):
+    """The kernel's columns from one (6, n) uniform and one (2, n) normal
+    block, stage by stage as the module docstring describes them."""
+    n = config.cycles
+    rng = protocol.point_rng(config.seed, point_index)
+    u_res_s, u_res_l, u_drive, u_pi_s, u_swap, u_pi_l = rng.random((6, n))
+    steps, noise = rng.standard_normal((2, n))
+    drift = np.cumsum(steps) * (
+        config.field_noise * config.omega_c_spec * math.sqrt(config.cycle_time / 60.0)
+    )
+    residual = config.sideband_cooling_residual
+    p_res = residual / (1.0 + residual)
+    p_pi = config.pi_pulse_fidelity
+    n_z_s = u_res_s < p_res
+    n_z_l = u_res_l < p_res
+    excited = u_drive < protocol.drive_probability(
+        config.drive, config.shifts_S.broadening, detuning, drift
+    )
+    transfer_s = excited & ~n_z_s & (u_pi_s < p_pi)
+    exchange = ((n_z_s | transfer_s) != n_z_l) & (
+        u_swap < protocol.resolve_swap_probability(config)
+    )
+    transfer_l = (n_z_l ^ exchange) & (u_pi_l < p_pi)
+    measured = (
+        protocol.readout_shift(config) * transfer_l + config.detection.sigma * noise
+    )
+    return {
+        "cycle": np.arange(n),
+        "n_c_after_drive": excited.astype(int),
+        "transfer_s_ok": transfer_s,
+        "exchange_ok": exchange,
+        "transfer_l_ok": transfer_l,
+        "measured_shift": measured,
+        "declared_jump": measured >= config.detection.threshold,
+        "wall_time": np.arange(1, n + 1) * config.cycle_time,
+    }
+
+
+def _reference_records_csv(records) -> str:
+    """One %-template per row, indexing the columns cycle by cycle."""
+    text = (
+        "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
+        "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
+    )
+    for i in range(len(records.cycle)):
+        text += "%d,%d,%d,%d,%d,%r,%d,%r\n" % (
+            int(records.cycle[i]),
+            int(records.n_c_after_drive[i]),
+            int(records.transfer_s_ok[i]),
+            int(records.exchange_ok[i]),
+            int(records.transfer_l_ok[i]),
+            float(records.measured_shift[i]),
+            int(records.declared_jump[i]),
+            float(records.wall_time[i]),
+        )
+    return text
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+class TestRecordStream:
+    """The kernel draws row by row; the writer formats fixed row chunks."""
+
+    @pytest.fixture()
+    def noisy_config(self, base_config):
+        return replace(
+            base_config,
+            pi_pulse_fidelity=0.9,
+            sideband_cooling_residual=0.1,
+            detection=replace(base_config.detection, noise_density=20.0),
+            swap_probability=0.7,
+            cycles=5000,
+        )
+
+    @pytest.mark.parametrize("field_noise", [0.0, 1e-9])
+    def test_kernel_matches_block_draws(self, noisy_config, field_noise):
+        config = replace(noisy_config, field_noise=field_noise)
+        width = config.shifts_S.broadening
+        for k, detuning in enumerate((0.0, 0.5 * width, 3.0 * width)):
+            records = protocol.simulate_point(config, detuning, k)
+            expected = _block_kernel(config, detuning, k)
+            for f in fields(protocol.ProtocolRecords):
+                column = getattr(records, f.name)
+                np.testing.assert_array_equal(column, expected[f.name], err_msg=f.name)
+                assert column.dtype == expected[f.name].dtype, f.name
+        if field_noise:
+            # the walk moves the line: the drift stage is really exercised
+            quiet = protocol.simulate_point(replace(config, field_noise=0.0), 0.0, 0)
+            assert not np.array_equal(
+                quiet.n_c_after_drive, protocol.simulate_point(config, 0.0, 0).n_c_after_drive
+            )
+
+    @pytest.mark.parametrize(
+        "cycles",
+        [
+            1,
+            protocol.RECORDS_CHUNK - 1,
+            protocol.RECORDS_CHUNK,
+            protocol.RECORDS_CHUNK + 1,
+            3 * protocol.RECORDS_CHUNK + 7,
+        ],
+    )
+    def test_chunked_writer_matches_row_template(self, noisy_config, cycles):
+        records = protocol.simulate_point(replace(noisy_config, cycles=cycles), 0.0, 2)
+        buf = io.StringIO()
+        protocol.write_records_csv(records, buf)
+        assert buf.getvalue() == _reference_records_csv(records)
+        assert buf.getvalue().count("\n") == cycles + 1
+
+    def test_writer_memory_does_not_grow_with_the_table(self, noisy_config):
+        import tracemalloc
+
+        records = protocol.simulate_point(replace(noisy_config, cycles=100_000), 0.0, 0)
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            protocol.write_records_csv(records, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 5_000_000  # the whole table went through
+        assert peak < 4_000_000, f"writer peaked at {peak / 1e6:.1f} MB"
