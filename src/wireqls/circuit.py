@@ -271,27 +271,32 @@ def optimize_detuning(
     trap_S: TrapParams,
     T: float,
     constraint: float,
-    scan_range: tuple[float, float] = (1.0, 1000.0),
-    step: float = 0.25,
     m: float = M_E,
     q: float = E,
 ) -> float | None:
-    """Smallest detuning (fastest exchange) whose figure meets `constraint`.
+    """Smallest detuning [line widths] whose figure meets `constraint`.
 
-    In the capacitive limit Re Z ~ detuning^-2 and |Im Z| ~ detuning^-1, so
-    the figure t_ex * n_bar * gamma falls off as 1/detuning; a monotone
-    upward scan therefore finds the smallest admissible detuning. Returns
-    None when no detuning in `scan_range` satisfies the constraint.
+    The figure t_ex * n_bar * gamma is K / (R_p |B|), with
+    K = pi n_bar sqrt(l_L l_S) / min(l_L, l_S) and the resonator
+    susceptance B = C_p (w_z^2 - w_res^2) / w_z at
+    w_res = w_z - detuning / (C_p R_p). It falls strictly as the detuning
+    grows, so figure = constraint inverts exactly: w_res^2 = w_z^2 - x with
+    x = w_z K / (C_p R_p constraint), and
+    detuning = C_p R_p x / (w_z + sqrt(w_z^2 - x)), a form free of the
+    cancellation in w_z - w_res. Returns None when x >= w_z^2 (w_res would
+    reach zero). At n_bar = 0 (T = 0) every positive detuning meets the
+    constraint, and the result is 0.0.
     """
     if not 0.0 < constraint < 1.0:
         raise ValueError("constraint must lie in (0, 1)")
-    lo, hi = scan_range
-    if not (0.0 < lo < hi) or step <= 0:
-        raise ValueError("scan_range must be increasing and positive, step > 0")
-    n_steps = int(math.floor((hi - lo) / step))
-    for i in range(n_steps + 1):
-        detuning = lo + i * step
-        budget = qls_budget(res, trap_L, trap_S, T, detuning, m=m, q=q)
-        if budget.figure <= constraint:
-            return detuning
-    return None
+    if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
+        raise ValueError("both traps must be tuned to the same axial frequency")
+    omega_z = trap_L.omega_z
+    l_L = series_equivalent(trap_L, m=m, q=q).l
+    l_S = series_equivalent(trap_S, m=m, q=q).l
+    k = math.pi * thermal_occupation(omega_z, T) * math.sqrt(l_L * l_S) / min(l_L, l_S)
+    tau = res.C_p * res.R_p
+    x = omega_z * k / (tau * constraint)
+    if x >= omega_z**2:
+        return None
+    return tau * x / (omega_z + math.sqrt(omega_z**2 - x))

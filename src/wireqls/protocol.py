@@ -361,57 +361,47 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
 def analytic_jump_probability(
     config: ProtocolConfig,
     detuning: float,
-    drift: float = 0.0,
     swap_probability: float | None = None,
 ) -> float:
-    """Exact declared-jump probability of one cycle.
-
-    Closed-form enumeration of the stage Bernoulli tree: the independent
+    """Exact declared-jump probability of one cycle: the independent
     oracle the Monte Carlo must converge to.
+
+    The stage chain is affine in the drive probability p_exc:
+
+        P = D0 + (D1 - D0) * pi * [r + (1 - r) * pi * s * p_exc]
+
+    with r the residual excitation after cooling, pi the pi-pulse
+    fidelity, s the swap probability, and D1 and D0 the detection
+    probabilities with and without a completed jump. The swap mixes the two
+    axial occupations, so the logic mode leaves step (iv) excited with
+    probability (1 - s) r + s [r + (1 - r) pi p_exc], the bracket, and
+    step (v) and the detection act on that. The line's contrast is
+    peak * (1 - r) * pi^2 * s * (D1 - D0) over a background of
+    D0 + (D1 - D0) * pi * r.
     """
     p_swap = (
         swap_probability
         if swap_probability is not None
         else resolve_swap_probability(config)
     )
-    p_res = _residual_excited_probability(config.sideband_cooling_residual)
+    r = _residual_excited_probability(config.sideband_cooling_residual)
     p_pi = config.pi_pulse_fidelity
-    p_exc = float(
-        drive_probability(config.drive, config.shifts_S.broadening, detuning, drift)
-    )
-    shift = readout_shift(config)
+    p_exc = float(drive_probability(config.drive, config.shifts_S.broadening, detuning))
     sigma = config.detection.sigma
     threshold = config.detection.threshold
+    d1 = _detection_probability(readout_shift(config), sigma, threshold)
+    d0 = _detection_probability(0.0, sigma, threshold)
+    return d0 + (d1 - d0) * p_pi * (r + (1.0 - r) * p_pi * p_swap * p_exc)
 
-    p_declared = 0.0
-    for n_z_s0, pa in ((0, 1.0 - p_res), (1, p_res)):
-        for n_z_l0, pb in ((0, 1.0 - p_res), (1, p_res)):
-            for exc, pc in ((0, 1.0 - p_exc), (1, p_exc)):
-                # step (iii) branches: (n_z_s, n_c_s, probability)
-                if exc == 1 and n_z_s0 == 0:
-                    branches3 = [(1, 0, p_pi), (n_z_s0, 1, 1.0 - p_pi)]
-                else:
-                    branches3 = [(n_z_s0, exc, 1.0)]
-                for n_z_s, _n_c_s, pd in branches3:
-                    # step (iv) branches: (n_z_l, probability)
-                    if n_z_s != n_z_l0:
-                        branches4 = [(n_z_s, p_swap), (n_z_l0, 1.0 - p_swap)]
-                    else:
-                        branches4 = [(n_z_l0, 1.0)]
-                    for n_z_l, pe in branches4:
-                        # step (v) branches: (n_c_l, probability)
-                        if n_z_l == 1:
-                            branches5 = [(1, p_pi), (0, 1.0 - p_pi)]
-                        else:
-                            branches5 = [(0, 1.0)]
-                        for n_c_l, pf in branches5:
-                            weight = pa * pb * pc * pd * pe * pf
-                            if weight == 0.0:
-                                continue
-                            p_declared += weight * _detection_probability(
-                                shift * n_c_l, sigma, threshold
-                            )
-    return p_declared
+
+def _moment(lineshape: Lineshape) -> tuple[np.ndarray, float, float]:
+    """Clipped excitation weights, their sum and their first moment (the
+    fitted center)."""
+    w = np.clip(lineshape.fractions, 0.0, None)
+    total = w.sum()
+    if total <= 0.0:
+        raise ValueError("lineshape has no excitation to fit")
+    return w, total, float((w * lineshape.detunings).sum() / total)
 
 
 def fitted_center_width(lineshape: Lineshape) -> tuple[float, float]:
@@ -421,11 +411,7 @@ def fitted_center_width(lineshape: Lineshape) -> tuple[float, float]:
     1/e width and the first moment sits one width above the edge; for the
     Gaussian profile the standard deviation is the Gaussian sigma.
     """
-    w = np.clip(lineshape.fractions, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("lineshape has no excitation to fit")
-    center = float((w * lineshape.detunings).sum() / total)
+    w, total, center = _moment(lineshape)
     var = float((w * (lineshape.detunings - center) ** 2).sum() / total)
     return center, math.sqrt(max(var, 0.0))
 
@@ -433,11 +419,7 @@ def fitted_center_width(lineshape: Lineshape) -> tuple[float, float]:
 def center_uncertainty(lineshape: Lineshape) -> float:
     """Statistical error of the fitted center, propagated from the
     per-point binomial errors."""
-    w = np.clip(lineshape.fractions, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("lineshape has no excitation to fit")
-    center = float((w * lineshape.detunings).sum() / total)
+    _, total, center = _moment(lineshape)
     partials = (lineshape.detunings - center) / total
     return float(np.sqrt(((partials * lineshape.errors) ** 2).sum()))
 

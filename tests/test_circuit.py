@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wireqls import circuit
+from wireqls import config as cfg
 from wireqls.constants import E, M_E, M_P, TWO_PI
 
 from conftest import C_P, DETUNE, OMEGA_Z, R_P, T_ENV, assert_rel, bose
@@ -243,6 +246,17 @@ class TestQlsBudget:
         assert figures[1] / figures[2] == pytest.approx(2.0, rel=0.05)
 
 
+def _scan_detuning(res, trap_L, trap_S, T, constraint):
+    """First point of the 0.25-linewidth grid from 1 to 1000 line widths
+    whose figure meets `constraint`, or None: the scan the closed-form
+    inverse replaced, kept as its oracle."""
+    for i in range(3997):
+        detuning = 1.0 + i * 0.25
+        if circuit.qls_budget(res, trap_L, trap_S, T, detuning).figure <= constraint:
+            return detuning
+    return None
+
+
 class TestOptimizeDetuning:
     def test_inverts_worked_example(self, stock_resonator, trap_logic, trap_spectroscopy):
         d = circuit.optimize_detuning(
@@ -266,7 +280,7 @@ class TestOptimizeDetuning:
     ):
         result = circuit.optimize_detuning(
             stock_resonator, trap_logic, trap_spectroscopy, T_ENV,
-            constraint=1e-9, scan_range=(1.0, 1000.0), step=5.0,
+            constraint=1e-9,
         )
         assert result is None
 
@@ -277,6 +291,44 @@ class TestOptimizeDetuning:
             circuit.optimize_detuning(
                 stock_resonator, trap_logic, trap_spectroscopy, T_ENV, constraint=1.5
             )
+
+    # from 5 mK up, the detuning stays above ~0.8 line widths, where
+    # qls_budget's own w C - 1/(w L) resolves the figure to ~1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.floats(0.005, 0.030), target=st.floats(0.01, 0.99))
+    def test_inverse_meets_target_and_agrees_with_scan(
+        self, stock_resonator, trap_logic, trap_spectroscopy, T, target
+    ):
+        args = (stock_resonator, trap_logic, trap_spectroscopy, T, target)
+        d = circuit.optimize_detuning(*args)
+        assert d is not None
+        assert_rel(circuit.qls_budget(*args[:4], d).figure, target, 1e-9)
+        # the grid's first point at or above max(d, 1.0), up to the
+        # rounding of a figure that lands on the target at a grid point
+        edge = max(d, 1.0)
+        scan = _scan_detuning(*args)
+        if edge > 1000.0 * (1.0 + 1e-9):
+            assert scan is None
+        else:
+            assert scan is not None
+            assert edge * (1.0 - 1e-9) <= scan < edge * (1.0 + 1e-9) + 0.25
+
+    def test_paper_electron_beyond_the_old_scan_cap(self):
+        rc = cfg.load_config("paper-electron")
+        args = (
+            cfg.build_resonator(rc), rc.trap_logic, rc.trap_spectroscopy,
+            rc.environment_temperature,
+        )
+        d = circuit.optimize_detuning(*args, 0.003, m=rc.mass, q=rc.charge)
+        assert d == pytest.approx(1065.15, abs=0.01)
+        assert_rel(circuit.qls_budget(*args, d).figure, 0.003, 1e-9)
+
+    def test_zero_temperature_needs_no_detuning(
+        self, stock_resonator, trap_logic, trap_spectroscopy
+    ):
+        args = (stock_resonator, trap_logic, trap_spectroscopy, 0.0, 0.5)
+        assert circuit.optimize_detuning(*args) == 0.0
+        assert _scan_detuning(*args) == 1.0
 
 
 class TestTrapParams:

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wireqls import protocol, spectroscopy
 from wireqls.constants import G_E, cyclotron_frequency
@@ -218,6 +220,46 @@ class TestAnalyticOracle:
                     cfg2 = replace(config, swap_probability=min(swap * bump, 1.0))
                 assert protocol.analytic_jump_probability(cfg2, det) >= p0 - 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_pi=st.floats(0.0, 1.0),
+        residual=st.floats(0.0, 3.0),
+        swap=st.floats(0.0, 1.0),
+        peak=st.floats(0.0, 1.0),
+        profile=st.sampled_from(["exponential", "gaussian"]),
+        mode=st.sampled_from(["cyclotron", "anomaly"]),
+        # the estimator noise in units of delta_L, so 0 reads noise-free
+        noise=st.floats(0.0, 3.0),
+        det=st.floats(-5.0, 5.0),
+    )
+    @example(  # noise-free anomaly readout: the jump never reaches threshold
+        p_pi=0.9, residual=0.2, swap=0.8, peak=1.0, profile="exponential",
+        mode="anomaly", noise=0.0, det=0.0,
+    )
+    def test_closed_form_matches_tree(
+        self, base_config, p_pi, residual, swap, peak, profile, mode, noise, det
+    ):
+        detection = base_config.detection
+        config = replace(
+            base_config,
+            pi_pulse_fidelity=p_pi,
+            sideband_cooling_residual=residual,
+            swap_probability=swap,
+            mode=mode,
+            detection=replace(
+                detection,
+                noise_density=noise
+                * base_config.shifts_L.delta
+                * math.sqrt(detection.averaging_time),
+            ),
+            drive=replace(base_config.drive, profile=profile, peak_probability=peak),
+        )
+        detuning = det * config.shifts_S.broadening
+        assert abs(
+            protocol.analytic_jump_probability(config, detuning)
+            - _tree_jump_probability(config, detuning)
+        ) <= 1e-15
+
 
 class TestLineshape:
     def test_ideal_scan_matches_drive_model(self, base_config):
@@ -415,6 +457,54 @@ class TestDayScaleReport:
             "one-day statistical projections of order 1e-14 additionally "
             "assume drift tracking outside this model)"
         )
+
+
+def _tree_jump_probability(config, detuning, swap_probability=None):
+    """Declared-jump probability by enumerating the stage Bernoulli tree,
+    branch by branch: the oracle for the closed form."""
+    p_swap = (
+        swap_probability
+        if swap_probability is not None
+        else protocol.resolve_swap_probability(config)
+    )
+    p_res = protocol._residual_excited_probability(config.sideband_cooling_residual)
+    p_pi = config.pi_pulse_fidelity
+    p_exc = float(
+        protocol.drive_probability(config.drive, config.shifts_S.broadening, detuning)
+    )
+    shift = protocol.readout_shift(config)
+    sigma = config.detection.sigma
+    threshold = config.detection.threshold
+
+    p_declared = 0.0
+    for n_z_s0, pa in ((0, 1.0 - p_res), (1, p_res)):
+        for n_z_l0, pb in ((0, 1.0 - p_res), (1, p_res)):
+            for exc, pc in ((0, 1.0 - p_exc), (1, p_exc)):
+                # step (iii) branches: (n_z_s, n_c_s, probability)
+                if exc == 1 and n_z_s0 == 0:
+                    branches3 = [(1, 0, p_pi), (n_z_s0, 1, 1.0 - p_pi)]
+                else:
+                    branches3 = [(n_z_s0, exc, 1.0)]
+                for n_z_s, _n_c_s, pd in branches3:
+                    # step (iv) branches: (n_z_l, probability)
+                    if n_z_s != n_z_l0:
+                        branches4 = [(n_z_s, p_swap), (n_z_l0, 1.0 - p_swap)]
+                    else:
+                        branches4 = [(n_z_l0, 1.0)]
+                    for n_z_l, pe in branches4:
+                        # step (v) branches: (n_c_l, probability)
+                        if n_z_l == 1:
+                            branches5 = [(1, p_pi), (0, 1.0 - p_pi)]
+                        else:
+                            branches5 = [(0, 1.0)]
+                        for n_c_l, pf in branches5:
+                            weight = pa * pb * pc * pd * pe * pf
+                            if weight == 0.0:
+                                continue
+                            p_declared += weight * protocol._detection_probability(
+                                shift * n_c_l, sigma, threshold
+                            )
+    return p_declared
 
 
 def _block_kernel(config, detuning, point_index):
