@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import E, HBAR, K_B, M_E
+from .constants import HBAR, K_B
 
 __all__ = [
     "ResonatorParams",
@@ -36,9 +36,10 @@ __all__ = [
     "thermal_occupation",
     "qls_budget",
     "optimize_detuning",
+    "FEASIBILITY_THRESHOLD",
 ]
 
-TRAP_LABELS = ("logic", "spectroscopy")
+FEASIBILITY_THRESHOLD = 1.0  # an exchange is feasible iff its figure lies below
 
 
 @dataclass(frozen=True)
@@ -88,24 +89,25 @@ class ResonatorParams:
 
 @dataclass(frozen=True)
 class TrapParams:
-    """One trap's geometry and operating point."""
+    """One trap's geometry, operating point and trapped particle."""
 
     d_eff: float     # effective trap size [m]
     omega_z: float   # resonator-shifted axial frequency [rad/s]
     B: float         # axial magnetic field [T]
     B2_local: float  # local quadratic field gradient [T/m^2]
     T_axial: float   # axial mode temperature [K]
-    label: str       # "logic" or "spectroscopy"
+    m: float         # particle mass [kg]
+    q: float         # particle charge [C]
 
     def __post_init__(self) -> None:
         if self.d_eff <= 0:
             raise ValueError("d_eff must be positive")
         if self.omega_z <= 0:
             raise ValueError("omega_z must be positive")
+        if self.B <= 0:
+            raise ValueError("B must be positive")
         if self.T_axial < 0:
             raise ValueError("T_axial must be non-negative")
-        if self.label not in TRAP_LABELS:
-            raise ValueError(f"label must be one of {TRAP_LABELS}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class ExchangeBudget:
     """Derived exchange/dissipation numbers for one operating point.
 
     `figure` is t_ex * n_bar * gamma by construction, and `feasible` is set
-    iff figure < threshold (default 1.0). gamma_L/gamma_S are the two
+    iff figure < FEASIBILITY_THRESHOLD. gamma_L/gamma_S are the two
     single-mode damping rates whose max is `gamma`; they feed the open-system
     simulation directly.
     """
@@ -140,7 +142,6 @@ class ExchangeBudget:
     l_S: float              # spectroscopy series inductance [H]
     resonator: ResonatorParams  # as tuned for this budget
     feasible: bool
-    threshold: float = 1.0
 
 
 def impedance(res: ResonatorParams, omega: float) -> complex:
@@ -155,16 +156,14 @@ def impedance(res: ResonatorParams, omega: float) -> complex:
     return 1.0 / admittance
 
 
-def series_equivalent(
-    trap: TrapParams, m: float = M_E, q: float = E, z_im: float = 0.0
-) -> SeriesModeEquivalent:
-    """Series-mode equivalent of one trapped particle.
+def series_equivalent(trap: TrapParams, z_im: float = 0.0) -> SeriesModeEquivalent:
+    """Series-mode equivalent of the trap's particle.
 
     l = m (2 d_eff / q)^2. The resonator pulls the axial frequency by
     -Im[Z(w_z)]/l, so the bare frequency that the trap voltage must realize
     is omega_z0 = omega_z + Im[Z(w_z)]/l; c follows from l c omega_z0^2 = 1.
     """
-    l = m * (2.0 * trap.d_eff / q) ** 2
+    l = trap.m * (2.0 * trap.d_eff / trap.q) ** 2
     omega_z0 = trap.omega_z + z_im / l
     if omega_z0 <= 0:
         raise ValueError("frequency pulling drives the bare axial frequency negative")
@@ -216,9 +215,6 @@ def qls_budget(
     trap_S: TrapParams,
     T: float,
     detune_linewidths: float,
-    m: float = M_E,
-    q: float = E,
-    feasibility_threshold: float = 1.0,
 ) -> ExchangeBudget:
     """Compose impedance -> series equivalents -> exchange budget.
 
@@ -228,15 +224,15 @@ def qls_budget(
     Both traps must be tuned to the same omega_z.
 
     Returns an ExchangeBudget; `feasible` is set iff
-    t_ex * n_bar * gamma < feasibility_threshold.
+    t_ex * n_bar * gamma < FEASIBILITY_THRESHOLD.
     """
     if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
         raise ValueError("both traps must be tuned to the same axial frequency")
     omega_z = trap_L.omega_z
     tuned = ResonatorParams.detuned_below(res.C_p, res.R_p, omega_z, detune_linewidths)
     z = impedance(tuned, omega_z)
-    eq_L = series_equivalent(trap_L, m=m, q=q, z_im=z.imag)
-    eq_S = series_equivalent(trap_S, m=m, q=q, z_im=z.imag)
+    eq_L = series_equivalent(trap_L, z_im=z.imag)
+    eq_S = series_equivalent(trap_S, z_im=z.imag)
     z_im_abs = abs(z.imag)
     if z_im_abs == 0.0:
         raise ValueError("Im Z(omega_z) vanishes; no reactive coupling at this detuning")
@@ -260,8 +256,7 @@ def qls_budget(
         l_L=eq_L.l,
         l_S=eq_S.l,
         resonator=tuned,
-        feasible=figure < feasibility_threshold,
-        threshold=feasibility_threshold,
+        feasible=figure < FEASIBILITY_THRESHOLD,
     )
 
 
@@ -271,8 +266,6 @@ def optimize_detuning(
     trap_S: TrapParams,
     T: float,
     constraint: float,
-    m: float = M_E,
-    q: float = E,
 ) -> float | None:
     """Smallest detuning [line widths] whose figure meets `constraint`.
 
@@ -292,8 +285,8 @@ def optimize_detuning(
     if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
         raise ValueError("both traps must be tuned to the same axial frequency")
     omega_z = trap_L.omega_z
-    l_L = series_equivalent(trap_L, m=m, q=q).l
-    l_S = series_equivalent(trap_S, m=m, q=q).l
+    l_L = series_equivalent(trap_L).l
+    l_S = series_equivalent(trap_S).l
     k = math.pi * thermal_occupation(omega_z, T) * math.sqrt(l_L * l_S) / min(l_L, l_S)
     tau = res.C_p * res.R_p
     x = omega_z * k / (tau * constraint)

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import circuit
 from . import config as cfg
 from . import magnetics
 from .constants import angular_to_hz
@@ -76,7 +77,7 @@ def _budget_dict(rc: cfg.RunConfig) -> dict:
         "n_bar": budget.n_bar,
         "figure": budget.figure,
         "feasible": budget.feasible,
-        "threshold": budget.threshold,
+        "threshold": circuit.FEASIBILITY_THRESHOLD,
     }
 
 

@@ -190,8 +190,6 @@ class RunConfig:
     output_format: str
     output_dir: str | None
     particle: str
-    mass: float
-    charge: float
     C_p: float
     R_p: float
     detune_linewidths: float
@@ -203,27 +201,35 @@ class RunConfig:
     raw: dict
 
 
-def _parse_trap(block: _Block, label: str) -> circuit.TrapParams:
-    trap = circuit.TrapParams(
+def _parse_trap(block: _Block, m: float, q: float) -> circuit.TrapParams:
+    keys = dict(
         d_eff=block.take("d_eff_m", float),
         omega_z=hz_to_angular(block.take("axial_frequency_hz", float)),
         B=block.take("field_tesla", float),
         B2_local=block.take("b2_tesla_per_m2", float),
         T_axial=block.take("temperature_k", float),
-        label=label,
     )
     block.finish()
-    return trap
+    # the model owns the ranges; its error gains the block's key path (the
+    # keys are taken before the try, as ConfigError is itself a ValueError)
+    try:
+        return circuit.TrapParams(**keys, m=m, q=q)
+    except ValueError as exc:
+        raise ConfigError(block.path, str(exc)) from None
 
 
 def _parse_magnet(block: _Block) -> MagnetSpec:
-    ring = magnetics.RingMagnet.saturated(
+    keys = dict(
         r_in=block.take("inner_radius_m", float),
         r_out=block.take("outer_radius_m", float),
         height=block.take("height_m", float),
         mu0_m=block.take("mu0_magnetization_tesla", float),
         center_z=block.take("center_z_m", float, required=False, default=0.0),
     )
+    try:  # as in _parse_trap
+        ring = magnetics.RingMagnet.saturated(**keys)
+    except ValueError as exc:
+        raise ConfigError(block.path, str(exc)) from None
     calibrate = block.take("calibrate_b2_tesla_per_m2", float, required=False)
     background = block.take("background_field_tesla", float, required=False, default=0.0)
     profile = block.block("profile")
@@ -365,8 +371,8 @@ def parse_config(data: dict) -> RunConfig:
     env.finish()
 
     traps = root.block("traps")
-    trap_logic = _parse_trap(traps.block("logic"), "logic")
-    trap_spec = _parse_trap(traps.block("spectroscopy"), "spectroscopy")
+    trap_logic = _parse_trap(traps.block("logic"), mass, charge)
+    trap_spec = _parse_trap(traps.block("spectroscopy"), mass, charge)
     traps.finish()
 
     magnet_block = root.block("magnet", required=False)
@@ -390,8 +396,6 @@ def parse_config(data: dict) -> RunConfig:
         output_format=output_format,
         output_dir=output_dir,
         particle=particle,
-        mass=mass,
-        charge=charge,
         C_p=c_p,
         R_p=r_p,
         detune_linewidths=detune,
@@ -456,8 +460,6 @@ def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
         config.trap_spectroscopy,
         config.environment_temperature,
         config.detune_linewidths,
-        m=config.mass,
-        q=config.charge,
     )
 
 
@@ -484,12 +486,9 @@ def build_protocol(
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
     budget = build_budget(config)
-    shifts_l = spectroscopy.shift_set_for_trap(
-        config.trap_logic, m=config.mass, q=config.charge
-    )
-    shifts_s = spectroscopy.shift_set_for_trap(
-        config.trap_spectroscopy, m=config.mass, q=config.charge
-    )
+    trap_s = config.trap_spectroscopy
+    shifts_l = spectroscopy.shift_set_for_trap(config.trap_logic)
+    shifts_s = spectroscopy.shift_set_for_trap(trap_s)
     threshold = spec.threshold if spec.threshold is not None else 0.5 * shifts_l.delta
     detunings = tuple(linspace(spec.grid_start, spec.grid_stop, spec.grid_points))
     return protocol.ProtocolConfig(
@@ -511,9 +510,7 @@ def build_protocol(
         field_noise=spec.field_noise,
         cycles=spec.cycles,
         seed=seed,
-        omega_c_spec=cyclotron_frequency(
-            config.trap_spectroscopy.B, config.charge, config.mass
-        ),
+        omega_c_spec=cyclotron_frequency(trap_s.B, trap_s.q, trap_s.m),
         cooling_time=spec.cooling_time,
         pulse_time=spec.pulse_time,
         mode=spec.mode,

@@ -75,14 +75,13 @@ class RingMagnet:
         """Ring at full saturation, specified by mu0*M in tesla."""
         return cls(r_in, r_out, height, mu0_m / MU_0, center_z)
 
-    def calibrated_to(self, b2_target: float, z: float | None = None) -> "RingMagnet":
-        """Rescale M so that B2 equals `b2_target` at `z` (default: center).
+    def calibrated_to(self, b2_target: float) -> "RingMagnet":
+        """Rescale M so that B2 equals `b2_target` at the ring center.
 
         Linearity in M makes this a pure rescaling; the field shape is
         untouched.
         """
-        at = self.center_z if z is None else z
-        _, b2 = gradients(self, at)
+        _, b2 = gradients(self, self.center_z)
         if b2 == 0.0:
             raise ValueError("B2 vanishes at the calibration point")
         return replace(self, magnetization=self.magnetization * b2_target / b2)

@@ -60,10 +60,12 @@ __all__ = [
 
 SECONDS_PER_MINUTE = 60.0
 
-# detection-speedup model defaults: required averaging time is
-# (2 z sigma_nu / delta)^2, floored by the measurement overhead
+# detection-speedup model: required averaging time is
+# (2 z sigma_nu / delta)^2, floored by the measurement overhead, compared
+# against a bottle DETECTION_BOTTLE_RATIO times smaller
 DETECTION_SNR_Z = 3.0
 DETECTION_TIME_FLOOR = 0.050  # [s]
+DETECTION_BOTTLE_RATIO = 30.0
 
 RECORDS_CHUNK = 4096  # record rows formatted per write
 
@@ -199,8 +201,7 @@ class TimingBudget:
     stages: dict[str, float]
     total: float
     exchange_dominates: bool
-    detection_speedup: float  # vs. a bottle smaller by `bottle_ratio`
-    bottle_ratio: float
+    detection_speedup: float  # vs. a bottle DETECTION_BOTTLE_RATIO times smaller
 
 
 def drive_probability(
@@ -467,29 +468,22 @@ def day_scale_center_report(
     return report
 
 
-def required_averaging_time(
-    delta: float,
-    noise_density: float,
-    z: float = DETECTION_SNR_Z,
-    floor: float = 0.0,
-) -> float:
-    """Averaging time needed to resolve a shift `delta` at z-sigma against
-    the threshold delta/2: (2 z noise / delta)^2, floored by overhead."""
+def required_averaging_time(delta: float, noise_density: float) -> float:
+    """Averaging time needed to resolve a shift `delta` at DETECTION_SNR_Z
+    sigma against the threshold delta/2: (2 z noise / delta)^2, floored by
+    the DETECTION_TIME_FLOOR overhead."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return max((2.0 * z * noise_density / delta) ** 2, floor)
+    return max(
+        (2.0 * DETECTION_SNR_Z * noise_density / delta) ** 2, DETECTION_TIME_FLOOR
+    )
 
 
-def timing_budget(
-    config: ProtocolConfig,
-    snr_z: float = DETECTION_SNR_Z,
-    detection_floor: float = DETECTION_TIME_FLOOR,
-    bottle_ratio: float = 30.0,
-) -> TimingBudget:
+def timing_budget(config: ProtocolConfig) -> TimingBudget:
     """Stage durations, totals, and the detection-speedup comparison.
 
     The speedup compares the required averaging time at the configured
-    logic-trap shift against a bottle `bottle_ratio` times smaller
+    logic-trap shift against a bottle DETECTION_BOTTLE_RATIO times smaller
     (detection time scales as delta^-2 at fixed noise density, capped by
     the per-measurement overhead floor).
     """
@@ -499,23 +493,18 @@ def timing_budget(
         "exchange": config.budget.t_ex,
         "detection": config.detection.averaging_time,
     }
-    total = sum(stages.values())
     exchange_dominates = all(
         stages["exchange"] >= v for k, v in stages.items() if k != "exchange"
     )
     delta = config.shifts_L.delta
-    t_small = required_averaging_time(
-        delta / bottle_ratio, config.detection.noise_density, snr_z, detection_floor
-    )
-    t_large = required_averaging_time(
-        delta, config.detection.noise_density, snr_z, detection_floor
-    )
+    noise = config.detection.noise_density
+    t_small = required_averaging_time(delta / DETECTION_BOTTLE_RATIO, noise)
+    t_large = required_averaging_time(delta, noise)
     return TimingBudget(
         stages=stages,
-        total=total,
+        total=config.cycle_time,
         exchange_dominates=exchange_dominates,
         detection_speedup=t_small / t_large,
-        bottle_ratio=bottle_ratio,
     )
 
 

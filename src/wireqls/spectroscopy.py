@@ -96,11 +96,10 @@ def bottle_delta(B2: float, omega_z: float, m: float = M_E, q: float = E) -> flo
     return HBAR * abs(q) * B2 / (m**2 * omega_z)
 
 
-def axial_frequency(
-    qn: QuantumNumbers, omega_z0: float, delta: float, g: float = G_E
-) -> float:
-    """Axial frequency omega_z0 + delta*(n_c + 1/2 + (g/2) m_s) [rad/s]."""
-    return omega_z0 + delta * (qn.n_c + 0.5 + 0.5 * g * qn.m_s)
+def axial_frequency(qn: QuantumNumbers, omega_z0: float, delta: float) -> float:
+    """Axial frequency omega_z0 + delta*(n_c + 1/2 + (g/2) m_s) [rad/s],
+    with the electron g factor."""
+    return omega_z0 + delta * (qn.n_c + 0.5 + 0.5 * G_E * qn.m_s)
 
 
 def relativistic_delta(omega_c: float, omega_z: float, m: float = M_E) -> float:
@@ -156,8 +155,9 @@ def heating_rate(
     return q**2 * s_e / (4.0 * m * HBAR * omega_z)
 
 
-def shift_set_for_trap(trap: TrapParams, m: float = M_E, q: float = E) -> ShiftSet:
-    """Bundle the three shift/linewidth numbers for one trap."""
+def shift_set_for_trap(trap: TrapParams) -> ShiftSet:
+    """Bundle the three shift/linewidth numbers for the trap's particle."""
+    m, q = trap.m, trap.q
     omega_c = cyclotron_frequency(trap.B, q, m)
     return ShiftSet(
         delta=bottle_delta(trap.B2_local, trap.omega_z, m=m, q=q),

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from wireqls import circuit
-from wireqls.constants import TWO_PI
+from wireqls.constants import E, M_E, TWO_PI
 
 # Worked electron operating point used across the suite.
 C_P = 10e-12
@@ -17,7 +17,7 @@ T_ENV = 0.010
 def trap_logic() -> circuit.TrapParams:
     return circuit.TrapParams(
         d_eff=1e-3, omega_z=OMEGA_Z, B=6.0, B2_local=9000.0,
-        T_axial=T_ENV, label="logic",
+        T_axial=T_ENV, m=M_E, q=E,
     )
 
 
@@ -25,7 +25,7 @@ def trap_logic() -> circuit.TrapParams:
 def trap_spectroscopy() -> circuit.TrapParams:
     return circuit.TrapParams(
         d_eff=3e-3, omega_z=OMEGA_Z, B=6.0, B2_local=4.0,
-        T_axial=T_ENV, label="spectroscopy",
+        T_axial=T_ENV, m=M_E, q=E,
     )
 
 

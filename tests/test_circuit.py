@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,8 +122,8 @@ class TestSeriesEquivalent:
         assert eq.l * eq.c * eq.omega_z0**2 == pytest.approx(1.0, rel=1e-14)
 
     def test_mass_scaling_is_exact(self, trap_logic):
-        l_e = circuit.series_equivalent(trap_logic, m=M_E).l
-        l_p = circuit.series_equivalent(trap_logic, m=M_P).l
+        l_e = circuit.series_equivalent(trap_logic).l
+        l_p = circuit.series_equivalent(replace(trap_logic, m=M_P)).l
         assert l_p / l_e == pytest.approx(M_P / M_E, rel=1e-14)
 
 
@@ -206,30 +207,31 @@ class TestQlsBudget:
         assert budget.feasible
 
     def test_proton_preset_marginal(self):
-        trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, "logic")
-        trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, "spectroscopy")
+        trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, M_P, E)
+        trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, M_P, E)
         res = circuit.ResonatorParams.detuned_below(C_P, 1e9, TWO_PI * 1e6, DETUNE)
-        budget = circuit.qls_budget(res, trap_l, trap_s, 0.010, DETUNE, m=M_P)
+        budget = circuit.qls_budget(res, trap_l, trap_s, 0.010, DETUNE)
         assert budget.n_bar >= 100.0
         assert not budget.feasible
 
     def test_mismatched_axial_frequencies_rejected(
         self, stock_resonator, trap_logic
     ):
-        other = circuit.TrapParams(
-            3e-3, OMEGA_Z * 1.01, 6.0, 4.0, 0.010, "spectroscopy"
-        )
+        other = circuit.TrapParams(3e-3, OMEGA_Z * 1.01, 6.0, 4.0, 0.010, M_E, E)
         with pytest.raises(ValueError):
             circuit.qls_budget(stock_resonator, trap_logic, other, T_ENV, DETUNE)
 
-    def test_feasibility_threshold_configurable(
+    def test_feasible_iff_figure_below_threshold(
         self, stock_resonator, trap_logic, trap_spectroscopy
     ):
-        budget = circuit.qls_budget(
-            stock_resonator, trap_logic, trap_spectroscopy, T_ENV, DETUNE,
-            feasibility_threshold=0.05,
-        )
-        assert not budget.feasible
+        # figures 2.92 and 0.975 straddle the fixed threshold of 1.0
+        assert circuit.FEASIBILITY_THRESHOLD == 1.0
+        budgets = [
+            circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, T_ENV, d)
+            for d in (1.0, 3.0)
+        ]
+        assert [b.feasible for b in budgets] == [False, True]
+        assert 0.95 < budgets[1].figure < 1.0 < budgets[0].figure
 
     def test_figure_scales_inversely_with_detuning(
         self, stock_resonator, trap_logic, trap_spectroscopy
@@ -319,7 +321,7 @@ class TestOptimizeDetuning:
             cfg.build_resonator(rc), rc.trap_logic, rc.trap_spectroscopy,
             rc.environment_temperature,
         )
-        d = circuit.optimize_detuning(*args, 0.003, m=rc.mass, q=rc.charge)
+        d = circuit.optimize_detuning(*args, 0.003)
         assert d == pytest.approx(1065.15, abs=0.01)
         assert_rel(circuit.qls_budget(*args, d).figure, 0.003, 1e-9)
 
@@ -334,10 +336,10 @@ class TestOptimizeDetuning:
 class TestTrapParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            circuit.TrapParams(-1e-3, OMEGA_Z, 6.0, 0.0, 0.01, "logic")
+            circuit.TrapParams(-1e-3, OMEGA_Z, 6.0, 0.0, 0.01, M_E, E)
         with pytest.raises(ValueError):
-            circuit.TrapParams(1e-3, 0.0, 6.0, 0.0, 0.01, "logic")
+            circuit.TrapParams(1e-3, 0.0, 6.0, 0.0, 0.01, M_E, E)
         with pytest.raises(ValueError):
-            circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, -0.01, "logic")
+            circuit.TrapParams(1e-3, OMEGA_Z, 0.0, 0.0, 0.01, M_E, E)
         with pytest.raises(ValueError):
-            circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, 0.01, "readout")
+            circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, -0.01, M_E, E)

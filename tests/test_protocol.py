@@ -308,7 +308,7 @@ class TestLineshape:
     def test_width_ratio_scales_with_gradient(self, base_config, trap_logic):
         # widths for B2 = 4 vs 300 T/m^2 differ by exactly the B2 ratio
         shifts_legacy = spectroscopy.shift_set_for_trap(
-            replace(trap_logic, B2_local=300.0, label="spectroscopy")
+            replace(trap_logic, B2_local=300.0)
         )
         ratio = shifts_legacy.broadening / base_config.shifts_S.broadening
         assert ratio == pytest.approx(300.0 / 4.0, rel=1e-12)
