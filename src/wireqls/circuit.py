@@ -104,6 +104,8 @@ class TrapParams:
             raise ValueError("d_eff must be positive")
         if self.omega_z <= 0:
             raise ValueError("omega_z must be positive")
+        if not math.isfinite(self.omega_z):
+            raise ValueError("omega_z must be finite")
         if self.B <= 0:
             raise ValueError("B must be positive")
         if self.T_axial < 0:

@@ -2,8 +2,10 @@
 
 Every command takes --config (a scenario file path or a bundled scenario
 name) and writes CSV/text to stdout, or into --out <dir> when given; `main`
-writes it once, after the command has computed and checked everything, and
-`protocol` hands it a writer that streams the record table in row chunks.
+writes it once, after the command has computed and checked everything.
+`protocol` checks its set-up the same way, then hands `main` a writer that
+draws and writes the record table one block of cycles at a time, so its
+memory does not grow with the number of cycles.
 `lineshape` and `protocol` take --seed to override the scenario seed;
 `budget` takes --format to switch between the human-readable report and JSON
 records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema
@@ -157,19 +159,17 @@ def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str
 
 
 def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, Writer]:
-    import numpy as np
-
     from . import protocol
 
-    # record stream at zero drive detuning (on the nominal line center); the
-    # table is written row chunk by row chunk straight to its destination
+    # record stream at zero drive detuning (on the nominal line center);
+    # record_blocks resolves the swap probability now, and the writer draws
+    # and writes the table one block of cycles at a time
     pc = cfg.build_protocol(rc, seed=args.seed)
-    records = protocol.simulate_point(pc, 0.0, point_index=0)
-    rate = int(np.count_nonzero(records.declared_jump)) / pc.cycles
+    blocks = protocol.record_blocks(pc, 0.0, point_index=0)
 
     def write(stream: TextIO) -> None:
-        protocol.write_records_csv(records, stream)
-        stream.write(f"# jump_rate = {rate!r}\n")
+        jumps = protocol.write_records_csv(blocks, stream)
+        stream.write(f"# jump_rate = {jumps / pc.cycles!r}\n")
 
     return "records.csv", write
 

@@ -21,7 +21,8 @@ Schema (units in key names; * = optional):
        profile: {z_min_m, z_max_m, samples (2 to 100000), logic_site_m*,
                  spectroscopy_site_m*}}  (positions within +-10 m)
     protocol*:
-      {cycles (1 to 1000000), pi_pulse_fidelity (in [0, 1]),
+      {cycles (1 to 1000000; cycles x drive.grid.points at most 1e8),
+       pi_pulse_fidelity (in [0, 1]),
        sideband_cooling_residual (>= 0), cooling_time_s* (>= 0),
        pulse_time_s* (>= 0), mode* (cyclotron|anomaly),
        field_noise_per_sqrt_minute* (>= 0),
@@ -30,6 +31,9 @@ Schema (units in key names; * = optional):
        drive: {profile* (exponential|gaussian), peak_probability* (in [0, 1]),
                grid: {start_hz, stop_hz (both within +-1e12),
                       points (1 to 100000)}}}
+
+Both traps share one axial frequency. `lineshape` and `protocol` also need
+a positive logic-trap bottle shift, so a positive traps.logic.b2_tesla_per_m2.
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
@@ -41,6 +45,7 @@ imports the array modules when it is called.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -72,9 +77,11 @@ __all__ = [
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
-# a point holds its record columns (36 bytes a cycle) and, while it draws,
-# a few float rows; `protocol` writes the table in fixed row chunks
+# a `lineshape` point holds its record columns (36 bytes a cycle) and, while
+# it draws, a few float rows; `protocol` draws and writes one block at a time
 MAX_CYCLES = 1_000_000
+# cycles over the whole drive grid, about 12 s of Monte Carlo at ~0.12 us a cycle
+MAX_TOTAL_CYCLES = 100_000_000
 MAX_GRID = 100_000  # detuning grid points, field profile samples
 MAX_DRIVE_HZ = 1.0e12  # |drive grid end| [Hz], above any modelled cyclotron line
 MAX_PROFILE_M = 10.0  # |field profile end or trap site| [m]
@@ -302,6 +309,12 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         raise ConfigError(f"{path}.cycles", "need at least one cycle")
     if spec.cycles > MAX_CYCLES:
         raise ConfigError(f"{path}.cycles", f"at most {MAX_CYCLES} cycles")
+    if spec.cycles * spec.grid_points > MAX_TOTAL_CYCLES:
+        raise ConfigError(
+            f"{path}.cycles",
+            f"at most {MAX_TOTAL_CYCLES} cycles over the drive grid "
+            f"({spec.grid_points} points)",
+        )
     if not 0.0 <= spec.pi_pulse_fidelity <= 1.0:
         raise ConfigError(f"{path}.pi_pulse_fidelity", "must lie in [0, 1]")
     if spec.sideband_cooling_residual < 0.0:
@@ -389,6 +402,12 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("resonator.detune_linewidths", "must be positive")
     if env_t < 0:
         raise ConfigError("environment.temperature_k", "must be non-negative")
+    # the same tolerance as circuit.qls_budget, which keeps its own check
+    if not math.isclose(trap_logic.omega_z, trap_spec.omega_z, rel_tol=1e-12):
+        raise ConfigError(
+            "traps.spectroscopy.axial_frequency_hz",
+            "must equal traps.logic.axial_frequency_hz",
+        )
 
     return RunConfig(
         scenario=scenario,
@@ -488,6 +507,10 @@ def build_protocol(
     budget = build_budget(config)
     trap_s = config.trap_spectroscopy
     shifts_l = spectroscopy.shift_set_for_trap(config.trap_logic)
+    if not shifts_l.delta > 0.0:  # no readout threshold lies between 0 and delta
+        raise ConfigError(
+            "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
+        )
     shifts_s = spectroscopy.shift_set_for_trap(trap_s)
     threshold = spec.threshold if spec.threshold is not None else 0.5 * shifts_l.delta
     detunings = tuple(linspace(spec.grid_start, spec.grid_stop, spec.grid_points))

@@ -26,6 +26,7 @@ distinct detuning points use independent RNG streams derived from
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "readout_shift",
     "resolve_swap_probability",
     "point_rng",
+    "record_blocks",
     "simulate_point",
     "lineshape_scan",
     "analytic_jump_probability",
@@ -67,7 +69,7 @@ DETECTION_SNR_Z = 3.0
 DETECTION_TIME_FLOOR = 0.050  # [s]
 DETECTION_BOTTLE_RATIO = 30.0
 
-RECORDS_CHUNK = 4096  # record rows formatted per write
+RECORDS_CHUNK = 1024  # cycles drawn per block and record rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,9 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolRecords:
-    """Outcome log of one point's cycles, one array entry per cycle;
-    declared_jump holds exactly where the measured shift reached the
-    threshold."""
+    """Outcome log of one point's cycles, or of one block of them, one
+    array entry per cycle; declared_jump holds exactly where the measured
+    shift reached the threshold."""
 
     cycle: np.ndarray            # 0, 1, ..., cycles - 1
     n_c_after_drive: np.ndarray  # int
@@ -275,66 +277,127 @@ def point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, point_index])
 
 
-def simulate_point(
-    config: ProtocolConfig, detuning: float, point_index: int = 0
-) -> ProtocolRecords:
-    """Run `config.cycles` cycles at one drive detuning.
+def _row_cursor(seed: int, point_index: int, draws: int) -> np.random.Generator:
+    """The point's stream, moved on by `draws` 64-bit draws."""
+    rng = point_rng(seed, point_index)
+    rng.bit_generator.advance(draws)
+    return rng
 
-    Each stage is one boolean array operation over all cycles. The
-    cyclotron line center random-walks with the magnet field noise: each
-    cycle adds a Gaussian step of relative size
-    field_noise * sqrt(cycle_time / minute) to the line position. Every
-    draw is made whatever the config, so the stream never branches on it:
-    six uniform rows, then two normal rows, one row at a time (the same
-    stream as one (6, n) and one (2, n) block), each uniform row reduced
-    to its stage outcome as soon as it is drawn.
+
+def record_blocks(
+    config: ProtocolConfig,
+    detuning: float,
+    point_index: int = 0,
+    block: int = RECORDS_CHUNK,
+) -> Iterator[ProtocolRecords]:
+    """Run `config.cycles` cycles at one drive detuning, `block` cycles at
+    a time, yielding each block's records in cycle order.
+
+    Each stage is one boolean array operation over a block. The cyclotron
+    line center random-walks with the magnet field noise: each cycle adds
+    a Gaussian step of relative size field_noise * sqrt(cycle_time /
+    minute) to the line position. Every draw is made whatever the config,
+    so the stream never branches on it: six uniform rows, then two normal
+    rows of `cycles` values each (the same stream as one (6, n) and one
+    (2, n) block), each uniform row reduced to its stage outcome as soon
+    as it is drawn. The blocks join into the same table whatever `block`
+    is; memory grows with `block`, not with `cycles`.
+
+    The swap probability is resolved when this is called, so a failing
+    set-up raises before any block is drawn.
     """
+    return _draw_blocks(
+        config, detuning, point_index, block, resolve_swap_probability(config)
+    )
+
+
+def _draw_blocks(
+    config: ProtocolConfig,
+    detuning: float,
+    point_index: int,
+    block: int,
+    p_swap: float,
+) -> Iterator[ProtocolRecords]:
     n = config.cycles
-    rng = point_rng(config.seed, point_index)
     p_res = _residual_excited_probability(config.sideband_cooling_residual)
     p_pi = config.pi_pulse_fidelity
-    # the six uniform rows, each kept only as its stage's outcome
-    n_z_s = rng.random(n) < p_res  # (i) residual occupation after cooling
-    n_z_l = rng.random(n) < p_res
-    u_drive = rng.random(n)  # (ii) compared once the drift is known
-    pi_s = rng.random(n) < p_pi  # (iii)
-    swap = rng.random(n) < resolve_swap_probability(config)  # (iv)
-    pi_l = rng.random(n) < p_pi  # (v)
-    # the first normal row: the field walk's steps
-    drift = np.cumsum(rng.standard_normal(n)) * (
+    walk_step = (
         config.field_noise
         * config.omega_c_spec
         * math.sqrt(config.cycle_time / SECONDS_PER_MINUTE)
     )
+    if n <= block:
+        # one block: the eight rows one after another from the point's stream
+        rows = (point_rng(config.seed, point_index),) * 8
+    else:
+        # a cursor per row: uniform row r starts after r * n draws (one draw
+        # a value), and so does the first normal row at r = 6; a normal
+        # value takes a varying number of draws, so the second normal row's
+        # start is found by drawing the first one and throwing it away
+        rows = [_row_cursor(config.seed, point_index, r * n) for r in range(7)]
+        noise_row = _row_cursor(config.seed, point_index, 6 * n)
+        for lo in range(0, n, block):
+            noise_row.standard_normal(min(block, n - lo))
+        rows.append(noise_row)
+    (res_s_row, res_l_row, drive_row, pi_s_row, swap_row, pi_l_row, step_row,
+     noise_row) = rows
+    walked = 0.0  # the field walk's sum of steps before this block
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        # the six uniform rows, each kept only as its stage's outcome
+        n_z_s = res_s_row.random(m) < p_res  # (i) residual occupation after cooling
+        n_z_l = res_l_row.random(m) < p_res
+        u_drive = drive_row.random(m)  # (ii) compared once the drift is known
+        pi_s = pi_s_row.random(m) < p_pi  # (iii)
+        swap = swap_row.random(m) < p_swap  # (iv)
+        pi_l = pi_l_row.random(m) < p_pi  # (v)
+        # the first normal row: the field walk's steps; the running sum
+        # enters through the block's first step, so the sums are those of
+        # one cumsum over the whole row
+        steps = step_row.standard_normal(m)
+        if lo:
+            steps[0] += walked
+        walk = np.cumsum(steps)
+        walked = walk[-1]
+        del steps
 
-    # (ii) spectroscopy drive
-    excited = u_drive < drive_probability(
-        config.drive, config.shifts_S.broadening, detuning, drift
-    )
-    del u_drive, drift
-    # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
-    transfer_s = excited & ~n_z_s & pi_s
-    n_z_s = n_z_s | transfer_s
-    # (iv) wire exchange of the axial quanta, only when they differ
-    exchange = (n_z_s != n_z_l) & swap
-    n_z_l = n_z_l ^ exchange
-    # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
-    transfer_l = n_z_l & pi_l
-    # (vi) axial-frequency measurement of the logic particle, with the
-    # second normal row as its noise
-    noise = rng.standard_normal(n)
-    measured = readout_shift(config) * transfer_l + config.detection.sigma * noise
-    # (vii) bookkeeping
-    return ProtocolRecords(
-        cycle=np.arange(n),
-        n_c_after_drive=excited.astype(int),
-        transfer_s_ok=transfer_s,
-        exchange_ok=exchange,
-        transfer_l_ok=transfer_l,
-        measured_shift=measured,
-        declared_jump=measured >= config.detection.threshold,
-        wall_time=np.arange(1, n + 1) * config.cycle_time,
-    )
+        # (ii) spectroscopy drive
+        excited = u_drive < drive_probability(
+            config.drive, config.shifts_S.broadening, detuning, walk * walk_step
+        )
+        del u_drive, walk
+        # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
+        transfer_s = excited & ~n_z_s & pi_s
+        n_z_s = n_z_s | transfer_s
+        # (iv) wire exchange of the axial quanta, only when they differ
+        exchange = (n_z_s != n_z_l) & swap
+        n_z_l = n_z_l ^ exchange
+        # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
+        transfer_l = n_z_l & pi_l
+        # (vi) axial-frequency measurement of the logic particle, with the
+        # second normal row as its noise
+        noise = noise_row.standard_normal(m)
+        measured = readout_shift(config) * transfer_l + config.detection.sigma * noise
+        # (vii) bookkeeping
+        yield ProtocolRecords(
+            cycle=np.arange(lo, lo + m),
+            n_c_after_drive=excited.astype(int),
+            transfer_s_ok=transfer_s,
+            exchange_ok=exchange,
+            transfer_l_ok=transfer_l,
+            measured_shift=measured,
+            declared_jump=measured >= config.detection.threshold,
+            wall_time=np.arange(lo + 1, lo + m + 1) * config.cycle_time,
+        )
+
+
+def simulate_point(
+    config: ProtocolConfig, detuning: float, point_index: int = 0
+) -> ProtocolRecords:
+    """Run `config.cycles` cycles at one drive detuning: the whole table
+    as the one block of `record_blocks`."""
+    (records,) = record_blocks(config, detuning, point_index, block=config.cycles)
+    return records
 
 
 def lineshape_scan(config: ProtocolConfig) -> Lineshape:
@@ -508,8 +571,9 @@ def timing_budget(config: ProtocolConfig) -> TimingBudget:
     )
 
 
-def write_records_csv(records: ProtocolRecords, stream) -> None:
-    """Record stream as CSV; shifts in rad/s, times in seconds.
+def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
+    """Record table as CSV from its blocks in cycle order; shifts in rad/s,
+    times in seconds. Returns the number of declared jumps.
 
     Rows are formatted and written RECORDS_CHUNK at a time, so the text
     held in memory does not grow with the table.
@@ -518,21 +582,25 @@ def write_records_csv(records: ProtocolRecords, stream) -> None:
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
-    # the bool columns as 0/1 ints, so one %-template formats a whole row
-    columns = (
-        records.cycle,
-        records.n_c_after_drive,
-        records.transfer_s_ok.view(np.uint8),
-        records.exchange_ok.view(np.uint8),
-        records.transfer_l_ok.view(np.uint8),
-        records.measured_shift,
-        records.declared_jump.view(np.uint8),
-        records.wall_time,
-    )
     row = "%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__
-    for lo in range(0, len(records.cycle), RECORDS_CHUNK):
-        rows = zip(*(c[lo : lo + RECORDS_CHUNK].tolist() for c in columns))
-        stream.write("".join(map(row, rows)))
+    jumps = 0
+    for records in blocks:
+        # the bool columns as 0/1 ints, so one %-template formats a whole row
+        columns = (
+            records.cycle,
+            records.n_c_after_drive,
+            records.transfer_s_ok.view(np.uint8),
+            records.exchange_ok.view(np.uint8),
+            records.transfer_l_ok.view(np.uint8),
+            records.measured_shift,
+            records.declared_jump.view(np.uint8),
+            records.wall_time,
+        )
+        jumps += int(np.count_nonzero(records.declared_jump))
+        for lo in range(0, len(records.cycle), RECORDS_CHUNK):
+            rows = zip(*(c[lo : lo + RECORDS_CHUNK].tolist() for c in columns))
+            stream.write("".join(map(row, rows)))
+    return jumps
 
 
 def write_lineshape_csv(

@@ -343,3 +343,8 @@ class TestTrapParams:
             circuit.TrapParams(1e-3, OMEGA_Z, 0.0, 0.0, 0.01, M_E, E)
         with pytest.raises(ValueError):
             circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, -0.01, M_E, E)
+
+    @pytest.mark.parametrize("omega_z", [math.inf, math.nan])
+    def test_non_finite_axial_frequency_rejected(self, omega_z):
+        with pytest.raises(ValueError, match="omega_z"):
+            circuit.TrapParams(1e-3, omega_z, 6.0, 0.0, 0.01, M_E, E)

@@ -104,8 +104,10 @@ class TestBudgetCommand:
     def test_arithmetic_error_is_one_line(
         self, capsys, tmp_path, electron_raw, key, value
     ):
-        # division by zero and float overflow inside the budget
-        electron_raw["traps"]["logic"][key] = value
+        # division by zero and float overflow inside the budget; both traps
+        # take the value, as they must share one axial frequency
+        for trap in ("logic", "spectroscopy"):
+            electron_raw["traps"][trap][key] = value
         path = write_scenario(tmp_path, electron_raw)
         for command in ("budget", "protocol"):
             code, out, err = run_cli(capsys, command, "--config", path)
@@ -118,6 +120,7 @@ class TestBudgetCommand:
         [
             ("traps.logic.d_eff_m", 0.0),
             ("traps.logic.axial_frequency_hz", 0.0),
+            ("traps.logic.axial_frequency_hz", 1.0e308),  # overflows to inf rad/s
             ("traps.logic.temperature_k", -1.0),
             ("traps.logic.field_tesla", -1.0),
             ("magnet.inner_radius_m", 0.0),
@@ -154,6 +157,33 @@ class TestBudgetCommand:
 
     def test_cycles_bounded(self, capsys, tmp_path, electron_raw):
         electron_raw["protocol"]["cycles"] = 1000001
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "budget", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: protocol.cycles: ") and err.count("\n") == 1
+
+    def test_axial_frequency_mismatch_is_schema_error(self, capsys, tmp_path, electron_raw):
+        traps = electron_raw["traps"]
+        # within the budget's own tolerance the traps count as tuned alike
+        traps["spectroscopy"]["axial_frequency_hz"] *= 1.0 + 1e-13
+        cfg.parse_config(electron_raw)
+        traps["spectroscopy"]["axial_frequency_hz"] = 2.0000001e8
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("budget", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(
+                "config error: traps.spectroscopy.axial_frequency_hz: "
+            ) and err.count("\n") == 1
+
+    def test_total_cycles_bounded(self, capsys, tmp_path, electron_raw):
+        protocol = electron_raw["protocol"]
+        protocol["cycles"] = cfg.MAX_CYCLES
+        protocol["drive"]["grid"]["points"] = cfg.MAX_TOTAL_CYCLES // cfg.MAX_CYCLES
+        cfg.parse_config(electron_raw)  # the cap itself is accepted
+        protocol["drive"]["grid"]["points"] += 1
         path = write_scenario(tmp_path, electron_raw)
         code, out, err = run_cli(capsys, "budget", "--config", path)
         assert code == 2
@@ -407,6 +437,23 @@ class TestLineshapeAndProtocolCommands:
         assert not (out_dir / "records.csv").exists()
         code, out, _ = run_cli(capsys, "protocol", "--config", config)
         assert code == exit_code and out == ""
+
+    @pytest.mark.parametrize("b2", [0.0, -9000.0])
+    def test_readout_needs_positive_logic_bottle(self, capsys, tmp_path, electron_raw, b2):
+        electron_raw["traps"]["logic"]["b2_tesla_per_m2"] = b2
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("budget", "field"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 0, err
+        out_dir = tmp_path / "o"
+        for command in ("lineshape", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path, "--out", str(out_dir))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(
+                "config error: traps.logic.b2_tesla_per_m2: "
+            ) and err.count("\n") == 1
+        assert not out_dir.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["start_hz", "stop_hz"])

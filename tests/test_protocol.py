@@ -416,7 +416,7 @@ class TestValidationAndExport:
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            protocol.write_records_csv(records, buf)
+            protocol.write_records_csv([records], buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
         header = bufs[0].splitlines()[0]
@@ -576,7 +576,8 @@ class _CountingSink:
 
 
 class TestRecordStream:
-    """The kernel draws row by row; the writer formats fixed row chunks."""
+    """The kernel draws row by row, in blocks of cycles; the writer formats
+    fixed row chunks."""
 
     @pytest.fixture()
     def noisy_config(self, base_config):
@@ -607,33 +608,109 @@ class TestRecordStream:
                 quiet.n_c_after_drive, protocol.simulate_point(config, 0.0, 0).n_c_after_drive
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        point_index=st.integers(0, 50),
+        det=st.floats(-1.0, 5.0),
+        # a walk of a few line widths over the table, so the drive's
+        # outcome still depends on where the walk stands at a block's start
+        field_noise=st.sampled_from([0.0, 1e-13, 1e-12]),
+        cycles=st.sampled_from(
+            [
+                1,
+                protocol.RECORDS_CHUNK - 1,
+                protocol.RECORDS_CHUNK,
+                protocol.RECORDS_CHUNK + 1,
+                3 * protocol.RECORDS_CHUNK + 7,
+            ]
+        ),
+    )
+    def test_blocks_join_into_the_one_block_table(
+        self, base_config, seed, point_index, det, field_noise, cycles
+    ):
+        config = replace(
+            base_config,
+            pi_pulse_fidelity=0.9,
+            sideband_cooling_residual=0.1,
+            detection=replace(base_config.detection, noise_density=20.0),
+            swap_probability=0.7,
+            field_noise=field_noise,
+            cycles=cycles,
+            seed=seed,
+        )
+        detuning = det * config.shifts_S.broadening
+        whole = protocol.simulate_point(config, detuning, point_index)
+        blocks = list(protocol.record_blocks(config, detuning, point_index))
+        assert all(len(b.cycle) <= protocol.RECORDS_CHUNK for b in blocks)
+        for f in fields(protocol.ProtocolRecords):
+            column = getattr(whole, f.name)
+            joined = np.concatenate([getattr(b, f.name) for b in blocks])
+            assert joined.dtype == column.dtype, f.name
+            assert joined.tobytes() == column.tobytes(), f.name  # bit for bit
+
+    def test_set_up_fails_before_any_block(self, noisy_config, monkeypatch):
+        def failing(config):
+            raise ArithmeticError("swap probability")
+
+        monkeypatch.setattr(protocol, "resolve_swap_probability", failing)
+        with pytest.raises(ArithmeticError):
+            protocol.record_blocks(noisy_config, 0.0)  # not iterated
+
     @pytest.mark.parametrize(
         "cycles",
         [
             1,
+            # the one-block edge, then edges of several blocks
             protocol.RECORDS_CHUNK - 1,
             protocol.RECORDS_CHUNK,
             protocol.RECORDS_CHUNK + 1,
-            3 * protocol.RECORDS_CHUNK + 7,
+            4 * protocol.RECORDS_CHUNK - 1,
+            4 * protocol.RECORDS_CHUNK,
+            4 * protocol.RECORDS_CHUNK + 1,
+            12 * protocol.RECORDS_CHUNK + 7,
         ],
     )
     def test_chunked_writer_matches_row_template(self, noisy_config, cycles):
-        records = protocol.simulate_point(replace(noisy_config, cycles=cycles), 0.0, 2)
-        buf = io.StringIO()
-        protocol.write_records_csv(records, buf)
-        assert buf.getvalue() == _reference_records_csv(records)
-        assert buf.getvalue().count("\n") == cycles + 1
+        config = replace(noisy_config, cycles=cycles)
+        records = protocol.simulate_point(config, 0.0, 2)
+        reference = _reference_records_csv(records)
+        for blocks in ([records], protocol.record_blocks(config, 0.0, 2)):
+            buf = io.StringIO()
+            jumps = protocol.write_records_csv(blocks, buf)
+            assert buf.getvalue() == reference
+            assert jumps == np.count_nonzero(records.declared_jump)
+        assert reference.count("\n") == cycles + 1
 
     def test_writer_memory_does_not_grow_with_the_table(self, noisy_config):
         import tracemalloc
 
+        def traced_peak(write, *args):
+            sink = _CountingSink()
+            tracemalloc.start()
+            try:
+                write(*args, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return sink.chars, peak
+
+        # one table-sized block: the writer still formats fixed row chunks
         records = protocol.simulate_point(replace(noisy_config, cycles=100_000), 0.0, 0)
-        sink = _CountingSink()
-        tracemalloc.start()
-        try:
-            protocol.write_records_csv(records, sink)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sink.chars > 5_000_000  # the whole table went through
+        chars, peak = traced_peak(protocol.write_records_csv, [records])
+        assert chars > 5_000_000  # the whole table went through
         assert peak < 4_000_000, f"writer peaked at {peak / 1e6:.1f} MB"
+
+        # the streamed kernel and the writer together hold one block
+        def stream(cycles, sink):
+            config = replace(noisy_config, cycles=cycles)
+            protocol.write_records_csv(protocol.record_blocks(config, 0.0, 0), sink)
+
+        stream(2_000, _CountingSink())  # first-call allocations are not the table's
+        small_chars, small = traced_peak(stream, 2_000)
+        large_chars, large = traced_peak(stream, 200_000)
+        assert large_chars > 50 * small_chars > 0  # both tables went through
+        assert large - small < 1_000_000, (
+            f"streamed peak {large / 1e6:.2f} MB at 200,000 cycles vs "
+            f"{small / 1e6:.2f} MB at 2,000"
+        )
