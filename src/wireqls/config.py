@@ -1,39 +1,21 @@
 """Scenario configuration: strict schema, loading, and domain builders.
 
-Configs are YAML with nested blocks. Unknown keys are rejected, missing
-required keys are reported with their dotted path, and every frequency-like
-quantity is written in Hz in the file and converted to rad/s exactly once
-here. The `magnet` and `protocol` blocks are optional; commands that need a
-missing block fail with its key path.
+Configs are YAML with nested blocks. `SCHEMA` is the one list of leaves and
+their ranges: each row gives a dotted key path, its kind, its default and
+the range or choices it accepts. One walk over the scenario checks every
+leaf against its row, rejects unknown keys and reports a missing required
+key, each by its dotted path. Frequencies are written in Hz in the file and
+converted to rad/s exactly once here. The `magnet` and `protocol` blocks
+are optional; commands that need a missing block fail with its key path.
 
-Schema (units in key names; * = optional):
-
-    scenario: <name>            seed: <int>          particle: electron|positron|proton
-    output: {format: csv|records, directory*}
-    resonator: {C_p_farad, R_p_ohm, detune_linewidths | detune_hz}
-    environment: {temperature_k}
-    traps:
-      logic / spectroscopy:
-        {d_eff_m, axial_frequency_hz, field_tesla, b2_tesla_per_m2, temperature_k}
-    magnet*:
-      {inner_radius_m, outer_radius_m, height_m, mu0_magnetization_tesla,
-       center_z_m*, background_field_tesla*, calibrate_b2_tesla_per_m2*,
-       profile: {z_min_m, z_max_m, samples (2 to 100000), logic_site_m*,
-                 spectroscopy_site_m*}}  (positions within +-10 m)
-    protocol*:
-      {cycles (1 to 1000000; cycles x drive.grid.points at most 1e8),
-       pi_pulse_fidelity (in [0, 1]),
-       sideband_cooling_residual (>= 0), cooling_time_s* (>= 0),
-       pulse_time_s* (>= 0), mode* (cyclotron|anomaly),
-       field_noise_per_sqrt_minute* (>= 0),
-       detection: {averaging_time_s (> 0), noise_density_hz_per_sqrt_hz (>= 0),
-                   threshold_hz*},
-       drive: {profile* (exponential|gaussian), peak_probability* (in [0, 1]),
-               grid: {start_hz, stop_hz (both within +-1e12),
-                      points (1 to 100000)}}}
-
-Both traps share one axial frequency. `lineshape` and `protocol` also need
-a positive logic-trap bottle shift, so a positive traps.logic.b2_tesla_per_m2.
+`parse_config` adds the checks that span several leaves: exactly one
+resonator placement, a profile that starts below its end, a bound on the
+cycles over the whole drive grid, and one axial frequency for both traps.
+`circuit.TrapParams` and `magnetics.RingMagnet` own the trap and ring
+ranges, and their errors gain the block's key path; `SCHEMA` only caps the
+ring's inner and outer radius and height at `MAX_PROFILE_M`. `lineshape`
+and `protocol` also need a positive logic-trap bottle shift, so a positive
+traps.logic.b2_tesla_per_m2.
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
@@ -50,17 +32,23 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import yaml
 
 from . import circuit, magnetics, spectroscopy
-from .constants import cyclotron_frequency, hz_to_angular, particle_mass_charge
+from .constants import (
+    PARTICLES,
+    cyclotron_frequency,
+    hz_to_angular,
+    particle_mass_charge,
+)
 
 if TYPE_CHECKING:
     from . import protocol
 
 __all__ = [
+    "SCHEMA",
     "ConfigError",
     "RunConfig",
     "MagnetSpec",
@@ -84,9 +72,88 @@ MAX_CYCLES = 1_000_000
 MAX_TOTAL_CYCLES = 100_000_000
 MAX_GRID = 100_000  # detuning grid points, field profile samples
 MAX_DRIVE_HZ = 1.0e12  # |drive grid end| [Hz], above any modelled cyclotron line
-MAX_PROFILE_M = 10.0  # |field profile end or trap site| [m]
-MODES = ("cyclotron", "anomaly")
-DRIVE_PROFILES = ("exponential", "gaussian")
+MAX_PROFILE_M = 10.0  # |field profile end or trap site|, ring size [m]
+
+
+class Range(NamedTuple):
+    """The closed interval lo <= x <= hi a numeric leaf accepts."""
+
+    lo: float
+    hi: float
+    text: str  # the error message
+
+
+# math.ulp(0.0) is the least positive float, so lo <= x means x > 0
+POSITIVE = Range(math.ulp(0.0), math.inf, "must be positive")
+NON_NEGATIVE = Range(0.0, math.inf, "must be non-negative")
+PROBABILITY = Range(0.0, 1.0, "must lie in [0, 1]")
+PROFILE_EXTENT = Range(-MAX_PROFILE_M, MAX_PROFILE_M, f"must lie within +-{MAX_PROFILE_M:g}")
+RING_SIZE = Range(-math.inf, MAX_PROFILE_M, f"must be at most {MAX_PROFILE_M:g}")
+DRIVE_EXTENT = Range(-MAX_DRIVE_HZ, MAX_DRIVE_HZ, f"must lie within +-{MAX_DRIVE_HZ:g}")
+CYCLES = Range(1, MAX_CYCLES, f"must lie in [1, {MAX_CYCLES}]")
+GRID_POINTS = Range(1, MAX_GRID, f"must lie in [1, {MAX_GRID}]")
+PROFILE_SAMPLES = Range(2, MAX_GRID, f"must lie in [2, {MAX_GRID}]")
+
+HZ = "Hz"  # kind of a frequency leaf: a number in Hz, read as rad/s
+REQUIRED = "required"  # default of a leaf the scenario must give
+OPTIONAL_BLOCKS = ("magnet", "protocol")  # left out, they read as None
+
+# One row per leaf: dotted key path; kind (str, int, float or HZ); default
+# (REQUIRED, or the value a left-out key reads as, None for no value); the
+# accepted Range or choices (None: any value of the kind). A float must also
+# be finite; a Range applies to the number as written, before any Hz
+# conversion.
+SCHEMA = (
+    ("scenario", str, REQUIRED, None),
+    ("seed", int, REQUIRED, None),  # `build_protocol` rejects a negative seed
+    ("particle", str, REQUIRED, tuple(PARTICLES)),
+    ("output.format", str, "csv", OUTPUT_FORMATS),
+    ("output.directory", str, None, None),
+    ("resonator.C_p_farad", float, REQUIRED, POSITIVE),
+    ("resonator.R_p_ohm", float, REQUIRED, POSITIVE),
+    ("resonator.detune_linewidths", float, None, POSITIVE),
+    ("resonator.detune_hz", HZ, None, None),  # in linewidths, it must be positive
+    ("environment.temperature_k", float, REQUIRED, NON_NEGATIVE),
+    # circuit.TrapParams owns the trap ranges
+    ("traps.logic.d_eff_m", float, REQUIRED, None),
+    ("traps.logic.axial_frequency_hz", HZ, REQUIRED, None),
+    ("traps.logic.field_tesla", float, REQUIRED, None),
+    ("traps.logic.b2_tesla_per_m2", float, REQUIRED, None),
+    ("traps.logic.temperature_k", float, REQUIRED, None),
+    ("traps.spectroscopy.d_eff_m", float, REQUIRED, None),
+    ("traps.spectroscopy.axial_frequency_hz", HZ, REQUIRED, None),
+    ("traps.spectroscopy.field_tesla", float, REQUIRED, None),
+    ("traps.spectroscopy.b2_tesla_per_m2", float, REQUIRED, None),
+    ("traps.spectroscopy.temperature_k", float, REQUIRED, None),
+    # magnetics.RingMagnet owns the geometry ranges below the size cap
+    ("magnet.inner_radius_m", float, REQUIRED, RING_SIZE),
+    ("magnet.outer_radius_m", float, REQUIRED, RING_SIZE),
+    ("magnet.height_m", float, REQUIRED, RING_SIZE),
+    ("magnet.mu0_magnetization_tesla", float, REQUIRED, None),
+    ("magnet.center_z_m", float, 0.0, None),
+    ("magnet.background_field_tesla", float, 0.0, None),
+    ("magnet.calibrate_b2_tesla_per_m2", float, None, None),
+    ("magnet.profile.z_min_m", float, REQUIRED, PROFILE_EXTENT),
+    ("magnet.profile.z_max_m", float, REQUIRED, PROFILE_EXTENT),
+    ("magnet.profile.samples", int, REQUIRED, PROFILE_SAMPLES),
+    ("magnet.profile.logic_site_m", float, 0.0, PROFILE_EXTENT),
+    ("magnet.profile.spectroscopy_site_m", float, 0.05, PROFILE_EXTENT),
+    ("protocol.cycles", int, REQUIRED, CYCLES),
+    ("protocol.pi_pulse_fidelity", float, REQUIRED, PROBABILITY),
+    ("protocol.sideband_cooling_residual", float, REQUIRED, NON_NEGATIVE),
+    ("protocol.cooling_time_s", float, 0.100, NON_NEGATIVE),
+    ("protocol.pulse_time_s", float, 1e-3, NON_NEGATIVE),
+    ("protocol.mode", str, "cyclotron", ("cyclotron", "anomaly")),
+    ("protocol.field_noise_per_sqrt_minute", float, 0.0, NON_NEGATIVE),
+    ("protocol.detection.averaging_time_s", float, REQUIRED, POSITIVE),
+    ("protocol.detection.noise_density_hz_per_sqrt_hz", HZ, REQUIRED, NON_NEGATIVE),
+    ("protocol.detection.threshold_hz", HZ, None, None),  # None: delta_L/2
+    ("protocol.drive.profile", str, "exponential", ("exponential", "gaussian")),
+    ("protocol.drive.peak_probability", float, 1.0, PROBABILITY),
+    ("protocol.drive.grid.start_hz", HZ, REQUIRED, DRIVE_EXTENT),
+    ("protocol.drive.grid.stop_hz", HZ, REQUIRED, DRIVE_EXTENT),
+    ("protocol.drive.grid.points", int, REQUIRED, GRID_POINTS),
+)
 
 
 class ConfigError(ValueError):
@@ -97,63 +164,78 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class _Block:
-    """One mapping level of the config; tracks consumed keys."""
+def _block_tree() -> dict:
+    """SCHEMA by block path: (leaf rows, child blocks, known keys)."""
+    tree: dict[str, tuple[list, dict]] = {}
+    for row in SCHEMA:
+        block, _, name = row[0].rpartition(".")
+        tree.setdefault(block, ([], {}))[0].append((name, *row))
+        while block:  # the block is a child of its parent, and so on up
+            parent, _, key = block.rpartition(".")
+            tree.setdefault(parent, ([], {}))[1][key] = block
+            block = parent
+    return {
+        path: (
+            tuple(rows),
+            tuple((key, child, child in OPTIONAL_BLOCKS) for key, child in kids.items()),
+            frozenset(kids).union(row[0] for row in rows),
+        )
+        for path, (rows, kids) in tree.items()
+    }
 
-    def __init__(self, data: dict, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(path or "<root>", "expected a mapping")
-        self.data = data
-        self.path = path
-        self.seen: set[str] = set()
 
-    def _key(self, name: str) -> str:
-        return f"{self.path}.{name}" if self.path else name
+_TREE = _block_tree()
+_FLOAT_MAX = sys.float_info.max
 
-    def take(
-        self, name: str, kind: type, required: bool = True, default=None, bound=None
-    ):
-        """The value at `name`, checked against `kind`; a float beyond
-        +-`bound` is rejected."""
-        self.seen.add(name)
-        if name not in self.data:
-            if required:
-                raise ConfigError(self._key(name), "missing required key")
-            return default
-        value = self.data[name]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(self._key(name), f"expected a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # also rejects nan
-                raise ConfigError(
-                    self._key(name), f"expected a finite number, got {value!r}"
-                )
-            if bound is not None and abs(value) > bound:
-                raise ConfigError(self._key(name), f"must lie within +-{bound:g}")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(self._key(name), f"expected an integer, got {value!r}")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(self._key(name), f"expected a string, got {value!r}")
-            return value
-        raise AssertionError(f"unsupported kind {kind}")
 
-    def block(self, name: str, required: bool = True) -> "_Block | None":
-        self.seen.add(name)
-        if name not in self.data:
-            if required:
-                raise ConfigError(self._key(name), "missing required key")
-            return None
-        return _Block(self.data[name], self._key(name))
+def _leaf(path: str, kind, accept, value):
+    """`value` checked against its SCHEMA row; a float comes back as float,
+    and an HZ leaf in rad/s."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        if accept is not None and value not in accept:
+            raise ConfigError(path, f"must be one of {accept}")
+        return value
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {value!r}")
+        if not abs(value) <= _FLOAT_MAX:  # also rejects nan
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        value = float(value)
+    if accept is not None and not accept.lo <= value <= accept.hi:
+        raise ConfigError(path, accept.text)
+    return hz_to_angular(value) if kind is HZ else value
 
-    def finish(self) -> None:
-        unknown = set(self.data) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(self._key(key), "unknown key")
+
+def _walk(data, path: str, absent: str | None = None) -> dict:
+    """The checked leaves of the block at `path`, keyed as in the scenario,
+    with each child block as a nested mapping (None for a left-out optional
+    block). A left-out required block is walked as empty, with `absent` its
+    path, which its first missing required key reports."""
+    if not isinstance(data, dict):
+        raise ConfigError(path or "<root>", "expected a mapping")
+    leaves, blocks, known = _TREE[path]
+    if not known.issuperset(data):
+        key = min(data.keys() - known, key=str)
+        raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
+    out = {}
+    for name, leaf, kind, default, accept in leaves:
+        if name in data:
+            out[name] = _leaf(leaf, kind, accept, data[name])
+        elif default is REQUIRED:
+            raise ConfigError(absent or leaf, "missing required key")
+        else:
+            out[name] = default
+    for name, block, optional in blocks:
+        if name in data:
+            out[name] = _walk(data[name], block)
+        else:
+            out[name] = None if optional else _walk({}, block, absent or block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,219 +290,111 @@ class RunConfig:
     raw: dict
 
 
-def _parse_trap(block: _Block, m: float, q: float) -> circuit.TrapParams:
-    keys = dict(
-        d_eff=block.take("d_eff_m", float),
-        omega_z=hz_to_angular(block.take("axial_frequency_hz", float)),
-        B=block.take("field_tesla", float),
-        B2_local=block.take("b2_tesla_per_m2", float),
-        T_axial=block.take("temperature_k", float),
-    )
-    block.finish()
-    # the model owns the ranges; its error gains the block's key path (the
-    # keys are taken before the try, as ConfigError is itself a ValueError)
-    try:
-        return circuit.TrapParams(**keys, m=m, q=q)
-    except ValueError as exc:
-        raise ConfigError(block.path, str(exc)) from None
-
-
-def _parse_magnet(block: _Block) -> MagnetSpec:
-    keys = dict(
-        r_in=block.take("inner_radius_m", float),
-        r_out=block.take("outer_radius_m", float),
-        height=block.take("height_m", float),
-        mu0_m=block.take("mu0_magnetization_tesla", float),
-        center_z=block.take("center_z_m", float, required=False, default=0.0),
-    )
-    try:  # as in _parse_trap
-        ring = magnetics.RingMagnet.saturated(**keys)
-    except ValueError as exc:
-        raise ConfigError(block.path, str(exc)) from None
-    calibrate = block.take("calibrate_b2_tesla_per_m2", float, required=False)
-    background = block.take("background_field_tesla", float, required=False, default=0.0)
-    profile = block.block("profile")
-    spec = MagnetSpec(
-        ring=ring,
-        calibrate_b2=calibrate,
-        background=background,
-        z_min=profile.take("z_min_m", float, bound=MAX_PROFILE_M),
-        z_max=profile.take("z_max_m", float, bound=MAX_PROFILE_M),
-        samples=profile.take("samples", int),
-        logic_site=profile.take(
-            "logic_site_m", float, required=False, default=0.0, bound=MAX_PROFILE_M
-        ),
-        spectroscopy_site=profile.take(
-            "spectroscopy_site_m", float, required=False, default=0.05,
-            bound=MAX_PROFILE_M,
-        ),
-    )
-    profile.finish()
-    block.finish()
-    if spec.z_min >= spec.z_max:
-        raise ConfigError(f"{block.path}.profile.z_min_m", "z_min_m must be < z_max_m")
-    if spec.samples < 2:
-        raise ConfigError(f"{block.path}.profile.samples", "need at least 2 samples")
-    if spec.samples > MAX_GRID:
-        raise ConfigError(f"{block.path}.profile.samples", f"at most {MAX_GRID} samples")
-    return spec
-
-
-def _parse_protocol(block: _Block) -> ProtocolSpec:
-    detection = block.block("detection")
-    averaging = detection.take("averaging_time_s", float)
-    noise = hz_to_angular(detection.take("noise_density_hz_per_sqrt_hz", float))
-    threshold_hz = detection.take("threshold_hz", float, required=False)
-    detection.finish()
-    drive = block.block("drive")
-    profile = drive.take("profile", str, required=False, default="exponential")
-    peak = drive.take("peak_probability", float, required=False, default=1.0)
-    grid = drive.block("grid")
-    spec = ProtocolSpec(
-        cycles=block.take("cycles", int),
-        pi_pulse_fidelity=block.take("pi_pulse_fidelity", float),
-        sideband_cooling_residual=block.take("sideband_cooling_residual", float),
-        cooling_time=block.take("cooling_time_s", float, required=False, default=0.100),
-        pulse_time=block.take("pulse_time_s", float, required=False, default=1e-3),
-        mode=block.take("mode", str, required=False, default="cyclotron"),
-        field_noise=block.take(
-            "field_noise_per_sqrt_minute", float, required=False, default=0.0
-        ),
-        averaging_time=averaging,
-        noise_density=noise,
-        threshold=None if threshold_hz is None else hz_to_angular(threshold_hz),
-        drive_profile=profile,
-        peak_probability=peak,
-        grid_start=hz_to_angular(grid.take("start_hz", float, bound=MAX_DRIVE_HZ)),
-        grid_stop=hz_to_angular(grid.take("stop_hz", float, bound=MAX_DRIVE_HZ)),
-        grid_points=grid.take("points", int),
-    )
-    grid.finish()
-    drive.finish()
-    block.finish()
-    # a bad value exits 2 with its key path; ProtocolConfig, DriveModel and
-    # DetectionModel repeat their range checks for library callers
-    path = block.path
-    if spec.grid_points < 1:
-        raise ConfigError(f"{path}.drive.grid.points", "need at least one point")
-    if spec.grid_points > MAX_GRID:
-        raise ConfigError(f"{path}.drive.grid.points", f"at most {MAX_GRID} points")
-    if spec.cycles < 1:
-        raise ConfigError(f"{path}.cycles", "need at least one cycle")
-    if spec.cycles > MAX_CYCLES:
-        raise ConfigError(f"{path}.cycles", f"at most {MAX_CYCLES} cycles")
-    if spec.cycles * spec.grid_points > MAX_TOTAL_CYCLES:
-        raise ConfigError(
-            f"{path}.cycles",
-            f"at most {MAX_TOTAL_CYCLES} cycles over the drive grid "
-            f"({spec.grid_points} points)",
-        )
-    if not 0.0 <= spec.pi_pulse_fidelity <= 1.0:
-        raise ConfigError(f"{path}.pi_pulse_fidelity", "must lie in [0, 1]")
-    if spec.sideband_cooling_residual < 0.0:
-        raise ConfigError(f"{path}.sideband_cooling_residual", "must be non-negative")
-    if spec.mode not in MODES:
-        raise ConfigError(f"{path}.mode", f"must be one of {MODES}")
-    if spec.drive_profile not in DRIVE_PROFILES:
-        raise ConfigError(f"{path}.drive.profile", f"must be one of {DRIVE_PROFILES}")
-    if not 0.0 <= spec.peak_probability <= 1.0:
-        raise ConfigError(f"{path}.drive.peak_probability", "must lie in [0, 1]")
-    if spec.averaging_time <= 0.0:
-        raise ConfigError(f"{path}.detection.averaging_time_s", "must be positive")
-    if spec.noise_density < 0.0:
-        raise ConfigError(
-            f"{path}.detection.noise_density_hz_per_sqrt_hz", "must be non-negative"
-        )
-    if spec.field_noise < 0.0:
-        raise ConfigError(f"{path}.field_noise_per_sqrt_minute", "must be non-negative")
-    if spec.cooling_time < 0.0:
-        raise ConfigError(f"{path}.cooling_time_s", "must be non-negative")
-    if spec.pulse_time < 0.0:
-        raise ConfigError(f"{path}.pulse_time_s", "must be non-negative")
-    return spec
-
-
 def parse_config(data: dict) -> RunConfig:
-    """Validate a mapping against the strict schema and build a RunConfig.
+    """Validate a mapping against `SCHEMA` and build a RunConfig.
 
     The RunConfig keeps `data` itself as `raw`, not a copy, so the caller
     must not mutate `data` afterwards; `dump_config` returns a copy.
     """
-    root = _Block(data, "")
-    scenario = root.take("scenario", str)
-    seed = root.take("seed", int)
-    output = root.block("output", required=False)
-    output_format = "csv"
-    output_dir = None
-    if output is not None:
-        output_format = output.take("format", str, required=False, default="csv")
-        output_dir = output.take("directory", str, required=False)
-        output.finish()
-    if output_format not in OUTPUT_FORMATS:
-        raise ConfigError("output.format", f"must be one of {OUTPUT_FORMATS}")
-    particle = root.take("particle", str)
-    try:
-        mass, charge = particle_mass_charge(particle)
-    except ValueError as exc:
-        raise ConfigError("particle", str(exc)) from None
-
-    res = root.block("resonator")
-    c_p = res.take("C_p_farad", float)
-    r_p = res.take("R_p_ohm", float)
-    detune = res.take("detune_linewidths", float, required=False)
-    detune_hz = res.take("detune_hz", float, required=False)
-    res.finish()
-    if (detune is None) == (detune_hz is None):
+    v = _walk(data, "")
+    res = v["resonator"]
+    detune = res["detune_linewidths"]
+    if (detune is None) == (res["detune_hz"] is None):
         raise ConfigError(
             "resonator.detune_linewidths",
             "give exactly one of detune_linewidths or detune_hz",
         )
     if detune is None:
         # absolute placement below omega_z, expressed in resonator linewidths
-        detune = hz_to_angular(detune_hz) * c_p * r_p
+        detune = res["detune_hz"] * res["C_p_farad"] * res["R_p_ohm"]
+        if detune <= 0:
+            raise ConfigError("resonator.detune_linewidths", "must be positive")
 
-    env = root.block("environment")
-    env_t = env.take("temperature_k", float)
-    env.finish()
-
-    traps = root.block("traps")
-    trap_logic = _parse_trap(traps.block("logic"), mass, charge)
-    trap_spec = _parse_trap(traps.block("spectroscopy"), mass, charge)
-    traps.finish()
-
-    magnet_block = root.block("magnet", required=False)
-    magnet = _parse_magnet(magnet_block) if magnet_block is not None else None
-
-    protocol_block = root.block("protocol", required=False)
-    proto = _parse_protocol(protocol_block) if protocol_block is not None else None
-
-    root.finish()
-
-    if c_p <= 0 or r_p <= 0:
-        raise ConfigError("resonator", "C_p_farad and R_p_ohm must be positive")
-    if detune <= 0:
-        raise ConfigError("resonator.detune_linewidths", "must be positive")
-    if env_t < 0:
-        raise ConfigError("environment.temperature_k", "must be non-negative")
+    # the models own these ranges; their errors gain the block's key path
+    mass, charge = particle_mass_charge(v["particle"])
+    traps = {}
+    for name, t in v["traps"].items():
+        try:
+            traps[name] = circuit.TrapParams(
+                d_eff=t["d_eff_m"], omega_z=t["axial_frequency_hz"],
+                B=t["field_tesla"], B2_local=t["b2_tesla_per_m2"],
+                T_axial=t["temperature_k"], m=mass, q=charge,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"traps.{name}", str(exc)) from None
     # the same tolerance as circuit.qls_budget, which keeps its own check
-    if not math.isclose(trap_logic.omega_z, trap_spec.omega_z, rel_tol=1e-12):
+    if not math.isclose(
+        traps["logic"].omega_z, traps["spectroscopy"].omega_z, rel_tol=1e-12
+    ):
         raise ConfigError(
             "traps.spectroscopy.axial_frequency_hz",
             "must equal traps.logic.axial_frequency_hz",
         )
 
+    magnet = None
+    if (m := v["magnet"]) is not None:
+        try:
+            ring = magnetics.RingMagnet.saturated(
+                r_in=m["inner_radius_m"], r_out=m["outer_radius_m"],
+                height=m["height_m"], mu0_m=m["mu0_magnetization_tesla"],
+                center_z=m["center_z_m"],
+            )
+        except ValueError as exc:
+            raise ConfigError("magnet", str(exc)) from None
+        profile = m["profile"]
+        if profile["z_min_m"] >= profile["z_max_m"]:
+            raise ConfigError("magnet.profile.z_min_m", "z_min_m must be < z_max_m")
+        magnet = MagnetSpec(
+            ring=ring,
+            calibrate_b2=m["calibrate_b2_tesla_per_m2"],
+            background=m["background_field_tesla"],
+            z_min=profile["z_min_m"],
+            z_max=profile["z_max_m"],
+            samples=profile["samples"],
+            logic_site=profile["logic_site_m"],
+            spectroscopy_site=profile["spectroscopy_site_m"],
+        )
+
+    proto = None
+    if (p := v["protocol"]) is not None:
+        detection, drive = p["detection"], p["drive"]
+        grid = drive["grid"]
+        if p["cycles"] * grid["points"] > MAX_TOTAL_CYCLES:
+            raise ConfigError(
+                "protocol.cycles",
+                f"at most {MAX_TOTAL_CYCLES} cycles over the drive grid "
+                f"({grid['points']} points)",
+            )
+        proto = ProtocolSpec(
+            cycles=p["cycles"],
+            pi_pulse_fidelity=p["pi_pulse_fidelity"],
+            sideband_cooling_residual=p["sideband_cooling_residual"],
+            cooling_time=p["cooling_time_s"],
+            pulse_time=p["pulse_time_s"],
+            mode=p["mode"],
+            field_noise=p["field_noise_per_sqrt_minute"],
+            averaging_time=detection["averaging_time_s"],
+            noise_density=detection["noise_density_hz_per_sqrt_hz"],
+            threshold=detection["threshold_hz"],
+            drive_profile=drive["profile"],
+            peak_probability=drive["peak_probability"],
+            grid_start=grid["start_hz"],
+            grid_stop=grid["stop_hz"],
+            grid_points=grid["points"],
+        )
+
     return RunConfig(
-        scenario=scenario,
-        seed=seed,
-        output_format=output_format,
-        output_dir=output_dir,
-        particle=particle,
-        C_p=c_p,
-        R_p=r_p,
+        scenario=v["scenario"],
+        seed=v["seed"],
+        output_format=v["output"]["format"],
+        output_dir=v["output"]["directory"],
+        particle=v["particle"],
+        C_p=res["C_p_farad"],
+        R_p=res["R_p_ohm"],
         detune_linewidths=detune,
-        environment_temperature=env_t,
-        trap_logic=trap_logic,
-        trap_spectroscopy=trap_spec,
+        environment_temperature=v["environment"]["temperature_k"],
+        trap_logic=traps["logic"],
+        trap_spectroscopy=traps["spectroscopy"],
         magnet=magnet,
         protocol=proto,
         raw=data,

@@ -305,8 +305,10 @@ def swap_probability(params: ExchangeParams) -> float:
     u = exp(A t) at t = pi/(2 w_ex) gives the channel's transmissivity
     eta = |u_LS|^2 and added thermal noise N = n_bar (1 - |u_LS|^2 - |u_LL|^2).
     A single quantum through that channel lands in n_L = 1 with
-    probability (N + eta)/(1 + N)^2 - 2 eta N/(1 + N)^3. Agrees with
-    `swap_fidelity` up to its Fock truncation error.
+    probability (N + eta)/(1 + N)^2 - 2 eta N/(1 + N)^3. With x = 1/(1 + N)
+    that is x (N x + eta (1 - N) x^2), whose factors all lie within [-1, 1],
+    so no N overflows it, and which keeps full precision as N goes to 0.
+    Agrees with `swap_fidelity` up to its Fock truncation error.
     """
     if params.omega_ex <= 0:
         raise ValueError("swap probability requires a positive exchange rate")
@@ -333,4 +335,5 @@ def swap_probability(params: ExchangeParams) -> float:
     u_ll = cosh - half * sinhc
     eta = abs(u_ls) ** 2
     noise = params.n_bar * (1.0 - eta - abs(u_ll) ** 2)
-    return (noise + eta) / (1.0 + noise) ** 2 - 2.0 * eta * noise / (1.0 + noise) ** 3
+    x = 1.0 / (1.0 + noise)
+    return x * (noise * x + eta * (1.0 - noise) * x * x)

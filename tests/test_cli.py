@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -269,6 +270,18 @@ class TestFieldCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: {dotted}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["inner_radius_m", "outer_radius_m", "height_m"])
+    def test_ring_size_bounded(self, capsys, tmp_path, electron_raw, key):
+        magnet = electron_raw["magnet"]
+        magnet.update(outer_radius_m=cfg.MAX_PROFILE_M, height_m=cfg.MAX_PROFILE_M)
+        cfg.parse_config(electron_raw)  # the bound itself is accepted
+        magnet[key] = 1.0e300
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "field", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: magnet.{key}: ") and err.count("\n") == 1
 
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
@@ -710,3 +723,35 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "start:stop:points" in err
+
+
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, 0.5, 1e-12, 3, 1e6)
+NUMERIC_LEAVES = [path for path, kind, _, _ in cfg.SCHEMA if kind is not str]
+
+
+@pytest.mark.parametrize("dotted", NUMERIC_LEAVES)
+def test_every_numeric_leaf_ends_cleanly(capsys, monkeypatch, dotted):
+    # each value of each numeric leaf ends in output, or in exit 1 or 2 with
+    # one line on stderr that is more than a bare errno tuple, and no warning
+    base = cfg.load_config("paper-electron").raw
+    for value in FUZZ_VALUES:
+        raw = copy.deepcopy(base)
+        if dotted == "resonator.detune_hz":  # the one or the other
+            del raw["resonator"]["detune_linewidths"]
+        set_key(raw, dotted, value)
+        try:
+            rc = cfg.parse_config(raw)
+        except cfg.ConfigError:
+            pass
+        else:
+            assert cfg.parse_config(cfg.dump_config(rc)) == rc
+        # the commands parse the mapping itself, without a YAML file
+        monkeypatch.setattr(cfg, "load_config", lambda _: cfg.parse_config(raw))
+        for command in ("budget", "field", "lineshape", "protocol"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_cli(capsys, command, "--config", "fuzz")
+            where = f"{command} with {dotted} = {value!r}: {err!r}"
+            assert code in (0, 1, 2), where
+            assert err.count("\n") <= 1, where
+            assert not re.match(r"error: \(\d+, ", err), where

@@ -201,6 +201,12 @@ class TestSwapProbability:
         params = dynamics.ExchangeParams(1.0, 1e4, 1e4, 0.5)
         assert dynamics.swap_probability(params) == pytest.approx(2.0 / 9.0, abs=1e-12)
 
+    def test_huge_bath_occupation_is_finite(self):
+        # (1 + N)^3 would overflow here; the bath state's P(1) ~ 1/N remains
+        params = dynamics.ExchangeParams(1.0, 1.0, 1.0, 1e302)
+        p = dynamics.swap_probability(params)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+
     def test_requires_positive_exchange_rate(self):
         with pytest.raises(ValueError):
             dynamics.swap_probability(dynamics.ExchangeParams(0.0, 0.1, 0.1, 0.1))
