@@ -13,14 +13,13 @@ errors (with the offending key path), 1 other domain errors.
 
 numpy and the Monte Carlo module are imported by the commands that compute
 arrays (`lineshape`, `protocol`), so `budget`, `field` and `sweep` start
-without them.
+without them; `json` is imported only by `budget --format records`.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -86,6 +85,7 @@ def _budget_dict(rc: cfg.RunConfig) -> dict:
 def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     d = _budget_dict(rc)
     if (args.format or rc.output_format) == "records":
+        import json
         return "budget.json", json.dumps(d, indent=2, sort_keys=True) + "\n"
     lines = [
         f"scenario: {d['scenario']} ({d['particle']})",
@@ -146,6 +146,11 @@ def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str
 
     pc = cfg.build_protocol(rc, seed=args.seed)
     shape = protocol.lineshape_scan(pc)
+    if not shape.fractions.any():  # name what zeroes the line, else the cycles
+        names = ", ".join(protocol.vanishing_inputs(pc))
+        why = (f"zero line from {names}" if names
+               else f"no jump in protocol.cycles = {pc.cycles} cycles a point")
+        raise ValueError(f"lineshape has no excitation to fit: {why}")
     center, width = protocol.fitted_center_width(shape)
     summary = {
         "jump_rate": float(np.mean(shape.fractions)),

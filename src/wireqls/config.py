@@ -20,8 +20,9 @@ traps.logic.b2_tesla_per_m2.
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
 
-Parsing a scenario and building its budget need no numpy; `build_protocol`
-imports the array modules when it is called.
+Scenarios are parsed by libyaml where PyYAML was built with it. Parsing a
+scenario and building its budget need no numpy; `build_protocol` imports
+the array and shift modules when it is called.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import yaml
 
-from . import circuit, magnetics, spectroscopy
+from . import circuit, magnetics
 from .constants import (
     PARTICLES,
     cyclotron_frequency,
@@ -186,6 +187,8 @@ def _block_tree() -> dict:
 
 _TREE = _block_tree()
 _FLOAT_MAX = sys.float_info.max
+# the C parser where PyYAML has libyaml; constructor and resolvers are the same
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _leaf(path: str, kind, accept, value):
@@ -422,7 +425,7 @@ def load_config(path_or_name: str | Path) -> RunConfig:
             )
         text = candidate.read_text()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:  # one line: the problem and its position
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -447,13 +450,16 @@ def build_resonator(config: RunConfig) -> circuit.ResonatorParams:
 
 def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
     """Exchange/dissipation budget at the configured operating point."""
-    return circuit.qls_budget(
+    budget = circuit.qls_budget(
         build_resonator(config),
         config.trap_logic,
         config.trap_spectroscopy,
         config.environment_temperature,
         config.detune_linewidths,
     )
+    if math.isinf(budget.n_bar):  # k_B T / (hbar omega_z) beyond the float range
+        raise ConfigError("environment.temperature_k", "thermal occupation overflows")
+    return budget
 
 
 def build_ring(config: RunConfig) -> magnetics.RingMagnet:
@@ -470,7 +476,7 @@ def build_protocol(
     config: RunConfig, seed: int | None = None
 ) -> protocol.ProtocolConfig:
     """Assemble the full per-cycle configuration from the scenario."""
-    from . import protocol
+    from . import protocol, spectroscopy
 
     if config.protocol is None:
         raise ConfigError("protocol", "missing required key")

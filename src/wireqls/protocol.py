@@ -51,6 +51,7 @@ __all__ = [
     "simulate_point",
     "lineshape_scan",
     "analytic_jump_probability",
+    "vanishing_inputs",
     "fitted_center_width",
     "center_uncertainty",
     "day_scale_center_report",
@@ -70,6 +71,10 @@ DETECTION_TIME_FLOOR = 0.050  # [s]
 DETECTION_BOTTLE_RATIO = 30.0
 
 RECORDS_CHUNK = 1024  # cycles drawn per block and record rows formatted per write
+# a record row's text around its two floats, by numpy index: the four stage
+# flags as the bits of a code, n_c_after_drive highest, and declared_jump
+_FLAGS_TEXT = np.array([",".join(f"{c:04b}") + "," for c in range(16)], dtype=object)
+_JUMP_TEXT = np.array([",0,", ",1,"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -458,6 +463,27 @@ def analytic_jump_probability(
     return d0 + (d1 - d0) * p_pi * (r + (1.0 - r) * p_pi * p_swap * p_exc)
 
 
+def vanishing_inputs(config: ProtocolConfig) -> list[str]:
+    """The scenario keys whose values zero the line, the closed-form jump
+    probability above its false-jump floor D0, at every grid point: a factor
+    of (D1 - D0) * pi * [r + (1 - r) * pi * s * p_exc]. Empty if none is."""
+    sigma, threshold = config.detection.sigma, config.detection.threshold
+    r = _residual_excited_probability(config.sideband_cooling_residual)
+    drive = config.drive
+    peak = drive.peak_probability
+    p_exc = drive_probability(drive, config.shifts_S.broadening, drive.detunings)
+    # with r > 0 the bracket is positive whatever the drive and the swap
+    factors = {
+        "protocol.mode": _detection_probability(readout_shift(config), sigma, threshold)
+        - _detection_probability(0.0, sigma, threshold),
+        "protocol.pi_pulse_fidelity": config.pi_pulse_fidelity,
+        "protocol.drive.peak_probability": r or peak,
+        "protocol.drive.grid": r or not peak or np.max(p_exc),  # off the line
+        "resonator": r or resolve_swap_probability(config),  # no swap
+    }
+    return [name for name, factor in factors.items() if not factor > 0.0]
+
+
 def _moment(lineshape: Lineshape) -> tuple[np.ndarray, float, float]:
     """Clipped excitation weights, their sum and their first moment (the
     fitted center)."""
@@ -576,30 +602,29 @@ def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
     times in seconds. Returns the number of declared jumps.
 
     Rows are formatted and written RECORDS_CHUNK at a time, so the text
-    held in memory does not grow with the table.
+    held in memory does not grow with the table. A chunk is one %-template
+    with five values a row, since the two float reprs are most of the cost:
+    the cycle, the flag text, the shift, the jump text and the time.
     """
     stream.write(
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
-    row = "%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__
     jumps = 0
     for records in blocks:
-        # the bool columns as 0/1 ints, so one %-template formats a whole row
-        columns = (
-            records.cycle,
-            records.n_c_after_drive,
-            records.transfer_s_ok.view(np.uint8),
-            records.exchange_ok.view(np.uint8),
-            records.transfer_l_ok.view(np.uint8),
-            records.measured_shift,
-            records.declared_jump.view(np.uint8),
-            records.wall_time,
-        )
         jumps += int(np.count_nonzero(records.declared_jump))
         for lo in range(0, len(records.cycle), RECORDS_CHUNK):
-            rows = zip(*(c[lo : lo + RECORDS_CHUNK].tolist() for c in columns))
-            stream.write("".join(map(row, rows)))
+            r = slice(lo, lo + RECORDS_CHUNK)
+            flags = (records.n_c_after_drive[r] << 3 | records.transfer_s_ok[r] << 2
+                     | records.exchange_ok[r] << 1 | records.transfer_l_ok[r])
+            cycle = records.cycle[r].tolist()
+            values = [None] * (5 * len(cycle))
+            values[0::5] = cycle
+            values[1::5] = _FLAGS_TEXT[flags].tolist()
+            values[2::5] = records.measured_shift[r].tolist()
+            values[3::5] = _JUMP_TEXT[records.declared_jump[r].view(np.uint8)].tolist()
+            values[4::5] = records.wall_time[r].tolist()
+            stream.write(("%d,%s%r%s%r\n" * len(cycle)) % tuple(values))
     return jumps
 
 

@@ -147,6 +147,18 @@ class TestBudgetCommand:
         assert code == 0, err
         assert "n_bar: 0.0\n" in out
 
+    @pytest.mark.parametrize("command", ["budget", "lineshape", "protocol"])
+    def test_overflowing_occupation_is_schema_error(
+        self, capsys, tmp_path, electron_raw, command
+    ):
+        # k_B T / (hbar omega_z) past the float range: n_bar would be inf
+        electron_raw["environment"]["temperature_k"] = 1.7e308
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: environment.temperature_k: thermal occupation overflows\n"
+
     @pytest.mark.parametrize("text", ["scenario: [unclosed\n", "seed: 1\x00\n"])
     def test_malformed_yaml_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.yaml"
@@ -451,6 +463,47 @@ class TestLineshapeAndProtocolCommands:
         code, out, _ = run_cli(capsys, "protocol", "--config", config)
         assert code == exit_code and out == ""
 
+    @pytest.mark.parametrize(
+        "changes, names",
+        [
+            ({"pi_pulse_fidelity": 0.0}, "protocol.pi_pulse_fidelity"),
+            ({"mode": "anomaly"}, "protocol.mode"),
+            (
+                {"sideband_cooling_residual": 0.0, "drive.peak_probability": 0.0},
+                "protocol.drive.peak_probability",
+            ),
+            (
+                {"sideband_cooling_residual": 0.0, "pi_pulse_fidelity": 0.0,
+                 "drive.grid.start_hz": -2000.0, "drive.grid.stop_hz": -1000.0},
+                "protocol.pi_pulse_fidelity, protocol.drive.grid",
+            ),
+        ],
+    )
+    def test_lineshape_names_what_zeroes_the_line(
+        self, capsys, tmp_path, electron_raw, changes, names
+    ):
+        for dotted, value in changes.items():
+            set_key(electron_raw["protocol"], dotted, value)
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "lineshape", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: lineshape has no excitation to fit: zero line from {names}\n"
+
+    def test_lineshape_without_jumps_names_the_cycles(self, capsys, tmp_path, electron_raw):
+        # a line too weak for its cycles: positive in closed form, no jump drawn
+        p = electron_raw["protocol"]
+        p["cycles"], p["sideband_cooling_residual"] = 3, 0.0
+        p["drive"]["peak_probability"] = 1e-12
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "lineshape", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: lineshape has no excitation to fit: "
+            "no jump in protocol.cycles = 3 cycles a point\n"
+        )
+
     @pytest.mark.parametrize("b2", [0.0, -9000.0])
     def test_readout_needs_positive_logic_bottle(self, capsys, tmp_path, electron_raw, b2):
         electron_raw["traps"]["logic"]["b2_tesla_per_m2"] = b2
@@ -585,6 +638,31 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
     assert out == "False"
 
 
+def test_budget_field_and_sweep_load_neither_json_nor_shifts():
+    # json serves only `budget --format records`, the shift model only
+    # `lineshape` and `protocol`
+    argvs = [
+        ["budget", "--config", "paper-electron"],
+        ["field", "--config", "paper-electron"],
+        ["sweep", "--config", "paper-electron",
+         "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'json', 'wireqls.spectroscopy'} & sys.modules.keys()))\n"
+        "argv = ['budget', '--config', 'paper-electron', '--format', 'records']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "    assert cli.main(argv) == 0\n"
+        "import json\n"
+        "print(json.loads(buf.getvalue())['particle'])\n"
+    )
+    assert out.splitlines() == ["[]", "electron"]
+
+
 def test_package_loads_modules_on_first_access():
     out = run_python(
         "import sys, wireqls\n"
@@ -642,6 +720,15 @@ class TestSweepCommand:
         )
         assert code == 0
         assert float(out.splitlines()[1].split(",")[4]) == 0.0
+
+    def test_temperature_sweep_into_occupation_overflow(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "environment.temperature_k", "--range", "0.01:1.7e308:2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: environment.temperature_k: thermal occupation overflows\n"
 
     @pytest.mark.parametrize("axis", ["magnet.profile.samples", "protocol.cycles"])
     def test_integer_leaf_sweep(self, capsys, axis):

@@ -2,11 +2,12 @@ import copy
 import math
 import struct
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wireqls import config as cfg
@@ -215,3 +216,55 @@ class TestLinspace:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             cfg.linspace(0.0, 1.0, -1)
+
+
+LEAVES = [row[0] for row in cfg.SCHEMA]
+# any value a scenario leaf may be given, valid or not
+YAML_VALUES = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=20),
+    st.sampled_from([-0.0, 5e-324, BIG, 1e300, 0.1, 10**30]),
+)
+
+
+def _typed(value):
+    """`value` with each scalar tagged by its type, so 1, 1.0 and True
+    differ; nan is tagged by its repr."""
+    if isinstance(value, dict):
+        return {key: _typed(v) for key, v in value.items()}
+    return type(value).__name__, repr(value)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml")
+class TestYamlLoaders:
+    """libyaml's parser and PyYAML's own, under the same constructor and
+    resolvers, build the same mappings."""
+
+    def test_load_config_uses_libyaml(self):
+        assert cfg._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("name", cfg.bundled_scenarios())
+    def test_bundled_scenarios(self, name):
+        text = (resources.files("wireqls") / "scenarios" / f"{name}.yaml").read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert _typed(fast) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+        assert cfg.load_config(name) == cfg.parse_config(fast)
+
+    @pytest.fixture(scope="class")
+    def bundled_raw(self) -> dict:
+        return {name: cfg.load_config(name).raw for name in cfg.bundled_scenarios()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dumped_variants(self, bundled_raw, data):
+        name = data.draw(st.sampled_from(sorted(bundled_raw)))
+        raw = copy.deepcopy(bundled_raw[name])
+        for dotted in data.draw(st.lists(st.sampled_from(LEAVES), max_size=8)):
+            *parents, leaf = dotted.split(".")
+            node = raw
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = data.draw(YAML_VALUES, label=dotted)
+        text = yaml.safe_dump(raw)
+        assert _typed(yaml.load(text, Loader=yaml.CSafeLoader)) == _typed(
+            yaml.load(text, Loader=yaml.SafeLoader)
+        )

@@ -131,6 +131,50 @@ class TestAnalyticOracle:
                 product, rel=1e-12
             )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pi=st.sampled_from([0.0, 0.5, 1.0]),
+        residual=st.sampled_from([0.0, 0.05]),
+        swap=st.sampled_from([0.0, 0.7]),
+        peak=st.sampled_from([0.0, 0.8]),
+        below=st.booleans(),  # the grid lies wholly below the one-sided line
+        mode=st.sampled_from(["cyclotron", "anomaly"]),
+        noise=st.sampled_from([0.0, 15.0]),
+    )
+    def test_vanishing_inputs_name_the_zero_factors(
+        self, base_config, pi, residual, swap, peak, below, mode, noise
+    ):
+        w = base_config.shifts_S.broadening
+        config = replace(
+            base_config,
+            pi_pulse_fidelity=pi,
+            sideband_cooling_residual=residual,
+            swap_probability=swap,
+            mode=mode,
+            detection=replace(base_config.detection, noise_density=noise),
+            drive=replace(
+                base_config.drive,
+                peak_probability=peak,
+                detunings=tuple(np.linspace(-6.0, -2.0, 5) * w) if below
+                else base_config.drive.detunings,
+            ),
+        )
+        names = protocol.vanishing_inputs(config)
+        # pi = 0 leaves only the false jumps, so the line is what lies above
+        floor = replace(config, pi_pulse_fidelity=0.0)
+        line_is_zero = all(
+            protocol.analytic_jump_probability(config, d)
+            <= protocol.analytic_jump_probability(floor, d)
+            for d in config.drive.detunings
+        )
+        assert bool(names) == line_is_zero
+        assert ("protocol.pi_pulse_fidelity" in names) == (pi == 0.0)
+        assert ("protocol.mode" in names) == (mode == "anomaly")
+        no_background = residual == 0.0
+        assert ("protocol.drive.peak_probability" in names) == (no_background and peak == 0)
+        assert ("protocol.drive.grid" in names) == (no_background and peak > 0 and below)
+        assert ("resonator" in names) == (no_background and swap == 0.0)
+
     def test_monte_carlo_converges_to_oracle(self, base_config):
         config = replace(
             base_config,
@@ -565,6 +609,66 @@ def _reference_records_csv(records) -> str:
     return text
 
 
+def _row_template_writer(blocks, stream) -> int:
+    """The record writer before the flag texts: the bool columns as 0/1
+    ints and one eight-value %-template a row, RECORDS_CHUNK rows a write."""
+    stream.write(
+        "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
+        "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
+    )
+    row = "%d,%d,%d,%d,%d,%r,%d,%r\n".__mod__
+    jumps = 0
+    for records in blocks:
+        columns = (
+            records.cycle,
+            records.n_c_after_drive,
+            records.transfer_s_ok.view(np.uint8),
+            records.exchange_ok.view(np.uint8),
+            records.transfer_l_ok.view(np.uint8),
+            records.measured_shift,
+            records.declared_jump.view(np.uint8),
+            records.wall_time,
+        )
+        jumps += int(np.count_nonzero(records.declared_jump))
+        for lo in range(0, len(records.cycle), protocol.RECORDS_CHUNK):
+            rows = zip(*(c[lo : lo + protocol.RECORDS_CHUNK].tolist() for c in columns))
+            stream.write("".join(map(row, rows)))
+    return jumps
+
+
+# floats whose text is easy to get wrong: signed zeros, subnormals, the
+# ends of the range, the switches to exponent form
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+     math.inf, -math.inf, math.nan]
+)
+
+
+def _flag_table(rows: int, order: int, shifts: list, times: list, block: int | None):
+    """Record blocks of a table whose five flags take each of their 32
+    combinations equally often (up to one), in a shuffled order, with the
+    given floats repeated down the two float columns."""
+    code = np.random.default_rng(order).permutation(np.arange(rows) % 32)
+    bits = [(code >> k & 1).astype(bool) for k in (4, 3, 2, 1, 0)]
+    measured = np.resize(np.array(shifts, dtype=float), rows)
+    wall = np.resize(np.array(times, dtype=float), rows)
+    step = block or rows
+    return [
+        protocol.ProtocolRecords(
+            cycle=np.arange(lo, min(lo + step, rows)),
+            n_c_after_drive=bits[0][lo : lo + step].astype(int),
+            transfer_s_ok=bits[1][lo : lo + step],
+            exchange_ok=bits[2][lo : lo + step],
+            transfer_l_ok=bits[3][lo : lo + step],
+            measured_shift=measured[lo : lo + step],
+            declared_jump=bits[4][lo : lo + step],
+            wall_time=wall[lo : lo + step],
+        )
+        for lo in range(0, rows, step)
+    ]
+
+
 class _CountingSink:
     """A text stream that keeps only the number of characters written."""
 
@@ -681,6 +785,34 @@ class TestRecordStream:
             assert buf.getvalue() == reference
             assert jumps == np.count_nonzero(records.declared_jump)
         assert reference.count("\n") == cycles + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 3 * protocol.RECORDS_CHUNK + 40),
+        order=st.integers(0, 2**32 - 1),
+        shifts=st.lists(_EDGE_FLOATS | st.floats(), min_size=1, max_size=40),
+        times=st.lists(_EDGE_FLOATS | st.floats(), min_size=1, max_size=40),
+        block=st.sampled_from(
+            [1, protocol.RECORDS_CHUNK, protocol.RECORDS_CHUNK + 1, None]  # None: whole
+        ),
+    )
+    @example(rows=32, order=0, shifts=[-0.0], times=[5e-324], block=1)
+    @example(
+        rows=2 * protocol.RECORDS_CHUNK + 1, order=1, shifts=[1.7976931348623157e308],
+        times=[-0.0, 1e-300], block=None,
+    )
+    def test_writer_matches_row_template_oracle(self, rows, order, shifts, times, block):
+        blocks = _flag_table(rows, order, shifts, times, block)
+        expected, got = io.StringIO(), io.StringIO()
+        jumps = _row_template_writer(blocks, expected)
+        assert protocol.write_records_csv(blocks, got) == jumps
+        assert got.getvalue() == expected.getvalue()  # byte for byte
+        if rows >= 32:  # every flag combination went through
+            combos = {
+                tuple(f[1:5]) + (f[6],)
+                for f in (line.split(",") for line in got.getvalue().splitlines()[1:])
+            }
+            assert len(combos) == 32
 
     def test_writer_memory_does_not_grow_with_the_table(self, noisy_config):
         import tracemalloc
