@@ -34,6 +34,7 @@ __all__ = [
     "exchange_time",
     "dissipation_rate",
     "thermal_occupation",
+    "OccupationOverflow",
     "qls_budget",
     "optimize_detuning",
     "FEASIBILITY_THRESHOLD",
@@ -197,8 +198,15 @@ def dissipation_rate(z_re: float, l_L: float, l_S: float) -> float:
     return max(z_re / l_L, z_re / l_S)
 
 
+class OccupationOverflow(OverflowError):
+    """The thermal occupation lies beyond the float range."""
+
+
 def thermal_occupation(omega_z: float, T: float) -> float:
-    """Bose-Einstein occupation 1/[exp(hbar w / k_B T) - 1]; zero at T=0."""
+    """Bose-Einstein occupation 1/[exp(hbar w / k_B T) - 1]; zero at T=0.
+
+    Raises OccupationOverflow where k_B T / (hbar w) exceeds the float range.
+    """
     if omega_z <= 0:
         raise ValueError("omega_z must be positive")
     if T < 0:
@@ -206,9 +214,12 @@ def thermal_occupation(omega_z: float, T: float) -> float:
     if K_B * T == 0.0:  # T = 0, or k_B T underflows: the occupation is zero
         return 0.0
     try:
-        return 1.0 / math.expm1(HBAR * omega_z / (K_B * T))
+        n_bar = 1.0 / math.expm1(HBAR * omega_z / (K_B * T))
     except OverflowError:  # hbar w / k_B T > ~709.8: the occupation underflows
         return 0.0
+    if math.isinf(n_bar):  # 1 / expm1 of a subnormal
+        raise OccupationOverflow("thermal occupation overflows")
+    return n_bar
 
 
 def qls_budget(

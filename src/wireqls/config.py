@@ -450,16 +450,16 @@ def build_resonator(config: RunConfig) -> circuit.ResonatorParams:
 
 def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
     """Exchange/dissipation budget at the configured operating point."""
-    budget = circuit.qls_budget(
-        build_resonator(config),
-        config.trap_logic,
-        config.trap_spectroscopy,
-        config.environment_temperature,
-        config.detune_linewidths,
-    )
-    if math.isinf(budget.n_bar):  # k_B T / (hbar omega_z) beyond the float range
-        raise ConfigError("environment.temperature_k", "thermal occupation overflows")
-    return budget
+    try:
+        return circuit.qls_budget(
+            build_resonator(config),
+            config.trap_logic,
+            config.trap_spectroscopy,
+            config.environment_temperature,
+            config.detune_linewidths,
+        )
+    except circuit.OccupationOverflow as exc:
+        raise ConfigError("environment.temperature_k", str(exc)) from None
 
 
 def build_ring(config: RunConfig) -> magnetics.RingMagnet:

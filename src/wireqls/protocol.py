@@ -603,8 +603,17 @@ def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
 
     Rows are formatted and written RECORDS_CHUNK at a time, so the text
     held in memory does not grow with the table. A chunk is one %-template
-    with five values a row, since the two float reprs are most of the cost:
-    the cycle, the flag text, the shift, the jump text and the time.
+    with five values a row: the cycle, the flag text, the shift, the jump
+    text and the time.
+
+    The two float columns are the text `repr` gives, made in bulk by
+    `_float_texts`. orjson prints a double with the same shortest digits
+    that round-trip, the rule `repr` follows, so the two differ only in
+    layout: `repr` switches to exponent form below 1e-4 and from 1e16 in
+    magnitude, orjson at other points (0.00001 against 1e-05, 1e16 against
+    1e+16), and orjson writes nan and +-inf as null. Values outside
+    1e-4 <= |x| < 1e16, zero and the non-finite ones included, go through
+    `repr` itself, so every byte is `repr`'s.
     """
     stream.write(
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
@@ -621,11 +630,27 @@ def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
             values = [None] * (5 * len(cycle))
             values[0::5] = cycle
             values[1::5] = _FLAGS_TEXT[flags].tolist()
-            values[2::5] = records.measured_shift[r].tolist()
+            values[2::5] = _float_texts(records.measured_shift[r])
             values[3::5] = _JUMP_TEXT[records.declared_jump[r].view(np.uint8)].tolist()
-            values[4::5] = records.wall_time[r].tolist()
-            stream.write(("%d,%s%r%s%r\n" * len(cycle)) % tuple(values))
+            values[4::5] = _float_texts(records.wall_time[r])
+            stream.write(("%d,%s%s%s%s\n" * len(cycle)) % tuple(values))
     return jumps
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """`repr` of each value of a column widened to double: orjson's text
+    inside 1e-4 <= |x| < 1e16, where its layout is `repr`'s, and `repr`
+    outside (see `write_records_csv`)."""
+    import orjson  # only a record table loads it
+
+    # orjson rejects a strided array, and prints a float32 with float32's digits
+    x = np.ascontiguousarray(column, dtype=np.float64)
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    texts = text.split(",") if text else []
+    size = np.abs(x)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16))).tolist():
+        texts[i] = repr(float(x[i]))
+    return texts
 
 
 def write_lineshape_csv(

@@ -206,6 +206,16 @@ class TestQlsBudget:
         assert budget.figure == 0.0
         assert budget.feasible
 
+    def test_overflowing_occupation_raises(
+        self, stock_resonator, trap_logic, trap_spectroscopy
+    ):
+        # k_B T / (hbar omega_z) past the float range: an inf n_bar would give
+        # an inf figure and a nan swap probability downstream
+        with pytest.raises(circuit.OccupationOverflow, match="overflows"):
+            circuit.qls_budget(
+                stock_resonator, trap_logic, trap_spectroscopy, 1.7e308, DETUNE
+            )
+
     def test_proton_preset_marginal(self):
         trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, M_P, E)
         trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, M_P, E)

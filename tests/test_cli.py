@@ -640,7 +640,7 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
 
 def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     # json serves only `budget --format records`, the shift model only
-    # `lineshape` and `protocol`
+    # `lineshape` and `protocol`, orjson only `protocol`'s record table
     argvs = [
         ["budget", "--config", "paper-electron"],
         ["field", "--config", "paper-electron"],
@@ -650,17 +650,22 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     out = run_python(
         "import contextlib, io, sys\n"
         "from wireqls import cli\n"
-        f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "print(sorted({'json', 'wireqls.spectroscopy'} & sys.modules.keys()))\n"
-        "argv = ['budget', '--config', 'paper-electron', '--format', 'records']\n"
-        "with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
-        "    assert cli.main(argv) == 0\n"
+        "    return buf.getvalue()\n"
+        f"for argv in {argvs!r}:\n"
+        "    run(argv)\n"
+        "print(sorted({'json', 'orjson', 'wireqls.spectroscopy'} & sys.modules.keys()))\n"
+        "text = run(['budget', '--config', 'paper-electron', '--format', 'records'])\n"
         "import json\n"
-        "print(json.loads(buf.getvalue())['particle'])\n"
+        "print(json.loads(text)['particle'])\n"
+        "run(['lineshape', '--config', 'paper-electron'])\n"
+        "print('orjson' in sys.modules)\n"
+        "run(['protocol', '--config', 'paper-electron'])\n"
+        "print('orjson' in sys.modules)\n"
     )
-    assert out.splitlines() == ["[]", "electron"]
+    assert out.splitlines() == ["[]", "electron", "False", "True"]
 
 
 def test_package_loads_modules_on_first_access():

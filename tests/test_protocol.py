@@ -636,12 +636,19 @@ def _row_template_writer(blocks, stream) -> int:
     return jumps
 
 
+def _around(x: float) -> list[float]:
+    """x and its two float neighbours."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
 # floats whose text is easy to get wrong: signed zeros, subnormals, the
-# ends of the range, the switches to exponent form
+# ends of the range, the switches to exponent form, where the writer also
+# switches between orjson's text and repr
 _EDGE_FLOATS = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
      -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
-     math.inf, -math.inf, math.nan]
+     math.inf, -math.inf, math.nan, 1e-5]
+    + [y for x in (1e-4, -1e-4, 1e16, -1e16) for y in _around(x)]
 )
 
 
@@ -813,6 +820,18 @@ class TestRecordStream:
                 for f in (line.split(",") for line in got.getvalue().splitlines()[1:])
             }
             assert len(combos) == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(_EDGE_FLOATS | st.floats(), max_size=50)
+        | st.lists(st.integers(0, 2**64 - 1), max_size=50).map(
+            lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)
+        ),
+    )
+    def test_float_texts_are_repr(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert protocol._float_texts(x) == list(map(repr, x.tolist()))
+        assert protocol._float_texts(x[::2]) == list(map(repr, x[::2].tolist()))  # strided
 
     def test_writer_memory_does_not_grow_with_the_table(self, noisy_config):
         import tracemalloc
