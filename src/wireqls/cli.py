@@ -194,9 +194,7 @@ def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
         f"{args.axis},omega_ex_rad_per_s,t_ex_s,gamma_per_s,n_bar,figure,feasible\n"
     )
     rows = [header]
-    for value in values:
-        data = cfg.set_by_path(rc.raw, args.axis, value)
-        swept = cfg.parse_config(data)
+    for value, swept in zip(values, cfg.sweep_configs(rc, args.axis, values)):
         b = cfg.build_budget(swept)
         rows.append(
             f"{_fmt(value)},{_fmt(b.omega_ex)},{_fmt(b.t_ex)},{_fmt(b.gamma)},"

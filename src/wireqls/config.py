@@ -20,22 +20,25 @@ traps.logic.b2_tesla_per_m2.
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path.
 
-Scenarios are parsed by libyaml where PyYAML was built with it. Parsing a
-scenario and building its budget need no numpy; `build_protocol` imports
-the array and shift modules when it is called.
+`load_config` reads plain block YAML itself: `key:` and `key: value`
+lines, each value a decimal int, a float with a dot or a plain word, with
+blank and comment lines between. It hands any other text to PyYAML (by
+libyaml where PyYAML was built with it), so a flow-style, anchored, quoted
+or malformed scenario reads, or fails, as PyYAML reads it, and PyYAML is
+imported only then. Parsing a scenario and building its budget need no numpy;
+`build_protocol` imports the array and shift modules when it is called.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
-
-import yaml
 
 from . import circuit, magnetics
 from .constants import (
@@ -46,6 +49,8 @@ from .constants import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from . import protocol
 
 __all__ = [
@@ -55,6 +60,7 @@ __all__ = [
     "MagnetSpec",
     "ProtocolSpec",
     "parse_config",
+    "sweep_configs",
     "load_config",
     "dump_config",
     "bundled_scenarios",
@@ -187,8 +193,18 @@ def _block_tree() -> dict:
 
 _TREE = _block_tree()
 _FLOAT_MAX = sys.float_info.max
-# the C parser where PyYAML has libyaml; constructor and resolvers are the same
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# A line of plain block YAML: indent, then a blank, a comment, `key:` or
+# `key: value` with value an int, float or word as PyYAML resolves them (a
+# float needs its dot and a signed exponent), then an optional comment.
+_BLOCK_LINE = re.compile(
+    r"( *)(?:([A-Za-z_][A-Za-z0-9_]*):(?: +(?:([-+]?(?:0|[1-9][0-9]*))"
+    r"|([-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)|([A-Za-z][A-Za-z0-9_-]*)))?"
+    r"(?= |$))? *(?:#.*)?"
+)
+# words PyYAML reads as a bool or null, and any other casing of them
+_NOT_WORDS = frozenset(("yes", "no", "true", "false", "on", "off", "null"))
+# keeps keys under libyaml's 1024 characters and ints under int()'s digit cap
+_MAX_LINE = 200
 
 
 def _leaf(path: str, kind, accept, value):
@@ -299,7 +315,29 @@ def parse_config(data: dict) -> RunConfig:
     The RunConfig keeps `data` itself as `raw`, not a copy, so the caller
     must not mutate `data` afterwards; `dump_config` returns a copy.
     """
-    v = _walk(data, "")
+    return _build(_walk(data, ""), data)
+
+
+def sweep_configs(
+    config: RunConfig, dotted: str, values: Iterable[float]
+) -> Iterator[RunConfig]:
+    """`parse_config(set_by_path(config.raw, dotted, value))` for each of
+    `values`. The scenario is walked once; each point re-checks only the
+    swept leaf, then runs the checks that span several leaves."""
+    walked = _walk(config.raw, "")
+    rows = {row[0]: row for row in SCHEMA}
+    for value in values:
+        data = set_by_path(config.raw, dotted, value)
+        leaf = data
+        for key in dotted.split("."):
+            leaf = leaf[key]  # the value as set_by_path wrote it
+        _, kind, _, accept = rows[dotted]
+        yield _build(set_by_path(walked, dotted, _leaf(dotted, kind, accept, leaf)), data)
+
+
+def _build(v: dict, data: dict) -> RunConfig:
+    """The RunConfig of `data`, whose walked leaves are `v`: the checks
+    that span several leaves, and the trap, ring and protocol models."""
     res = v["resonator"]
     detune = res["detune_linewidths"]
     if (detune is None) == (res["detune_hz"] is None):
@@ -410,6 +448,61 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name[: -len(".yaml")] for p in pkg.iterdir() if p.name.endswith(".yaml"))
 
 
+def _read_block_yaml(text: str) -> dict | None:
+    """The mapping `text` holds, as `yaml.safe_load` gives it, when every
+    line is plain block YAML (`_BLOCK_LINE`) and the blocks nest by indent;
+    None for any other text, an empty one, a duplicate key, a `key:` with
+    no block under it, or a bool or null word."""
+    root: dict = {}
+    stack = [(-1, None)]  # (indent, mapping) of each open block
+    opened = root  # the block a `key:` line opened, until its first key
+    for line in text.split("\n"):
+        if len(line) > _MAX_LINE or not line.isprintable():
+            return None  # tabs, CR, BOM and other controls among them
+        match = _BLOCK_LINE.fullmatch(line)
+        if match is None:
+            return None
+        indent, key, integer, real, word = match.groups()
+        if key is None:
+            continue
+        depth = len(indent)
+        if opened is not None:
+            if depth <= stack[-1][0]:
+                return None
+            stack.append((depth, opened))
+            opened = None
+        while depth < stack[-1][0]:
+            stack.pop()
+        node = stack[-1][1]
+        if depth != stack[-1][0] or key in node or key.lower() in _NOT_WORDS:
+            return None
+        if integer is not None:
+            node[key] = int(integer)
+        elif real is not None:
+            node[key] = float(real)
+        elif word is None:
+            node[key] = opened = {}
+        elif word.lower() in _NOT_WORDS:
+            return None
+        else:
+            node[key] = word
+    return root if opened is None else None
+
+
+def _load_yaml(text: str):
+    """`text` read by PyYAML, with libyaml's parser where PyYAML has it;
+    constructor and resolvers are the same either way."""
+    import yaml
+
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:  # one line: the problem and its position
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
+        raise ConfigError("<root>", f"invalid YAML: {problem}{where}") from None
+
+
 def load_config(path_or_name: str | Path) -> RunConfig:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(path_or_name)
@@ -424,13 +517,9 @@ def load_config(path_or_name: str | Path) -> RunConfig:
                 f"(bundled: {bundled_scenarios()})",
             )
         text = candidate.read_text()
-    try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:  # one line: the problem and its position
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
-        raise ConfigError("<root>", f"invalid YAML: {problem}{where}") from None
+    data = _read_block_yaml(text)
+    if data is None:
+        data = _load_yaml(text)
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
     return parse_config(data)

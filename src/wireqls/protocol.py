@@ -221,17 +221,22 @@ def drive_probability(
     line center, with the center displaced by `drift`; scalars or arrays.
 
     Exponents are clipped where the profile has already underflowed to
-    zero (exp(-745.2) is the last nonzero double), so the branch np.where
-    discards cannot overflow.
+    zero (exp(-745.2) is the last nonzero double), so they stay finite, and
+    exp is taken only above -746: numpy's exp is ~20x slower on arguments
+    that underflow, and a drifting line leaves most cycles there.
     """
     x = np.subtract(detuning, drift)
     if width == 0.0:
         return drive.peak_probability * (x == 0.0)
     if drive.profile == "exponential":
-        decay = np.exp(-np.clip(x, 0.0, 800.0 * width) / width)
-        return drive.peak_probability * np.where(x >= 0.0, decay, 0.0)
-    z = np.minimum(np.abs(x), 40.0 * width) / width
-    return drive.peak_probability * np.exp(-0.5 * z * z)
+        exponent = -np.clip(x, 0.0, 800.0 * width) / width
+        live = (x >= 0.0) & (exponent > -746.0)  # one-sided; nan reads as 0
+    else:
+        z = np.minimum(np.abs(x), 40.0 * width) / width
+        exponent = -0.5 * z * z
+        live = ~(exponent <= -746.0)  # nan stays nan
+    decay = np.exp(exponent, out=np.zeros_like(exponent), where=live)
+    return drive.peak_probability * decay
 
 
 def readout_shift(config: ProtocolConfig) -> float:

@@ -640,9 +640,12 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
 
 def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     # json serves only `budget --format records`, the shift model only
-    # `lineshape` and `protocol`, orjson only `protocol`'s record table
+    # `lineshape` and `protocol`, orjson only `protocol`'s record table;
+    # PyYAML only scenarios the block reader declines, so no command on a
+    # bundled scenario loads it
     argvs = [
         ["budget", "--config", "paper-electron"],
+        ["budget", "--config", "paper-proton"],
         ["field", "--config", "paper-electron"],
         ["sweep", "--config", "paper-electron",
          "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
@@ -656,16 +659,19 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
         "    return buf.getvalue()\n"
         f"for argv in {argvs!r}:\n"
         "    run(argv)\n"
-        "print(sorted({'json', 'orjson', 'wireqls.spectroscopy'} & sys.modules.keys()))\n"
+        "print(sorted({'json', 'orjson', 'wireqls.spectroscopy', 'yaml'}"
+        " & sys.modules.keys()))\n"
         "text = run(['budget', '--config', 'paper-electron', '--format', 'records'])\n"
         "import json\n"
-        "print(json.loads(text)['particle'])\n"
+        "print(json.loads(text)['particle'], 'yaml' in sys.modules)\n"
         "run(['lineshape', '--config', 'paper-electron'])\n"
-        "print('orjson' in sys.modules)\n"
+        "print('orjson' in sys.modules, 'yaml' in sys.modules)\n"
         "run(['protocol', '--config', 'paper-electron'])\n"
-        "print('orjson' in sys.modules)\n"
+        "print('orjson' in sys.modules, 'yaml' in sys.modules)\n"
     )
-    assert out.splitlines() == ["[]", "electron", "False", "True"]
+    assert out.splitlines() == [
+        "[]", "electron False", "False False", "True False"
+    ]
 
 
 def test_package_loads_modules_on_first_access():

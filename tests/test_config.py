@@ -179,6 +179,36 @@ class TestSweepPathHelper:
             cfg.set_by_path(electron_raw, "particle", 1.0)
         assert "numeric" in str(exc.value)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["paper-electron", "paper-proton"]),
+        dotted=st.sampled_from([row[0] for row in cfg.SCHEMA] + ["traps", "no.such"]),
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-5, 10**6).map(float),
+                st.sampled_from([0.0, -1.0, 1e-300, 1e300, 0.5, 2.0e8, 1.5e8]),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_sweep_configs_match_parse_config(self, name, dotted, values):
+        # one walk, then the swept leaf alone, gives what a full parse of
+        # each point gives: the same RunConfig, or the same first error
+        rc = cfg.load_config(name)
+
+        def run(points):
+            out = []
+            try:
+                for point in points:
+                    out.append(point)
+            except (ValueError, ArithmeticError) as exc:
+                out.append((type(exc), str(exc)))
+            return out
+
+        full = (cfg.parse_config(cfg.set_by_path(rc.raw, dotted, v)) for v in values)
+        assert run(cfg.sweep_configs(rc, dotted, values)) == run(full)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 BIG = sys.float_info.max
@@ -234,13 +264,42 @@ def _typed(value):
     return type(value).__name__, repr(value)
 
 
+@pytest.fixture(scope="module")
+def bundled_raw() -> dict:
+    return {name: cfg.load_config(name).raw for name in cfg.bundled_scenarios()}
+
+
+def _variant(data, bundled_raw: dict, values) -> dict:
+    """A bundled scenario with up to eight leaves set to drawn `values`."""
+    name = data.draw(st.sampled_from(sorted(bundled_raw)))
+    raw = copy.deepcopy(bundled_raw[name])
+    for dotted in data.draw(st.lists(st.sampled_from(LEAVES), max_size=8)):
+        *parents, leaf = dotted.split(".")
+        node = raw
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = data.draw(values, label=dotted)
+    return raw
+
+
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml")
 class TestYamlLoaders:
     """libyaml's parser and PyYAML's own, under the same constructor and
     resolvers, build the same mappings."""
 
-    def test_load_config_uses_libyaml(self):
-        assert cfg._YAML_LOADER is yaml.CSafeLoader
+    def test_load_config_uses_libyaml(self, tmp_path, monkeypatch):
+        # text the block reader declines goes to PyYAML, by libyaml's parser
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(
+            yaml, "load",
+            lambda text, Loader: loaders.append(Loader) or load(text, Loader=Loader),
+        )
+        path = tmp_path / "flow.yaml"
+        path.write_text("{scenario: flow}\n")
+        with pytest.raises(cfg.ConfigError, match="seed: missing required key"):
+            cfg.load_config(path)
+        assert loaders == [yaml.CSafeLoader]
 
     @pytest.mark.parametrize("name", cfg.bundled_scenarios())
     def test_bundled_scenarios(self, name):
@@ -249,22 +308,147 @@ class TestYamlLoaders:
         assert _typed(fast) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
         assert cfg.load_config(name) == cfg.parse_config(fast)
 
-    @pytest.fixture(scope="class")
-    def bundled_raw(self) -> dict:
-        return {name: cfg.load_config(name).raw for name in cfg.bundled_scenarios()}
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_dumped_variants(self, bundled_raw, data):
-        name = data.draw(st.sampled_from(sorted(bundled_raw)))
-        raw = copy.deepcopy(bundled_raw[name])
-        for dotted in data.draw(st.lists(st.sampled_from(LEAVES), max_size=8)):
-            *parents, leaf = dotted.split(".")
-            node = raw
-            for key in parents:
-                node = node.setdefault(key, {})
-            node[leaf] = data.draw(YAML_VALUES, label=dotted)
-        text = yaml.safe_dump(raw)
-        assert _typed(yaml.load(text, Loader=yaml.CSafeLoader)) == _typed(
-            yaml.load(text, Loader=yaml.SafeLoader)
-        )
+        text = yaml.safe_dump(_variant(data, bundled_raw, YAML_VALUES))
+        expected = _typed(yaml.load(text, Loader=yaml.SafeLoader))
+        assert _typed(yaml.load(text, Loader=yaml.CSafeLoader)) == expected
+        block = cfg._read_block_yaml(text)
+        assert block is None or _typed(block) == expected
+
+
+_NOT_WORDS = ("yes", "no", "true", "false", "on", "off", "null")
+# the three scalar forms the block reader takes, as safe_dump writes them
+READER_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,15}", fullmatch=True).filter(
+        lambda word: word.lower() not in _NOT_WORDS
+    ),
+)
+
+
+def _mostly(good, bad, odds: int):
+    """`good` about `odds` draws in `odds + 1`, else `bad`."""
+    return st.sampled_from([good] * odds + [bad]).flatmap(lambda strategy: strategy)
+
+
+# lines between the keys: blank, or a comment at any indent
+_FILLER = _mostly(
+    st.sampled_from(["", "   ", "#", "# note: a: 1", "    # x"]),
+    st.sampled_from(["#\ttab", "\t", "# \x00", "- 1", "...", "%YAML 1.1"]),
+    odds=20,
+)
+# a line's own key (its index is appended, so it is unique), or one that
+# repeats or that PyYAML reads as something else
+_KEYS = _mostly(
+    st.sampled_from(["a", "_d", "Key_"]).map(lambda key: key + "{}"),
+    st.sampled_from(["dup", "on", "Null", "yes", "1", "a b", "'q'", "-", "x" * 1100]),
+    odds=20,
+)
+# what follows `key:` on a line with a value
+_VALUES = _mostly(
+    st.one_of(
+        st.integers(-(10**20), 10**20).map(str),
+        st.floats().map(lambda x: yaml.safe_dump(x).partition("\n")[0]),
+        st.sampled_from(["word", "paper-electron", "x_1", "e5", "-0", "+7", "1.", "00.5"]),
+    ),
+    st.one_of(
+        st.floats(allow_nan=False).map(repr),  # 1e-05, inf: strings to PyYAML
+        st.sampled_from([
+            "yes", "On", "NULL", "~", "010", "0x1F", "1_000", "1e5", "1.0e5", ".5",
+            "1:30", "2001-12-14", "'q'", '"q"', "a#b", "{}", "[1]", "&a x", "*a",
+            "!!str x", "|", "a: b", "\x00", "\t1", "\u00851", "9" * 5000,
+        ]),
+    ),
+    odds=15,
+)
+_SEPARATORS = _mostly(st.sampled_from([": ", ":  "]), st.just(":"), odds=30)
+_COMMENTS = _mostly(
+    st.sampled_from(["", "", " # c", "   #", " "]), st.sampled_from(["#c", "\t# t"]), odds=30
+)
+_MISALIGN = _mostly(st.just(0), st.sampled_from([1, -1]), odds=30)
+
+
+@st.composite
+def _documents(draw):
+    """Block YAML built line by line, mostly what the reader takes, with
+    adversarial keys, values, indents, comments and characters mixed in."""
+    step = draw(st.sampled_from([2, 2, 4, 1]))
+    lines, depth = [], 0
+    count = draw(st.integers(0, 12))
+    for i in range(count):
+        lines += draw(st.lists(_FILLER, max_size=1))
+        indent = depth * step + draw(_MISALIGN)
+        line = " " * max(indent, 0) + draw(_KEYS).format(i)
+        if i < count - 1 and draw(st.booleans()):  # open a block
+            line, depth = line + ":", depth + 1
+        else:
+            line += draw(_SEPARATORS) + draw(_VALUES)
+            depth = draw(st.integers(0, depth))
+        lines.append(line + draw(_COMMENTS))
+    newline = draw(_mostly(st.just("\n"), st.just("\r\n"), odds=20))
+    head = draw(_mostly(
+        st.just(""), st.sampled_from(["---\n", "\ufeff", "{}\n", "a: &x 1\n"]), odds=20
+    ))
+    return head + newline.join(lines) + draw(st.sampled_from(["", "\n", "\n..."]))
+
+
+class TestBlockReader:
+    """The block reader returns what PyYAML's SafeLoader returns, or None."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_documents())
+    def test_agrees_with_pyyaml_or_declines(self, text):
+        block = cfg._read_block_yaml(text)
+        try:
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+        except Exception:  # YAMLError, or int()'s digit limit
+            assert block is None
+            return
+        assert block is None or _typed(block) == _typed(expected)
+
+    @pytest.mark.parametrize("name", cfg.bundled_scenarios())
+    def test_reads_bundled_scenarios(self, name):
+        text = (resources.files("wireqls") / "scenarios" / f"{name}.yaml").read_text()
+        block = cfg._read_block_yaml(text)
+        assert block is not None
+        assert _typed(block) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reads_dumped_variants(self, bundled_raw, data):
+        raw = _variant(data, bundled_raw, READER_VALUES)
+        text = yaml.safe_dump(raw, sort_keys=data.draw(st.booleans()))
+        block = cfg._read_block_yaml(text)
+        assert block is not None
+        assert _typed(block) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "a:\n", "a:\nb: 1\n", "a: 1\na: 2\n",
+        "a: 1\n  b: 2\n", "a:\n    b: 1\n  c: 2\n", "a: yes\n", "on: 1\n",
+        "a: 1\tb\n", "a: 1\r\n", "\ufeffa: 1\n", "---\na: 1\n", "a: 1.0e5\n",
+        "a: 1e+5\n", "a: 010\n", "a: b#c\n", "a:b\n", "a: 'b'\n", "a: {}\n",
+    ])
+    def test_declines(self, text):
+        assert cfg._read_block_yaml(text) is None
+
+    def test_declines_what_libyaml_or_int_rejects(self):
+        # a simple key over 1024 characters, an int over int()'s digit limit
+        for text in ("k" * 1100 + ": 1\n", "a: " + "9" * 5000 + "\n"):
+            with pytest.raises((yaml.YAMLError, ValueError)):
+                yaml.load(text, Loader=yaml.SafeLoader)
+            assert cfg._read_block_yaml(text) is None
+
+    def test_flow_style_anchored_scenario_matches_its_block_form(self, tmp_path):
+        block = cfg.load_config("paper-electron")
+        text = yaml.safe_dump(block.raw, default_flow_style=True, width=10**6)
+        # one anchor on the first temperature, aliases on the others
+        text = text.replace("temperature_k: 0.01", "temperature_k: *T")
+        text = text.replace("*T", "&T 0.01", 1)
+        assert text.count("*T") == 2
+        assert cfg._read_block_yaml(text) is None
+        path = tmp_path / "flow.yaml"
+        path.write_text(text)
+        assert cfg.load_config(path) == block

@@ -75,6 +75,57 @@ class TestDriveProbability:
         )
 
 
+def _clipped_drive_probability(drive, width, detuning, drift=0.0):
+    """The profile as it was computed before exp skipped the arguments that
+    underflow: the oracle drive_probability must match bit for bit."""
+    x = np.subtract(detuning, drift)
+    if drive.profile == "exponential":
+        decay = np.exp(-np.clip(x, 0.0, 800.0 * width) / width)
+        return drive.peak_probability * np.where(x >= 0.0, decay, 0.0)
+    z = np.minimum(np.abs(x), 40.0 * width) / width
+    return drive.peak_probability * np.exp(-0.5 * z * z)
+
+
+# detunings in widths: anywhere, 0, the exponential's 700-800-width band
+# and the gaussian's (0.5 z^2 from 700 to 800), on both sides of the line, and nan
+_WIDTHS_OFF = st.one_of(
+    st.floats(-900.0, 900.0),
+    st.sampled_from([0.0, -0.0, 745.13, 746.0, 800.0, math.sqrt(1492.0), 40.0, math.nan]),
+    st.floats(700.0, 800.0), st.floats(-800.0, -700.0),
+    st.floats(37.4, 40.0), st.floats(-40.0, -37.4),
+)
+
+
+class TestDriveProbabilityUnderflow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profile=st.sampled_from(["exponential", "gaussian"]),
+        peak=st.sampled_from([1.0, 0.8, 0.0]),
+        width=st.floats(1e-6, 1e6),
+        offsets=st.lists(_WIDTHS_OFF, min_size=1, max_size=50),
+        drift=st.floats(-3.0, 3.0),
+    )
+    def test_matches_clipped_formula_bit_for_bit(
+        self, profile, peak, width, offsets, drift
+    ):
+        drive = protocol.DriveModel(
+            detunings=(0.0,), profile=profile, peak_probability=peak
+        )
+        detunings = np.array(offsets) * width
+        # arrays of detunings, arrays of drift, and scalars
+        for args in (
+            (detunings,),
+            (detunings[0], detunings * drift),
+            (float(detunings[0]),),
+            (float(detunings[0]), drift * width),
+        ):
+            got = protocol.drive_probability(drive, width, *args)
+            want = _clipped_drive_probability(drive, width, *args)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestRunCycle:
     """Cycles run through simulate_point's array kernel."""
 
