@@ -2,7 +2,7 @@
 
 Modules
 -------
-constants     frozen CODATA 2018 snapshot, unit conventions
+constants     frozen CODATA 2018 snapshot, unit conventions, checked records
 circuit       resonator impedance, series-mode equivalents, exchange budget
 magnetics     bottle-ring on-axis field and gradients
 spectroscopy  bottle shift, relativistic shift, broadening, heating estimate

@@ -19,9 +19,9 @@ when it is well below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .constants import HBAR, K_B
+from .constants import HBAR, K_B, Checked
 
 __all__ = [
     "ResonatorParams",
@@ -43,15 +43,18 @@ __all__ = [
 FEASIBILITY_THRESHOLD = 1.0  # an exchange is feasible iff its figure lies below
 
 
-@dataclass(frozen=True)
-class ResonatorParams:
-    """Parallel LCR resonator: inductance, capacitance, parallel resistance."""
-
+class _ResonatorFields(NamedTuple):
     L_p: float  # [H]
     C_p: float  # [F]
     R_p: float  # [Ohm]
 
-    def __post_init__(self) -> None:
+
+class ResonatorParams(Checked, _ResonatorFields):
+    """Parallel LCR resonator: inductance, capacitance, parallel resistance."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("L_p", "C_p", "R_p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"resonator {name} must be positive")
@@ -88,10 +91,7 @@ class ResonatorParams:
         return cls(L_p=1.0 / (omega_res**2 * C_p), C_p=C_p, R_p=R_p)
 
 
-@dataclass(frozen=True)
-class TrapParams:
-    """One trap's geometry, operating point and trapped particle."""
-
+class _TrapFields(NamedTuple):
     d_eff: float     # effective trap size [m]
     omega_z: float   # resonator-shifted axial frequency [rad/s]
     B: float         # axial magnetic field [T]
@@ -100,7 +100,13 @@ class TrapParams:
     m: float         # particle mass [kg]
     q: float         # particle charge [C]
 
-    def __post_init__(self) -> None:
+
+class TrapParams(Checked, _TrapFields):
+    """One trap's geometry, operating point and trapped particle."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.d_eff <= 0:
             raise ValueError("d_eff must be positive")
         if self.omega_z <= 0:
@@ -113,8 +119,7 @@ class TrapParams:
             raise ValueError("T_axial must be non-negative")
 
 
-@dataclass(frozen=True)
-class SeriesModeEquivalent:
+class SeriesModeEquivalent(NamedTuple):
     """Series-lc equivalent of one axial mode; l*c*omega_z0^2 = 1."""
 
     l: float         # [H]
@@ -122,8 +127,7 @@ class SeriesModeEquivalent:
     omega_z0: float  # bare axial frequency without the resonator [rad/s]
 
 
-@dataclass(frozen=True)
-class ExchangeBudget:
+class ExchangeBudget(NamedTuple):
     """Derived exchange/dissipation numbers for one operating point.
 
     `figure` is t_ex * n_bar * gamma by construction, and `feasible` is set

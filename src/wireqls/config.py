@@ -35,7 +35,6 @@ import copy
 import math
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -257,8 +256,7 @@ def _walk(data, path: str, absent: str | None = None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MagnetSpec:
+class MagnetSpec(NamedTuple):
     ring: magnetics.RingMagnet  # as specified, before any calibration
     calibrate_b2: float | None
     background: float
@@ -269,8 +267,7 @@ class MagnetSpec:
     spectroscopy_site: float
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple):
     cycles: int
     pi_pulse_fidelity: float
     sideband_cooling_residual: float
@@ -288,8 +285,7 @@ class ProtocolSpec:
     grid_points: int
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated scenario; `raw` is the parsed mapping itself, for
     round-trips and sweeps; treat it as read-only."""
 
@@ -491,11 +487,29 @@ def _read_block_yaml(text: str) -> dict | None:
 
 def _load_yaml(text: str):
     """`text` read by PyYAML, with libyaml's parser where PyYAML has it;
-    constructor and resolvers are the same either way."""
+    constructor and resolvers are the same either way. A key that repeats
+    among one mapping's own keys is an error; a `<<` merge may still
+    supply a key that the mapping sets again."""
     import yaml
 
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            self.flatten_mapping(node)  # puts the merged keys in front
+            seen = set()
+            for key_node in own:
+                if not isinstance(key_node, yaml.ScalarNode):
+                    continue  # PyYAML rejects it as unhashable
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:  # one line: the problem and its position
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -3,53 +3,26 @@
 Every quantity in this package is SI. Angular frequencies are rad/s
 internally; anything quoted in Hz crosses the boundary through
 ``hz_to_angular`` / ``angular_to_hz`` exactly once.
+
+The package's records are named tuples; `Checked` validates the ones whose
+values have a range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants used by every formula in the package."""
-
-    e: float      # elementary charge [C]
-    m_e: float    # electron mass [kg]
-    hbar: float   # reduced Planck constant [J s]
-    k_B: float    # Boltzmann constant [J/K]
-    c: float      # speed of light [m/s]
-    m_p: float    # proton mass [kg]
-    g_e: float    # electron g-factor magnitude (dimensionless)
-
-    def __post_init__(self) -> None:
-        for name in ("e", "m_e", "hbar", "k_B", "c", "m_p", "g_e"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
-
-
 # Values frozen from the CODATA 2018 adjustment; scipy tracks newer
 # adjustments, so these are pinned here to keep golden numbers bit-stable.
-CODATA2018 = PhysicalConstants(
-    e=1.602176634e-19,
-    m_e=9.1093837015e-31,
-    hbar=1.054571817e-34,
-    k_B=1.380649e-23,
-    c=299792458.0,
-    m_p=1.67262192369e-27,
-    g_e=2.00231930436256,
-)
-
-E = CODATA2018.e
-M_E = CODATA2018.m_e
-HBAR = CODATA2018.hbar
-K_B = CODATA2018.k_B
-C_LIGHT = CODATA2018.c
-M_P = CODATA2018.m_p
-G_E = CODATA2018.g_e
+E = 1.602176634e-19        # elementary charge [C]
+M_E = 9.1093837015e-31     # electron mass [kg]
+HBAR = 1.054571817e-34     # reduced Planck constant [J s]
+K_B = 1.380649e-23         # Boltzmann constant [J/K]
+C_LIGHT = 299792458.0      # speed of light [m/s]
+M_P = 1.67262192369e-27    # proton mass [kg]
+G_E = 2.00231930436256     # electron g-factor magnitude (dimensionless)
 
 # (mass [kg], |charge| [C]) presets accepted in scenario files
 PARTICLES: dict[str, tuple[float, float]] = {
@@ -91,3 +64,23 @@ def particle_mass_charge(name: str) -> tuple[float, float]:
         raise ValueError(
             f"unknown particle {name!r}; expected one of {sorted(PARTICLES)}"
         ) from None
+
+
+class Checked:
+    """Mixin that validates a named-tuple record on every construction.
+
+    A record puts it before its NamedTuple base, `class R(Checked, _RFields)`,
+    declares `__slots__ = ()` and defines `_check`, which raises ValueError.
+    `_replace` builds through `_make`, so a replaced record is checked too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

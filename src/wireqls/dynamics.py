@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .constants import Checked
 
 __all__ = [
     "TruncationError",
@@ -62,17 +64,20 @@ class TruncationError(RuntimeError):
     """Raised when population reaches the truncation boundary."""
 
 
-@dataclass(frozen=True)
-class ExchangeParams:
-    """Rates of the exchange master equation; all in SI angular units."""
-
+class _ExchangeFields(NamedTuple):
     omega_ex: float      # beam-splitter coupling [rad/s]
     gamma_L: float       # logic-mode damping [1/s]
     gamma_S: float       # spectroscopy-mode damping [1/s]
     n_bar: float         # bath occupation
     detuning: float = 0.0  # omega_z mismatch between the traps [rad/s]
 
-    def __post_init__(self) -> None:
+
+class ExchangeParams(Checked, _ExchangeFields):
+    """Rates of the exchange master equation; all in SI angular units."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.omega_ex < 0 or self.gamma_L < 0 or self.gamma_S < 0:
             raise ValueError("rates must be non-negative")
         if self.n_bar < 0:
@@ -89,14 +94,17 @@ class ExchangeParams:
         )
 
 
-@dataclass
-class TwoModeState:
-    """Density matrix on the joint Fock basis, index = n_S*(n_max+1) + n_L."""
-
+class _StateFields(NamedTuple):
     n_max: int
     rho: np.ndarray
 
-    def __post_init__(self) -> None:
+
+class TwoModeState(Checked, _StateFields):
+    """Density matrix on the joint Fock basis, index = n_S*(n_max+1) + n_L."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
         dim = (self.n_max + 1) ** 2

@@ -24,8 +24,9 @@ gives floats without numpy, and an ndarray of positions gives ndarrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, NamedTuple
+
+from .constants import Checked
 
 __all__ = [
     "MU0_M_SATURATION",
@@ -45,17 +46,20 @@ MU_0 = 4e-7 * math.pi  # vacuum permeability [H/m]
 MU0_M_SATURATION = 2.35
 
 
-@dataclass(frozen=True)
-class RingMagnet:
-    """Uniformly axially magnetized annular cylinder."""
-
+class _RingFields(NamedTuple):
     r_in: float           # inner radius [m]
     r_out: float          # outer radius [m]
     height: float         # axial extent [m]
     magnetization: float  # axial magnetization M [A/m]
     center_z: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class RingMagnet(Checked, _RingFields):
+    """Uniformly axially magnetized annular cylinder."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.r_in < self.r_out:
             raise ValueError("require 0 < r_in < r_out")
         if self.height <= 0:
@@ -84,11 +88,10 @@ class RingMagnet:
         _, b2 = gradients(self, self.center_z)
         if b2 == 0.0:
             raise ValueError("B2 vanishes at the calibration point")
-        return replace(self, magnetization=self.magnetization * b2_target / b2)
+        return self._replace(magnetization=self.magnetization * b2_target / b2)
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(NamedTuple):
     """Sampled on-axis profile; B2 carries the (1/2) d^2B/dz^2 convention."""
 
     z: tuple[float, ...]   # [m]

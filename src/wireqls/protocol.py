@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics
 from .circuit import ExchangeBudget
-from .constants import G_E
+from .constants import G_E, Checked
 from .spectroscopy import ShiftSet
 
 __all__ = [
@@ -77,16 +77,19 @@ _FLAGS_TEXT = np.array([",".join(f"{c:04b}") + "," for c in range(16)], dtype=ob
 _JUMP_TEXT = np.array([",0,", ",1,"], dtype=object)
 
 
-@dataclass(frozen=True)
-class DetectionModel:
-    """Axial-frequency estimator: white frequency noise over an averaging
-    window, thresholded at `threshold` (conventionally delta_L/2)."""
-
+class _DetectionFields(NamedTuple):
     averaging_time: float  # [s]
     noise_density: float   # [rad/s per sqrt(Hz)]
     threshold: float       # [rad/s]
 
-    def __post_init__(self) -> None:
+
+class DetectionModel(Checked, _DetectionFields):
+    """Axial-frequency estimator: white frequency noise over an averaging
+    window, thresholded at `threshold` (conventionally delta_L/2)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.averaging_time <= 0:
             raise ValueError("averaging_time must be positive")
         if self.noise_density < 0:
@@ -98,8 +101,13 @@ class DetectionModel:
         return self.noise_density / math.sqrt(self.averaging_time)
 
 
-@dataclass(frozen=True)
-class DriveModel:
+class _DriveFields(NamedTuple):
+    detunings: tuple[float, ...]  # drive detuning grid [rad/s]
+    profile: str = "exponential"
+    peak_probability: float = 1.0
+
+
+class DriveModel(Checked, _DriveFields):
     """Spectroscopy drive: detuning grid plus excitation lineshape.
 
     The thermal (Boltzmann) lineshape is exponential, nonzero only above
@@ -109,21 +117,16 @@ class DriveModel:
     the line center.
     """
 
-    detunings: tuple[float, ...]  # drive detuning grid [rad/s]
-    profile: str = "exponential"
-    peak_probability: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.profile not in ("exponential", "gaussian"):
             raise ValueError("profile must be 'exponential' or 'gaussian'")
         if not 0.0 <= self.peak_probability <= 1.0:
             raise ValueError("peak_probability must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Everything one cycle needs; see module docstring for the sequence."""
-
+class _ProtocolFields(NamedTuple):
     budget: ExchangeBudget
     shifts_L: ShiftSet
     shifts_S: ShiftSet
@@ -140,7 +143,13 @@ class ProtocolConfig:
     mode: str = "cyclotron"           # or "anomaly"
     swap_probability: float | None = None  # override; default from dynamics
 
-    def __post_init__(self) -> None:
+
+class ProtocolConfig(Checked, _ProtocolFields):
+    """Everything one cycle needs; see module docstring for the sequence."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 <= self.pi_pulse_fidelity <= 1.0:
             raise ValueError("pi_pulse_fidelity must lie in [0, 1]")
         if self.sideband_cooling_residual < 0:
@@ -169,8 +178,7 @@ class ProtocolConfig:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRecords:
+class ProtocolRecords(NamedTuple):
     """Outcome log of one point's cycles, or of one block of them, one
     array entry per cycle; declared_jump holds exactly where the measured
     shift reached the threshold."""
@@ -185,24 +193,26 @@ class ProtocolRecords:
     wall_time: np.ndarray        # cumulative at cycle end [s]
 
 
-@dataclass(frozen=True)
-class Lineshape:
-    """Declared-jump fraction per drive detuning with binomial errors."""
-
+class _LineshapeFields(NamedTuple):
     detunings: np.ndarray  # [rad/s]
     fractions: np.ndarray
     errors: np.ndarray
     cycles: int
 
-    def __post_init__(self) -> None:
+
+class Lineshape(Checked, _LineshapeFields):
+    """Declared-jump fraction per drive detuning with binomial errors."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if np.any(self.fractions < 0.0) or np.any(self.fractions > 1.0):
             raise ValueError("fractions must lie in [0, 1]")
         if np.any(self.errors < 0.0):
             raise ValueError("errors must be non-negative")
 
 
-@dataclass(frozen=True)
-class TimingBudget:
+class TimingBudget(NamedTuple):
     """Per-stage durations and the bottle-scaling detection comparison."""
 
     stages: dict[str, float]
@@ -537,7 +547,7 @@ def day_scale_center_report(
     """
     points = len(config.drive.detunings)
     cycles = max(1, int(total_duration / config.cycle_time / points))
-    day_config = replace(config, cycles=cycles)
+    day_config = config._replace(cycles=cycles)
     shape = lineshape_scan(day_config)
     walk_sigma = (
         config.field_noise

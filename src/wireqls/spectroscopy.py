@@ -17,7 +17,7 @@ Gamma_h = q^2 S_E(w) / (4 m hbar w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import TrapParams
 from .constants import (
@@ -28,6 +28,7 @@ from .constants import (
     K_B,
     M_E,
     TWO_PI,
+    Checked,
     cyclotron_frequency,
 )
 
@@ -45,23 +46,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Cyclotron/spin/axial quantum numbers of one trapped particle."""
-
+class _QuantumNumbersFields(NamedTuple):
     n_c: int
     m_s: float  # +-1/2
     n_z: int = 0
 
-    def __post_init__(self) -> None:
+
+class QuantumNumbers(Checked, _QuantumNumbersFields):
+    """Cyclotron/spin/axial quantum numbers of one trapped particle."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.n_c < 0 or self.n_z < 0:
             raise ValueError("n_c and n_z must be non-negative")
         if self.m_s not in (-0.5, 0.5):
             raise ValueError("m_s must be +-1/2")
 
 
-@dataclass(frozen=True)
-class ShiftSet:
+class ShiftSet(NamedTuple):
     """Per-trap shift/linewidth bundle: delta carries the sign of B2,
     delta_rel is always negative."""
 
@@ -70,8 +73,7 @@ class ShiftSet:
     broadening: float  # thermal cyclotron linewidth [rad/s]
 
 
-@dataclass(frozen=True)
-class HeatingModel:
+class HeatingModel(NamedTuple):
     """Scaled electric-field noise density.
 
     S_E(w, d, T) = S_E_ref * (f/ref_freq)^freq_exp * (d/ref_dist)^dist_exp

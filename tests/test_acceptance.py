@@ -7,7 +7,6 @@ lines. Tolerances are fixed here, not calibrated elsewhere.
 import io
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,11 +166,10 @@ def test_criterion_09_dynamics_oracle(electron_budget):
 
 def test_criterion_10_protocol_monte_carlo(electron_protocol):
     t0 = time.time()
-    config = replace(
-        electron_protocol,
+    config = electron_protocol._replace(
         cycles=10_000,
         swap_probability=0.7946,
-        drive=replace(electron_protocol.drive, peak_probability=0.8),
+        drive=electron_protocol.drive._replace(peak_probability=0.8),
     )
     checks = []
     for k, det in enumerate(
@@ -184,7 +182,7 @@ def test_criterion_10_protocol_monte_carlo(electron_protocol):
         checks.append(abs(rate - p) <= 3.0 * sigma)
     ok_mc = all(checks)
 
-    small = replace(config, cycles=200)
+    small = config._replace(cycles=200)
     shape = protocol.lineshape_scan(small)
     outputs = []
     for _ in range(2):
@@ -210,7 +208,7 @@ def _fitted_width_for_gradient(b2: float, seed: int) -> tuple[float, float]:
     rc = cfg.load_config("paper-electron")
     budget = cfg.build_budget(rc)
     shifts_l = spectroscopy.shift_set_for_trap(rc.trap_logic)
-    trap_s = replace(rc.trap_spectroscopy, B2_local=b2)
+    trap_s = rc.trap_spectroscopy._replace(B2_local=b2)
     shifts_s = spectroscopy.shift_set_for_trap(trap_s)
     width = shifts_s.broadening
     grid = tuple(np.linspace(-1.0, 8.0, 37) * width)

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +122,7 @@ class TestSeriesEquivalent:
 
     def test_mass_scaling_is_exact(self, trap_logic):
         l_e = circuit.series_equivalent(trap_logic).l
-        l_p = circuit.series_equivalent(replace(trap_logic, m=M_P)).l
+        l_p = circuit.series_equivalent(trap_logic._replace(m=M_P)).l
         assert l_p / l_e == pytest.approx(M_P / M_E, rel=1e-14)
 
 

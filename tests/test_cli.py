@@ -168,6 +168,45 @@ class TestBudgetCommand:
         assert out == ""
         assert err.startswith("config error: <root>: invalid YAML") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "after, extra, key, column",
+        [
+            (None, "seed: 5\n", "seed", 1),
+            (None, "resonator:\n  C_p_farad: 1.0e-11\n", "resonator", 1),
+            ("    temperature_k: 0.01\n", "    d_eff_m: 0.002\n", "d_eff_m", 5),
+        ],
+        ids=["top-level", "block", "nested"],
+    )
+    def test_duplicate_key_is_one_line(
+        self, capsys, tmp_path, electron_raw, after, extra, key, column
+    ):
+        text = yaml.safe_dump(electron_raw)
+        at = len(text) if after is None else text.index(after) + len(after)
+        path = tmp_path / "dup.yaml"
+        path.write_text(text[:at] + extra + text[at:])
+        line = text[:at].count("\n") + 1
+        code, out, err = run_cli(capsys, "budget", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"config error: <root>: invalid YAML: found duplicate key {key!r}"
+            f" at line {line}, column {column}\n"
+        )
+
+    def test_merge_key_may_be_set_again(self, capsys, tmp_path):
+        # the spectroscopy trap merges the logic trap and overrides two keys
+        text = (Path(cfg.__file__).parent / "scenarios" / "paper-electron.yaml").read_text()
+        head, rest = text.split("  spectroscopy:\n", 1)
+        tail = rest[rest.index("magnet:"):]
+        merged = head.replace("  logic:\n", "  logic: &logic\n") + (
+            "  spectroscopy:\n    <<: *logic\n    d_eff_m: 3.0e-3\n    b2_tesla_per_m2: 4.0\n"
+        ) + tail
+        path = tmp_path / "merged.yaml"
+        path.write_text(merged)
+        assert run_cli(capsys, "budget", "--config", str(path)) == run_cli(
+            capsys, "budget", "--config", "paper-electron"
+        )
+
     def test_cycles_bounded(self, capsys, tmp_path, electron_raw):
         electron_raw["protocol"]["cycles"] = 1000001
         path = write_scenario(tmp_path, electron_raw)
@@ -642,7 +681,8 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     # json serves only `budget --format records`, the shift model only
     # `lineshape` and `protocol`, orjson only `protocol`'s record table;
     # PyYAML only scenarios the block reader declines, so no command on a
-    # bundled scenario loads it
+    # bundled scenario loads it; the records are named tuples, so no
+    # command loads dataclasses, and only numpy's import loads inspect
     argvs = [
         ["budget", "--config", "paper-electron"],
         ["budget", "--config", "paper-proton"],
@@ -659,18 +699,20 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
         "    return buf.getvalue()\n"
         f"for argv in {argvs!r}:\n"
         "    run(argv)\n"
-        "print(sorted({'json', 'orjson', 'wireqls.spectroscopy', 'yaml'}"
-        " & sys.modules.keys()))\n"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'orjson',"
+        " 'wireqls.spectroscopy', 'yaml'} & sys.modules.keys()))\n"
         "text = run(['budget', '--config', 'paper-electron', '--format', 'records'])\n"
         "import json\n"
         "print(json.loads(text)['particle'], 'yaml' in sys.modules)\n"
         "run(['lineshape', '--config', 'paper-electron'])\n"
-        "print('orjson' in sys.modules, 'yaml' in sys.modules)\n"
+        "print('orjson' in sys.modules, 'yaml' in sys.modules,"
+        " 'dataclasses' in sys.modules)\n"
         "run(['protocol', '--config', 'paper-electron'])\n"
-        "print('orjson' in sys.modules, 'yaml' in sys.modules)\n"
+        "print('orjson' in sys.modules, 'yaml' in sys.modules,"
+        " 'dataclasses' in sys.modules)\n"
     )
     assert out.splitlines() == [
-        "[]", "electron False", "False False", "True False"
+        "[]", "electron False", "False False False", "True False False"
     ]
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import struct
 import sys
 from importlib import resources
@@ -299,7 +300,17 @@ class TestYamlLoaders:
         path.write_text("{scenario: flow}\n")
         with pytest.raises(cfg.ConfigError, match="seed: missing required key"):
             cfg.load_config(path)
-        assert loaders == [yaml.CSafeLoader]
+        assert len(loaders) == 1 and issubclass(loaders[0], yaml.CSafeLoader)
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_duplicate_key_rejected_by_either_parser(self, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        path = tmp_path / "dup.yaml"
+        path.write_text("scenario: a\nseed: 1\nseed: 2\n")
+        message = "<root>: invalid YAML: found duplicate key 'seed' at line 3, column 1"
+        with pytest.raises(cfg.ConfigError, match=f"^{re.escape(message)}$"):
+            cfg.load_config(path)
 
     @pytest.mark.parametrize("name", cfg.bundled_scenarios())
     def test_bundled_scenarios(self, name):

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -130,7 +129,7 @@ class TestRunCycle:
     """Cycles run through simulate_point's array kernel."""
 
     def test_deterministic_ideal_limit(self, base_config):
-        rec = protocol.simulate_point(replace(base_config, cycles=1), 0.0)
+        rec = protocol.simulate_point(base_config._replace(cycles=1), 0.0)
         assert rec.n_c_after_drive[0] == 1
         assert rec.transfer_s_ok[0] and rec.exchange_ok[0] and rec.transfer_l_ok[0]
         assert rec.declared_jump[0]
@@ -138,9 +137,8 @@ class TestRunCycle:
         assert rec.wall_time[0] == pytest.approx(base_config.cycle_time)
 
     def test_no_drive_no_jumps(self, base_config):
-        config = replace(
-            base_config,
-            drive=replace(base_config.drive, peak_probability=0.0),
+        config = base_config._replace(
+            drive=base_config.drive._replace(peak_probability=0.0),
             cycles=50,
         )
         rec = protocol.simulate_point(config, 0.0)
@@ -148,11 +146,10 @@ class TestRunCycle:
         assert np.all(rec.measured_shift == 0.0)
 
     def test_declared_implies_threshold(self, base_config):
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=0.8,
             sideband_cooling_residual=0.1,
-            detection=replace(base_config.detection, noise_density=20.0),
+            detection=base_config.detection._replace(noise_density=20.0),
             swap_probability=0.7,
             cycles=400,
         )
@@ -171,9 +168,9 @@ class TestRunCycle:
 class TestAnalyticOracle:
     def test_ideal_stage_product(self, base_config):
         # independent closed form: p_exc * p_pi^2 * p_swap
-        config = replace(
-            base_config, pi_pulse_fidelity=0.9, swap_probability=0.75,
-            drive=replace(base_config.drive, peak_probability=0.8),
+        config = base_config._replace(
+            pi_pulse_fidelity=0.9, swap_probability=0.75,
+            drive=base_config.drive._replace(peak_probability=0.8),
         )
         w = config.shifts_S.broadening
         for det in (0.0, 0.5 * w, 2.0 * w):
@@ -196,15 +193,13 @@ class TestAnalyticOracle:
         self, base_config, pi, residual, swap, peak, below, mode, noise
     ):
         w = base_config.shifts_S.broadening
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=pi,
             sideband_cooling_residual=residual,
             swap_probability=swap,
             mode=mode,
-            detection=replace(base_config.detection, noise_density=noise),
-            drive=replace(
-                base_config.drive,
+            detection=base_config.detection._replace(noise_density=noise),
+            drive=base_config.drive._replace(
                 peak_probability=peak,
                 detunings=tuple(np.linspace(-6.0, -2.0, 5) * w) if below
                 else base_config.drive.detunings,
@@ -212,7 +207,7 @@ class TestAnalyticOracle:
         )
         names = protocol.vanishing_inputs(config)
         # pi = 0 leaves only the false jumps, so the line is what lies above
-        floor = replace(config, pi_pulse_fidelity=0.0)
+        floor = config._replace(pi_pulse_fidelity=0.0)
         line_is_zero = all(
             protocol.analytic_jump_probability(config, d)
             <= protocol.analytic_jump_probability(floor, d)
@@ -227,12 +222,11 @@ class TestAnalyticOracle:
         assert ("resonator" in names) == (no_background and swap == 0.0)
 
     def test_monte_carlo_converges_to_oracle(self, base_config):
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=0.95,
             swap_probability=0.7946,
             cycles=10_000,
-            drive=replace(base_config.drive, peak_probability=0.8),
+            drive=base_config.drive._replace(peak_probability=0.8),
         )
         for k, det in enumerate((0.0, config.shifts_S.broadening)):
             p = protocol.analytic_jump_probability(config, det)
@@ -244,31 +238,29 @@ class TestAnalyticOracle:
     def test_monte_carlo_unbiased_across_seeds(self, base_config):
         # sharper than the single-run bound: the mean over independent
         # seeds must sit within 3 sigma of its own (smaller) error bar
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=0.95,
             swap_probability=0.7946,
             cycles=10_000,
-            drive=replace(base_config.drive, peak_probability=0.8),
+            drive=base_config.drive._replace(peak_probability=0.8),
         )
         det = config.shifts_S.broadening
         p = protocol.analytic_jump_probability(config, det)
         n_seeds = 10
         rates = []
         for seed in range(n_seeds):
-            records = protocol.simulate_point(replace(config, seed=seed), det, 1)
+            records = protocol.simulate_point(config._replace(seed=seed), det, 1)
             rates.append(np.count_nonzero(records.declared_jump) / config.cycles)
         mean = sum(rates) / n_seeds
         sigma = math.sqrt(p * (1.0 - p) / config.cycles / n_seeds)
         assert abs(mean - p) <= 3.0 * sigma
 
     def test_oracle_with_noise_and_residual(self, base_config):
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=0.9,
             sideband_cooling_residual=0.08,
             swap_probability=0.8,
-            detection=replace(base_config.detection, noise_density=15.0),
+            detection=base_config.detection._replace(noise_density=15.0),
             cycles=10_000,
         )
         p = protocol.analytic_jump_probability(config, 0.0)
@@ -278,10 +270,9 @@ class TestAnalyticOracle:
         assert abs(rate - p) <= 3.0 * sigma
 
     def test_residual_occupation_creates_false_positives(self, base_config):
-        config = replace(
-            base_config,
+        config = base_config._replace(
             sideband_cooling_residual=0.2,
-            drive=replace(base_config.drive, peak_probability=0.0),
+            drive=base_config.drive._replace(peak_probability=0.0),
         )
         p = protocol.analytic_jump_probability(config, 0.0)
         assert p > 0.0  # stray quanta read out as jumps
@@ -294,25 +285,23 @@ class TestAnalyticOracle:
         rng = np.random.default_rng(31)
         for _ in range(30):
             peak, pi_f, swap = rng.uniform(0.1, 0.95, size=3)
-            config = replace(
-                base_config,
+            config = base_config._replace(
                 pi_pulse_fidelity=pi_f,
                 swap_probability=swap,
-                drive=replace(base_config.drive, peak_probability=peak),
+                drive=base_config.drive._replace(peak_probability=peak),
             )
             det = rng.uniform(0.0, 2.0) * base_config.shifts_S.broadening
             p0 = protocol.analytic_jump_probability(config, det)
             bump = 1.0 + rng.uniform(0.01, 0.2)
             for field in ("pi_pulse_fidelity", "swap_probability", "peak"):
                 if field == "peak":
-                    cfg2 = replace(
-                        config,
-                        drive=replace(config.drive, peak_probability=min(peak * bump, 1.0)),
+                    cfg2 = config._replace(
+                        drive=config.drive._replace(peak_probability=min(peak * bump, 1.0)),
                     )
                 elif field == "pi_pulse_fidelity":
-                    cfg2 = replace(config, pi_pulse_fidelity=min(pi_f * bump, 1.0))
+                    cfg2 = config._replace(pi_pulse_fidelity=min(pi_f * bump, 1.0))
                 else:
-                    cfg2 = replace(config, swap_probability=min(swap * bump, 1.0))
+                    cfg2 = config._replace(swap_probability=min(swap * bump, 1.0))
                 assert protocol.analytic_jump_probability(cfg2, det) >= p0 - 1e-12
 
     @settings(max_examples=300, deadline=None)
@@ -335,19 +324,17 @@ class TestAnalyticOracle:
         self, base_config, p_pi, residual, swap, peak, profile, mode, noise, det
     ):
         detection = base_config.detection
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=p_pi,
             sideband_cooling_residual=residual,
             swap_probability=swap,
             mode=mode,
-            detection=replace(
-                detection,
+            detection=detection._replace(
                 noise_density=noise
                 * base_config.shifts_L.delta
                 * math.sqrt(detection.averaging_time),
             ),
-            drive=replace(base_config.drive, profile=profile, peak_probability=peak),
+            drive=base_config.drive._replace(profile=profile, peak_probability=peak),
         )
         detuning = det * config.shifts_S.broadening
         assert abs(
@@ -358,7 +345,7 @@ class TestAnalyticOracle:
 
 class TestLineshape:
     def test_ideal_scan_matches_drive_model(self, base_config):
-        config = replace(base_config, cycles=4000)
+        config = base_config._replace(cycles=4000)
         shape = protocol.lineshape_scan(config)
         w = config.shifts_S.broadening
         for det, frac in zip(shape.detunings, shape.fractions):
@@ -374,14 +361,14 @@ class TestLineshape:
         recs_direct = protocol.simulate_point(base_config, 1.0, 3)
         protocol.simulate_point(base_config, 0.5, 1)
         recs_again = protocol.simulate_point(base_config, 1.0, 3)
-        for field in fields(protocol.ProtocolRecords):
+        for field in protocol.ProtocolRecords._fields:
             np.testing.assert_array_equal(
-                getattr(recs_direct, field.name), getattr(recs_again, field.name)
+                getattr(recs_direct, field), getattr(recs_again, field)
             )
 
     def test_fitted_width_tracks_broadening(self, base_config):
         # moment fit applied to the exact profile recovers the 1/e width
-        config = replace(base_config, cycles=4000)
+        config = base_config._replace(cycles=4000)
         w = config.shifts_S.broadening
         exact = protocol.Lineshape(
             detunings=np.asarray(config.drive.detunings),
@@ -403,13 +390,13 @@ class TestLineshape:
     def test_width_ratio_scales_with_gradient(self, base_config, trap_logic):
         # widths for B2 = 4 vs 300 T/m^2 differ by exactly the B2 ratio
         shifts_legacy = spectroscopy.shift_set_for_trap(
-            replace(trap_logic, B2_local=300.0)
+            trap_logic._replace(B2_local=300.0)
         )
         ratio = shifts_legacy.broadening / base_config.shifts_S.broadening
         assert ratio == pytest.approx(300.0 / 4.0, rel=1e-12)
 
     def test_center_uncertainty_positive(self, base_config):
-        shape = protocol.lineshape_scan(replace(base_config, cycles=2000))
+        shape = protocol.lineshape_scan(base_config._replace(cycles=2000))
         assert protocol.center_uncertainty(shape) > 0.0
 
     def test_empty_lineshape_rejected(self, base_config):
@@ -423,8 +410,8 @@ class TestLineshape:
             protocol.fitted_center_width(empty)
 
     def test_field_noise_washes_out_narrow_line(self, base_config):
-        noisy = replace(base_config, field_noise=1e-10, cycles=300)
-        quiet = replace(base_config, cycles=300)
+        noisy = base_config._replace(field_noise=1e-10, cycles=300)
+        quiet = base_config._replace(cycles=300)
         on_res_noisy = protocol.simulate_point(noisy, 0.0, 0)
         on_res_quiet = protocol.simulate_point(quiet, 0.0, 0)
         rate_noisy = np.count_nonzero(on_res_noisy.declared_jump) / 300
@@ -435,7 +422,7 @@ class TestLineshape:
 
 class TestAnomalyMode:
     def test_readout_shift_arithmetic(self, base_config):
-        config = replace(base_config, mode="anomaly")
+        config = base_config._replace(mode="anomaly")
         delta = config.shifts_L.delta
         expected = delta * (1.0 + 0.5 * G_E * (-1.0))
         assert protocol.readout_shift(config) == pytest.approx(expected, rel=1e-12)
@@ -452,11 +439,11 @@ class TestAnomalyMode:
         )
 
     def test_machine_runs_in_anomaly_mode(self, base_config):
-        config = replace(base_config, mode="anomaly")
+        config = base_config._replace(mode="anomaly")
         # transfer chain still completes; the tiny negative shift stays
         # below any positive threshold, so no jump is declared
         for cycles in (1, 50, 400):
-            rec = protocol.simulate_point(replace(config, cycles=cycles), 0.0)
+            rec = protocol.simulate_point(config._replace(cycles=cycles), 0.0)
             assert rec.transfer_l_ok.all()
             assert not rec.declared_jump.any()
 
@@ -480,9 +467,8 @@ class TestTiming:
         assert slow / fast == pytest.approx(900.0, rel=1e-12)
 
     def test_detection_speedup_near_twenty(self, base_config):
-        config = replace(
-            base_config,
-            detection=replace(base_config.detection, noise_density=0.798),
+        config = base_config._replace(
+            detection=base_config.detection._replace(noise_density=0.798),
         )
         tb = protocol.timing_budget(config)
         # model-dependent; required to land within a factor of two of 20
@@ -492,19 +478,17 @@ class TestTiming:
 class TestValidationAndExport:
     def test_threshold_must_sit_below_delta(self, base_config):
         with pytest.raises(ValueError):
-            replace(
-                base_config,
-                detection=replace(
-                    base_config.detection,
+            base_config._replace(
+                detection=base_config.detection._replace(
                     threshold=2.0 * base_config.shifts_L.delta,
                 ),
             )
         with pytest.raises(ValueError):
-            replace(base_config, pi_pulse_fidelity=1.5)
+            base_config._replace(pi_pulse_fidelity=1.5)
         with pytest.raises(ValueError):
-            replace(base_config, cycles=0)
+            base_config._replace(cycles=0)
         with pytest.raises(ValueError):
-            replace(base_config, mode="spin")
+            base_config._replace(mode="spin")
 
     def test_records_csv_round_trip_stable(self, base_config):
         records = protocol.simulate_point(base_config, 0.0, 0)
@@ -532,10 +516,9 @@ class TestDayScaleReport:
         # drift-limited campaign with the quoted 1e-10 per-root-minute walk;
         # reported and compared, never asserted against the projection
         grid = tuple(np.linspace(-4000.0, 4000.0, 13))
-        config = replace(
-            base_config,
+        config = base_config._replace(
             field_noise=1e-10,
-            drive=replace(base_config.drive, detunings=grid),
+            drive=base_config.drive._replace(detunings=grid),
         )
         report = protocol.day_scale_center_report(config, total_duration=86400.0)
         assert report["total_cycles"] > 1e5
@@ -743,29 +726,28 @@ class TestRecordStream:
 
     @pytest.fixture()
     def noisy_config(self, base_config):
-        return replace(
-            base_config,
+        return base_config._replace(
             pi_pulse_fidelity=0.9,
             sideband_cooling_residual=0.1,
-            detection=replace(base_config.detection, noise_density=20.0),
+            detection=base_config.detection._replace(noise_density=20.0),
             swap_probability=0.7,
             cycles=5000,
         )
 
     @pytest.mark.parametrize("field_noise", [0.0, 1e-9])
     def test_kernel_matches_block_draws(self, noisy_config, field_noise):
-        config = replace(noisy_config, field_noise=field_noise)
+        config = noisy_config._replace(field_noise=field_noise)
         width = config.shifts_S.broadening
         for k, detuning in enumerate((0.0, 0.5 * width, 3.0 * width)):
             records = protocol.simulate_point(config, detuning, k)
             expected = _block_kernel(config, detuning, k)
-            for f in fields(protocol.ProtocolRecords):
-                column = getattr(records, f.name)
-                np.testing.assert_array_equal(column, expected[f.name], err_msg=f.name)
-                assert column.dtype == expected[f.name].dtype, f.name
+            for f in protocol.ProtocolRecords._fields:
+                column = getattr(records, f)
+                np.testing.assert_array_equal(column, expected[f], err_msg=f)
+                assert column.dtype == expected[f].dtype, f
         if field_noise:
             # the walk moves the line: the drift stage is really exercised
-            quiet = protocol.simulate_point(replace(config, field_noise=0.0), 0.0, 0)
+            quiet = protocol.simulate_point(config._replace(field_noise=0.0), 0.0, 0)
             assert not np.array_equal(
                 quiet.n_c_after_drive, protocol.simulate_point(config, 0.0, 0).n_c_after_drive
             )
@@ -791,11 +773,10 @@ class TestRecordStream:
     def test_blocks_join_into_the_one_block_table(
         self, base_config, seed, point_index, det, field_noise, cycles
     ):
-        config = replace(
-            base_config,
+        config = base_config._replace(
             pi_pulse_fidelity=0.9,
             sideband_cooling_residual=0.1,
-            detection=replace(base_config.detection, noise_density=20.0),
+            detection=base_config.detection._replace(noise_density=20.0),
             swap_probability=0.7,
             field_noise=field_noise,
             cycles=cycles,
@@ -805,11 +786,11 @@ class TestRecordStream:
         whole = protocol.simulate_point(config, detuning, point_index)
         blocks = list(protocol.record_blocks(config, detuning, point_index))
         assert all(len(b.cycle) <= protocol.RECORDS_CHUNK for b in blocks)
-        for f in fields(protocol.ProtocolRecords):
-            column = getattr(whole, f.name)
-            joined = np.concatenate([getattr(b, f.name) for b in blocks])
-            assert joined.dtype == column.dtype, f.name
-            assert joined.tobytes() == column.tobytes(), f.name  # bit for bit
+        for f in protocol.ProtocolRecords._fields:
+            column = getattr(whole, f)
+            joined = np.concatenate([getattr(b, f) for b in blocks])
+            assert joined.dtype == column.dtype, f
+            assert joined.tobytes() == column.tobytes(), f  # bit for bit
 
     def test_set_up_fails_before_any_block(self, noisy_config, monkeypatch):
         def failing(config):
@@ -834,7 +815,7 @@ class TestRecordStream:
         ],
     )
     def test_chunked_writer_matches_row_template(self, noisy_config, cycles):
-        config = replace(noisy_config, cycles=cycles)
+        config = noisy_config._replace(cycles=cycles)
         records = protocol.simulate_point(config, 0.0, 2)
         reference = _reference_records_csv(records)
         for blocks in ([records], protocol.record_blocks(config, 0.0, 2)):
@@ -898,14 +879,14 @@ class TestRecordStream:
             return sink.chars, peak
 
         # one table-sized block: the writer still formats fixed row chunks
-        records = protocol.simulate_point(replace(noisy_config, cycles=100_000), 0.0, 0)
+        records = protocol.simulate_point(noisy_config._replace(cycles=100_000), 0.0, 0)
         chars, peak = traced_peak(protocol.write_records_csv, [records])
         assert chars > 5_000_000  # the whole table went through
         assert peak < 4_000_000, f"writer peaked at {peak / 1e6:.1f} MB"
 
         # the streamed kernel and the writer together hold one block
         def stream(cycles, sink):
-            config = replace(noisy_config, cycles=cycles)
+            config = noisy_config._replace(cycles=cycles)
             protocol.write_records_csv(protocol.record_blocks(config, 0.0, 0), sink)
 
         stream(2_000, _CountingSink())  # first-call allocations are not the table's
