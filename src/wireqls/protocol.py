@@ -42,10 +42,11 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolRecords",
     "Lineshape",
+    "ReadoutChain",
     "TimingBudget",
     "drive_probability",
-    "readout_shift",
     "resolve_swap_probability",
+    "readout_chain",
     "point_rng",
     "record_blocks",
     "simulate_point",
@@ -212,6 +213,25 @@ class Lineshape(Checked, _LineshapeFields):
             raise ValueError("errors must be non-negative")
 
 
+class ReadoutChain(NamedTuple):
+    """The links of one config's readout chain, resolved once for the Monte
+    Carlo, the closed form and the zero-line diagnosis. The closed form
+    (`analytic_jump_probability`) is exact at zero field noise only: it
+    takes `drive_probability` at zero drift, where the Monte Carlo walks
+    the line center by `walk_step` a cycle."""
+
+    residual: float   # r, P(n_z >= 1) after cooling: n_bar / (1 + n_bar)
+    pi: float         # sideband pi-pulse fidelity, steps (iii) and (v)
+    swap: float       # s, exchange success probability, step (iv)
+    shift: float      # true logic-trap shift of a completed jump [rad/s]
+    sigma: float      # frequency-estimate noise [rad/s]
+    threshold: float  # declared-jump threshold [rad/s]
+    d0: float         # P(declared | no jump)
+    d1: float         # P(declared | jump)
+    width: float      # drive line width, the spectroscopy broadening [rad/s]
+    walk_step: float  # line-center walk per cycle, per unit normal step [rad/s]
+
+
 class TimingBudget(NamedTuple):
     """Per-stage durations and the bottle-scaling detection comparison."""
 
@@ -249,23 +269,6 @@ def drive_probability(
     return drive.peak_probability * decay
 
 
-def readout_shift(config: ProtocolConfig) -> float:
-    """True logic-trap axial shift of a completed jump, from the bottle
-    shift formula.
-
-    Cyclotron mode: one transferred cyclotron quantum, shift = delta_L
-    exactly. Anomaly mode: the drive also toggles the spin flag, so the
-    readout shift is the full quantum-number difference,
-    delta_L * (1 + (g/2) * delta_m_s) with delta_m_s = -1 (tiny and
-    negative; practical anomaly detection waits for the cyclotron decay,
-    outside this machine).
-    """
-    delta = config.shifts_L.delta
-    if config.mode == "cyclotron":
-        return delta
-    return delta * (1.0 - 0.5 * G_E)
-
-
 def resolve_swap_probability(config: ProtocolConfig) -> float:
     """Exchange success probability for step (iv).
 
@@ -280,16 +283,29 @@ def resolve_swap_probability(config: ProtocolConfig) -> float:
     )
 
 
-def _residual_excited_probability(n_bar: float) -> float:
-    """P(n_z >= 1) of a thermal state with mean occupation n_bar."""
-    return n_bar / (1.0 + n_bar)
-
-
-def _detection_probability(shift: float, sigma: float, threshold: float) -> float:
-    """P(measured >= threshold | true shift), Gaussian estimator noise."""
-    if sigma == 0.0:
-        return 1.0 if shift >= threshold else 0.0
-    return 0.5 * math.erfc((threshold - shift) / (sigma * math.sqrt(2.0)))
+def readout_chain(
+    config: ProtocolConfig, swap_probability: float | None = None
+) -> ReadoutChain:
+    """The readout chain of `config`; `swap_probability`, when given, stands
+    in for `resolve_swap_probability`. In anomaly mode the drive also
+    toggles the spin flag, so the readout shift is the full quantum-number
+    difference delta_L * (1 - g/2), tiny and negative."""
+    if swap_probability is None:
+        swap_probability = resolve_swap_probability(config)
+    n_bar = config.sideband_cooling_residual
+    delta = config.shifts_L.delta
+    shift = delta if config.mode == "cyclotron" else delta * (1.0 - 0.5 * G_E)
+    sigma, threshold = config.detection.sigma, config.detection.threshold
+    # Gaussian tails of the estimator noise, steps when it is zero
+    d0, d1 = (float(x >= threshold) if sigma == 0.0
+              else 0.5 * math.erfc((threshold - x) / (sigma * math.sqrt(2.0)))
+              for x in (0.0, shift))
+    minutes = config.cycle_time / SECONDS_PER_MINUTE
+    walk_step = config.field_noise * config.omega_c_spec * math.sqrt(minutes)
+    return ReadoutChain(
+        n_bar / (1.0 + n_bar), config.pi_pulse_fidelity, swap_probability, shift, sigma,
+        threshold, d0, d1, config.shifts_S.broadening, walk_step,
+    )
 
 
 def point_rng(seed: int, point_index: int) -> np.random.Generator:
@@ -323,12 +339,10 @@ def record_blocks(
     as it is drawn. The blocks join into the same table whatever `block`
     is; memory grows with `block`, not with `cycles`.
 
-    The swap probability is resolved when this is called, so a failing
+    The readout chain is resolved when this is called, so a failing
     set-up raises before any block is drawn.
     """
-    return _draw_blocks(
-        config, detuning, point_index, block, resolve_swap_probability(config)
-    )
+    return _draw_blocks(config, detuning, point_index, block, readout_chain(config))
 
 
 def _draw_blocks(
@@ -336,16 +350,9 @@ def _draw_blocks(
     detuning: float,
     point_index: int,
     block: int,
-    p_swap: float,
+    chain: ReadoutChain,
 ) -> Iterator[ProtocolRecords]:
     n = config.cycles
-    p_res = _residual_excited_probability(config.sideband_cooling_residual)
-    p_pi = config.pi_pulse_fidelity
-    walk_step = (
-        config.field_noise
-        * config.omega_c_spec
-        * math.sqrt(config.cycle_time / SECONDS_PER_MINUTE)
-    )
     if n <= block:
         # one block: the eight rows one after another from the point's stream
         rows = (point_rng(config.seed, point_index),) * 8
@@ -365,12 +372,12 @@ def _draw_blocks(
     for lo in range(0, n, block):
         m = min(block, n - lo)
         # the six uniform rows, each kept only as its stage's outcome
-        n_z_s = res_s_row.random(m) < p_res  # (i) residual occupation after cooling
-        n_z_l = res_l_row.random(m) < p_res
+        n_z_s = res_s_row.random(m) < chain.residual  # (i) residual occupation after cooling
+        n_z_l = res_l_row.random(m) < chain.residual
         u_drive = drive_row.random(m)  # (ii) compared once the drift is known
-        pi_s = pi_s_row.random(m) < p_pi  # (iii)
-        swap = swap_row.random(m) < p_swap  # (iv)
-        pi_l = pi_l_row.random(m) < p_pi  # (v)
+        pi_s = pi_s_row.random(m) < chain.pi  # (iii)
+        swap = swap_row.random(m) < chain.swap  # (iv)
+        pi_l = pi_l_row.random(m) < chain.pi  # (v)
         # the first normal row: the field walk's steps; the running sum
         # enters through the block's first step, so the sums are those of
         # one cumsum over the whole row
@@ -383,7 +390,7 @@ def _draw_blocks(
 
         # (ii) spectroscopy drive
         excited = u_drive < drive_probability(
-            config.drive, config.shifts_S.broadening, detuning, walk * walk_step
+            config.drive, chain.width, detuning, walk * chain.walk_step
         )
         del u_drive, walk
         # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
@@ -397,7 +404,7 @@ def _draw_blocks(
         # (vi) axial-frequency measurement of the logic particle, with the
         # second normal row as its noise
         noise = noise_row.standard_normal(m)
-        measured = readout_shift(config) * transfer_l + config.detection.sigma * noise
+        measured = chain.shift * transfer_l + chain.sigma * noise
         # (vii) bookkeeping
         yield ProtocolRecords(
             cycle=np.arange(lo, lo + m),
@@ -406,7 +413,7 @@ def _draw_blocks(
             exchange_ok=exchange,
             transfer_l_ok=transfer_l,
             measured_shift=measured,
-            declared_jump=measured >= config.detection.threshold,
+            declared_jump=measured >= chain.threshold,
             wall_time=np.arange(lo + 1, lo + m + 1) * config.cycle_time,
         )
 
@@ -443,12 +450,10 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
 
 
 def analytic_jump_probability(
-    config: ProtocolConfig,
-    detuning: float,
-    swap_probability: float | None = None,
+    config: ProtocolConfig, detuning: float, swap_probability: float | None = None
 ) -> float:
-    """Exact declared-jump probability of one cycle: the independent
-    oracle the Monte Carlo must converge to.
+    """Exact declared-jump probability of one cycle at zero field noise: the
+    independent oracle the Monte Carlo must converge to.
 
     The stage chain is affine in the drive probability p_exc:
 
@@ -456,45 +461,38 @@ def analytic_jump_probability(
 
     with r the residual excitation after cooling, pi the pi-pulse
     fidelity, s the swap probability, and D1 and D0 the detection
-    probabilities with and without a completed jump. The swap mixes the two
-    axial occupations, so the logic mode leaves step (iv) excited with
-    probability (1 - s) r + s [r + (1 - r) pi p_exc], the bracket, and
-    step (v) and the detection act on that. The line's contrast is
+    probabilities with and without a completed jump, all read from
+    `readout_chain`. The swap mixes the two axial occupations, so the
+    logic mode leaves step (iv) excited with probability
+    (1 - s) r + s [r + (1 - r) pi p_exc], the bracket, and step (v) and
+    the detection act on that. The line's contrast is
     peak * (1 - r) * pi^2 * s * (D1 - D0) over a background of
     D0 + (D1 - D0) * pi * r.
+
+    Exact at zero field noise only: p_exc is `drive_probability` at zero
+    drift, while the Monte Carlo walks the line center.
     """
-    p_swap = (
-        swap_probability
-        if swap_probability is not None
-        else resolve_swap_probability(config)
-    )
-    r = _residual_excited_probability(config.sideband_cooling_residual)
-    p_pi = config.pi_pulse_fidelity
-    p_exc = float(drive_probability(config.drive, config.shifts_S.broadening, detuning))
-    sigma = config.detection.sigma
-    threshold = config.detection.threshold
-    d1 = _detection_probability(readout_shift(config), sigma, threshold)
-    d0 = _detection_probability(0.0, sigma, threshold)
-    return d0 + (d1 - d0) * p_pi * (r + (1.0 - r) * p_pi * p_swap * p_exc)
+    c = readout_chain(config, swap_probability)
+    r, p_exc = c.residual, float(drive_probability(config.drive, c.width, detuning))
+    return c.d0 + (c.d1 - c.d0) * c.pi * (r + (1.0 - r) * c.pi * c.swap * p_exc)
 
 
 def vanishing_inputs(config: ProtocolConfig) -> list[str]:
     """The scenario keys whose values zero the line, the closed-form jump
     probability above its false-jump floor D0, at every grid point: a factor
     of (D1 - D0) * pi * [r + (1 - r) * pi * s * p_exc]. Empty if none is."""
-    sigma, threshold = config.detection.sigma, config.detection.threshold
-    r = _residual_excited_probability(config.sideband_cooling_residual)
+    c = readout_chain(config)
+    r = c.residual
     drive = config.drive
     peak = drive.peak_probability
-    p_exc = drive_probability(drive, config.shifts_S.broadening, drive.detunings)
+    p_exc = drive_probability(drive, c.width, drive.detunings)
     # with r > 0 the bracket is positive whatever the drive and the swap
     factors = {
-        "protocol.mode": _detection_probability(readout_shift(config), sigma, threshold)
-        - _detection_probability(0.0, sigma, threshold),
-        "protocol.pi_pulse_fidelity": config.pi_pulse_fidelity,
+        "protocol.mode": c.d1 - c.d0,
+        "protocol.pi_pulse_fidelity": c.pi,
         "protocol.drive.peak_probability": r or peak,
         "protocol.drive.grid": r or not peak or np.max(p_exc),  # off the line
-        "resonator": r or resolve_swap_probability(config),  # no swap
+        "resonator": r or c.swap,  # no swap
     }
     return [name for name, factor in factors.items() if not factor > 0.0]
 

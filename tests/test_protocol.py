@@ -1,5 +1,6 @@
 import io
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -425,8 +426,8 @@ class TestAnomalyMode:
         config = base_config._replace(mode="anomaly")
         delta = config.shifts_L.delta
         expected = delta * (1.0 + 0.5 * G_E * (-1.0))
-        assert protocol.readout_shift(config) == pytest.approx(expected, rel=1e-12)
-        assert protocol.readout_shift(base_config) == delta
+        assert protocol.readout_chain(config).shift == pytest.approx(expected, rel=1e-12)
+        assert protocol.readout_chain(base_config).shift == delta
         # consistent with the frequency-shift formula evaluated directly
         before = spectroscopy.axial_frequency(
             spectroscopy.QuantumNumbers(0, 0.5), 0.0, delta
@@ -434,7 +435,7 @@ class TestAnomalyMode:
         after = spectroscopy.axial_frequency(
             spectroscopy.QuantumNumbers(1, -0.5), 0.0, delta
         )
-        assert protocol.readout_shift(config) == pytest.approx(
+        assert protocol.readout_chain(config).shift == pytest.approx(
             after - before, rel=1e-9
         )
 
@@ -537,6 +538,13 @@ class TestDayScaleReport:
         )
 
 
+def _jump_shift(config):
+    """The logic-trap shift of a completed jump: delta_L, times 1 - g/2 in
+    anomaly mode, where the spin flips with the cyclotron quantum."""
+    delta = config.shifts_L.delta
+    return delta * (1.0 - 0.5 * G_E) if config.mode == "anomaly" else delta
+
+
 def _tree_jump_probability(config, detuning, swap_probability=None):
     """Declared-jump probability by enumerating the stage Bernoulli tree,
     branch by branch: the oracle for the closed form."""
@@ -545,14 +553,21 @@ def _tree_jump_probability(config, detuning, swap_probability=None):
         if swap_probability is not None
         else protocol.resolve_swap_probability(config)
     )
-    p_res = protocol._residual_excited_probability(config.sideband_cooling_residual)
+    residual = config.sideband_cooling_residual
+    p_res = residual / (1.0 + residual)
     p_pi = config.pi_pulse_fidelity
     p_exc = float(
         protocol.drive_probability(config.drive, config.shifts_S.broadening, detuning)
     )
-    shift = protocol.readout_shift(config)
+    shift = _jump_shift(config)
     sigma = config.detection.sigma
     threshold = config.detection.threshold
+
+    def detected(true_shift):
+        # P(true_shift + sigma * N(0, 1) >= threshold)
+        if sigma == 0.0:
+            return float(true_shift >= threshold)
+        return NormalDist(threshold, sigma).cdf(true_shift)
 
     p_declared = 0.0
     for n_z_s0, pa in ((0, 1.0 - p_res), (1, p_res)):
@@ -579,9 +594,7 @@ def _tree_jump_probability(config, detuning, swap_probability=None):
                             weight = pa * pb * pc * pd * pe * pf
                             if weight == 0.0:
                                 continue
-                            p_declared += weight * protocol._detection_probability(
-                                shift * n_c_l, sigma, threshold
-                            )
+                            p_declared += weight * detected(shift * n_c_l)
     return p_declared
 
 
@@ -608,9 +621,7 @@ def _block_kernel(config, detuning, point_index):
         u_swap < protocol.resolve_swap_probability(config)
     )
     transfer_l = (n_z_l ^ exchange) & (u_pi_l < p_pi)
-    measured = (
-        protocol.readout_shift(config) * transfer_l + config.detection.sigma * noise
-    )
+    measured = _jump_shift(config) * transfer_l + config.detection.sigma * noise
     return {
         "cycle": np.arange(n),
         "n_c_after_drive": excited.astype(int),
