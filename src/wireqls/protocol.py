@@ -372,7 +372,7 @@ def _draw_blocks(
     for lo in range(0, n, block):
         m = min(block, n - lo)
         # the six uniform rows, each kept only as its stage's outcome
-        n_z_s = res_s_row.random(m) < chain.residual  # (i) residual occupation after cooling
+        n_z_s = res_s_row.random(m) < chain.residual  # (i) residual n_z after cooling
         n_z_l = res_l_row.random(m) < chain.residual
         u_drive = drive_row.random(m)  # (ii) compared once the drift is known
         pi_s = pi_s_row.random(m) < chain.pi  # (iii)
@@ -452,8 +452,8 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
 def analytic_jump_probability(
     config: ProtocolConfig, detuning: float, swap_probability: float | None = None
 ) -> float:
-    """Exact declared-jump probability of one cycle at zero field noise: the
-    independent oracle the Monte Carlo must converge to.
+    """Exact declared-jump probability of one cycle: the independent
+    oracle the Monte Carlo must converge to.
 
     The stage chain is affine in the drive probability p_exc:
 
