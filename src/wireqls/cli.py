@@ -116,10 +116,12 @@ def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
 
 def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     ring = cfg.build_ring(rc)
-    spec = rc.magnet
-    sites = {spec.logic_site: "logic", spec.spectroscopy_site: "spectroscopy"}
-    grid = sorted(set(cfg.linspace(spec.z_min, spec.z_max, spec.samples)) | set(sites))
-    profile = magnetics.field_profile(ring, grid, background=spec.background)
+    p = rc.magnet["profile"]
+    sites = {p["logic_site_m"]: "logic", p["spectroscopy_site_m"]: "spectroscopy"}
+    grid = sorted(set(cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])) | set(sites))
+    profile = magnetics.field_profile(
+        ring, grid, background=rc.magnet["background_field_tesla"]
+    )
     buf = io.StringIO()
     magnetics.write_profile_csv(profile, buf, markers=sites)
     # independent-derivative spot check, appended as an agreement flag; each

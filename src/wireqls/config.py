@@ -1,32 +1,32 @@
 """Scenario configuration: strict schema, loading, and domain builders.
 
-Configs are YAML with nested blocks. `SCHEMA` is the one list of leaves and
-their ranges: each row gives a dotted key path, its kind, its default and
-the range or choices it accepts. One walk over the scenario checks every
-leaf against its row, rejects unknown keys and reports a missing required
-key, each by its dotted path. Frequencies are written in Hz in the file and
-converted to rad/s exactly once here. The `magnet` and `protocol` blocks
-are optional; commands that need a missing block fail with its key path.
+Configs are YAML with nested blocks. `SCHEMA` has one row per leaf, and one
+walk over the scenario (`_walk`) checks every leaf against its row, rejects
+unknown keys and reports a missing required key, each by its dotted path.
+Frequencies are written in Hz and converted to rad/s exactly once, there.
+The `magnet` and `protocol` blocks are optional; commands that need a
+missing block fail with its key path.
+
+A leaf of those blocks goes from its `SCHEMA` row through `_walk` into
+`RunConfig.magnet` or `.protocol` (keyed as in the file, defaults filled in,
+in rad/s), and from there to the code that reads it by key: `build_ring`,
+`build_protocol` or `cli.cmd_field`. A new leaf is its row plus that code.
 
 `parse_config` adds the checks that span several leaves: exactly one
 resonator placement, a profile that starts below its end, a bound on the
 cycles over the whole drive grid, and one axial frequency for both traps.
 `circuit.TrapParams` and `magnetics.RingMagnet` own the trap and ring
 ranges, and their errors gain the block's key path; `SCHEMA` only caps the
-ring's inner and outer radius and height at `MAX_PROFILE_M`. `lineshape`
-and `protocol` also need a positive logic-trap bottle shift, so a positive
-traps.logic.b2_tesla_per_m2.
+ring's inner and outer radius and height at `MAX_PROFILE_M`.
+`build_protocol` checks two leaves against the logic trap's bottle shift
+delta_L: traps.logic.b2_tesla_per_m2 must make it positive, and
+protocol.detection.threshold_hz must lie between 0 and delta_L.
 
 Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
-of a path.
-
-`load_config` reads plain block YAML itself: `key:` and `key: value`
-lines, each value a decimal int, a float with a dot or a plain word, with
-blank and comment lines between. It hands any other text to PyYAML (by
-libyaml where PyYAML was built with it), so a flow-style, anchored, quoted
-or malformed scenario reads, or fails, as PyYAML reads it, and PyYAML is
-imported only then. Parsing a scenario and building its budget need no numpy;
-`build_protocol` imports the array and shift modules when it is called.
+of a path. `load_config` reads plain block YAML itself and hands any other
+text to PyYAML (by libyaml where PyYAML has it), imported only then.
+Parsing a scenario and building its budget need no numpy; `build_protocol`
+imports the array and shift modules when it is called.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import circuit, magnetics
 from .constants import (
     PARTICLES,
+    angular_to_hz,
     cyclotron_frequency,
     hz_to_angular,
     particle_mass_charge,
@@ -56,8 +57,6 @@ __all__ = [
     "SCHEMA",
     "ConfigError",
     "RunConfig",
-    "MagnetSpec",
-    "ProtocolSpec",
     "parse_config",
     "sweep_configs",
     "load_config",
@@ -256,38 +255,9 @@ def _walk(data, path: str, absent: str | None = None) -> dict:
     return out
 
 
-class MagnetSpec(NamedTuple):
-    ring: magnetics.RingMagnet  # as specified, before any calibration
-    calibrate_b2: float | None
-    background: float
-    z_min: float
-    z_max: float
-    samples: int
-    logic_site: float
-    spectroscopy_site: float
-
-
-class ProtocolSpec(NamedTuple):
-    cycles: int
-    pi_pulse_fidelity: float
-    sideband_cooling_residual: float
-    cooling_time: float
-    pulse_time: float
-    mode: str
-    field_noise: float
-    averaging_time: float
-    noise_density: float       # [rad/s per sqrt(Hz)]
-    threshold: float | None    # [rad/s]; None = delta_L/2
-    drive_profile: str
-    peak_probability: float
-    grid_start: float          # [rad/s]
-    grid_stop: float
-    grid_points: int
-
-
 class RunConfig(NamedTuple):
-    """Validated scenario; `raw` is the parsed mapping itself, for
-    round-trips and sweeps; treat it as read-only."""
+    """Validated scenario; `magnet` and `protocol` are the walked blocks (None
+    when left out), `raw` the parsed mapping itself. Treat all as read-only."""
 
     scenario: str
     seed: int
@@ -300,8 +270,9 @@ class RunConfig(NamedTuple):
     environment_temperature: float
     trap_logic: circuit.TrapParams
     trap_spectroscopy: circuit.TrapParams
-    magnet: MagnetSpec | None
-    protocol: ProtocolSpec | None
+    ring: magnetics.RingMagnet | None  # as specified, before any calibration
+    magnet: dict | None
+    protocol: dict | None
     raw: dict
 
 
@@ -333,7 +304,7 @@ def sweep_configs(
 
 def _build(v: dict, data: dict) -> RunConfig:
     """The RunConfig of `data`, whose walked leaves are `v`: the checks
-    that span several leaves, and the trap, ring and protocol models."""
+    that span several leaves, and the trap and ring models."""
     res = v["resonator"]
     detune = res["detune_linewidths"]
     if (detune is None) == (res["detune_hz"] is None):
@@ -368,7 +339,7 @@ def _build(v: dict, data: dict) -> RunConfig:
             "must equal traps.logic.axial_frequency_hz",
         )
 
-    magnet = None
+    ring = None
     if (m := v["magnet"]) is not None:
         try:
             ring = magnetics.RingMagnet.saturated(
@@ -378,47 +349,17 @@ def _build(v: dict, data: dict) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError("magnet", str(exc)) from None
-        profile = m["profile"]
-        if profile["z_min_m"] >= profile["z_max_m"]:
+        if m["profile"]["z_min_m"] >= m["profile"]["z_max_m"]:
             raise ConfigError("magnet.profile.z_min_m", "z_min_m must be < z_max_m")
-        magnet = MagnetSpec(
-            ring=ring,
-            calibrate_b2=m["calibrate_b2_tesla_per_m2"],
-            background=m["background_field_tesla"],
-            z_min=profile["z_min_m"],
-            z_max=profile["z_max_m"],
-            samples=profile["samples"],
-            logic_site=profile["logic_site_m"],
-            spectroscopy_site=profile["spectroscopy_site_m"],
-        )
 
-    proto = None
     if (p := v["protocol"]) is not None:
-        detection, drive = p["detection"], p["drive"]
-        grid = drive["grid"]
-        if p["cycles"] * grid["points"] > MAX_TOTAL_CYCLES:
+        points = p["drive"]["grid"]["points"]
+        if p["cycles"] * points > MAX_TOTAL_CYCLES:
             raise ConfigError(
                 "protocol.cycles",
                 f"at most {MAX_TOTAL_CYCLES} cycles over the drive grid "
-                f"({grid['points']} points)",
+                f"({points} points)",
             )
-        proto = ProtocolSpec(
-            cycles=p["cycles"],
-            pi_pulse_fidelity=p["pi_pulse_fidelity"],
-            sideband_cooling_residual=p["sideband_cooling_residual"],
-            cooling_time=p["cooling_time_s"],
-            pulse_time=p["pulse_time_s"],
-            mode=p["mode"],
-            field_noise=p["field_noise_per_sqrt_minute"],
-            averaging_time=detection["averaging_time_s"],
-            noise_density=detection["noise_density_hz_per_sqrt_hz"],
-            threshold=detection["threshold_hz"],
-            drive_profile=drive["profile"],
-            peak_probability=drive["peak_probability"],
-            grid_start=grid["start_hz"],
-            grid_stop=grid["stop_hz"],
-            grid_points=grid["points"],
-        )
 
     return RunConfig(
         scenario=v["scenario"],
@@ -432,8 +373,9 @@ def _build(v: dict, data: dict) -> RunConfig:
         environment_temperature=v["environment"]["temperature_k"],
         trap_logic=traps["logic"],
         trap_spectroscopy=traps["spectroscopy"],
-        magnet=magnet,
-        protocol=proto,
+        ring=ring,
+        magnet=m,
+        protocol=p,
         raw=data,
     )
 
@@ -569,10 +511,8 @@ def build_ring(config: RunConfig) -> magnetics.RingMagnet:
     """Bottle ring, calibrated when the scenario requests it."""
     if config.magnet is None:
         raise ConfigError("magnet", "missing required key")
-    ring = config.magnet.ring
-    if config.magnet.calibrate_b2 is not None:
-        ring = ring.calibrated_to(config.magnet.calibrate_b2)
-    return ring
+    b2 = config.magnet["calibrate_b2_tesla_per_m2"]
+    return config.ring if b2 is None else config.ring.calibrated_to(b2)
 
 
 def build_protocol(
@@ -581,9 +521,9 @@ def build_protocol(
     """Assemble the full per-cycle configuration from the scenario."""
     from . import protocol, spectroscopy
 
-    if config.protocol is None:
+    if (p := config.protocol) is None:
         raise ConfigError("protocol", "missing required key")
-    spec = config.protocol
+    detection, drive, grid = p["detection"], p["drive"], p["drive"]["grid"]
     seed = config.seed if seed is None else seed
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
@@ -595,31 +535,36 @@ def build_protocol(
             "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
         )
     shifts_s = spectroscopy.shift_set_for_trap(trap_s)
-    threshold = spec.threshold if spec.threshold is not None else 0.5 * shifts_l.delta
-    detunings = tuple(linspace(spec.grid_start, spec.grid_stop, spec.grid_points))
+    threshold = detection["threshold_hz"]
+    if threshold is None:
+        threshold = 0.5 * shifts_l.delta
+    elif not 0.0 < threshold < shifts_l.delta:
+        delta_hz = angular_to_hz(shifts_l.delta)
+        raise ConfigError("protocol.detection.threshold_hz",
+                          f"must lie between 0 and the logic-trap delta, {delta_hz!r} Hz")
     return protocol.ProtocolConfig(
         budget=budget,
         shifts_L=shifts_l,
         shifts_S=shifts_s,
-        pi_pulse_fidelity=spec.pi_pulse_fidelity,
-        sideband_cooling_residual=spec.sideband_cooling_residual,
+        pi_pulse_fidelity=p["pi_pulse_fidelity"],
+        sideband_cooling_residual=p["sideband_cooling_residual"],
         detection=protocol.DetectionModel(
-            averaging_time=spec.averaging_time,
-            noise_density=spec.noise_density,
+            averaging_time=detection["averaging_time_s"],
+            noise_density=detection["noise_density_hz_per_sqrt_hz"],
             threshold=threshold,
         ),
         drive=protocol.DriveModel(
-            detunings=detunings,
-            profile=spec.drive_profile,
-            peak_probability=spec.peak_probability,
+            detunings=tuple(linspace(grid["start_hz"], grid["stop_hz"], grid["points"])),
+            profile=drive["profile"],
+            peak_probability=drive["peak_probability"],
         ),
-        field_noise=spec.field_noise,
-        cycles=spec.cycles,
+        field_noise=p["field_noise_per_sqrt_minute"],
+        cycles=p["cycles"],
         seed=seed,
         omega_c_spec=cyclotron_frequency(trap_s.B, trap_s.q, trap_s.m),
-        cooling_time=spec.cooling_time,
-        pulse_time=spec.pulse_time,
-        mode=spec.mode,
+        cooling_time=p["cooling_time_s"],
+        pulse_time=p["pulse_time_s"],
+        mode=p["mode"],
     )
 
 

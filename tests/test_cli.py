@@ -484,15 +484,24 @@ class TestLineshapeAndProtocolCommands:
         assert out.count("\n") == 9001 + 2
 
     @pytest.mark.parametrize(
-        "where, exit_code", [("no protocol block", 2), ("threshold above delta", 1)]
+        "where, exit_code",
+        [
+            ("no protocol block", 2),
+            ("threshold above delta", 2),
+            # passes the schema and the parse, fails in the resonator model
+            ("resonator at or below zero", 1),
+        ],
     )
     def test_failed_protocol_writes_nothing(
         self, capsys, tmp_path, electron_raw, where, exit_code
     ):
         if where == "no protocol block":
             config = "paper-proton"
-        else:  # passes the schema, fails in the protocol model
-            electron_raw["protocol"]["detection"]["threshold_hz"] = 1.0e6
+        else:
+            if where == "threshold above delta":
+                electron_raw["protocol"]["detection"]["threshold_hz"] = 1.0e6
+            else:  # 1e4 linewidths of 2e5 rad/s exceed omega_z = 1.26e9 rad/s
+                electron_raw["resonator"]["detune_linewidths"] = 1.0e4
             config = write_scenario(tmp_path, electron_raw)
         out_dir = tmp_path / "o"
         code, out, err = run_cli(capsys, "protocol", "--config", config, "--out", str(out_dir))
@@ -501,6 +510,20 @@ class TestLineshapeAndProtocolCommands:
         assert not (out_dir / "records.csv").exists()
         code, out, _ = run_cli(capsys, "protocol", "--config", config)
         assert code == exit_code and out == ""
+
+    @pytest.mark.parametrize("command", ["lineshape", "protocol"])
+    @pytest.mark.parametrize("threshold_hz", [-5.0, 0.0, 1.0e6])
+    def test_threshold_outside_delta_names_its_key(
+        self, capsys, tmp_path, electron_raw, command, threshold_hz
+    ):
+        electron_raw["protocol"]["detection"]["threshold_hz"] = threshold_hz
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "config error: protocol.detection.threshold_hz: must lie between 0 and "
+            "the logic-trap delta, "
+        )
 
     @pytest.mark.parametrize(
         "changes, names",

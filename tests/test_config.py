@@ -1,3 +1,4 @@
+import argparse
 import copy
 import math
 import re
@@ -112,8 +113,11 @@ class TestUnitBoundary:
 
     def test_protocol_frequencies_converted(self, electron_rc):
         pc = cfg.build_protocol(electron_rc)
-        spec = electron_rc.protocol
-        assert spec.noise_density == pytest.approx(TWO_PI * 0.127, rel=1e-12)
+        detection = electron_rc.protocol["detection"]
+        assert detection["noise_density_hz_per_sqrt_hz"] == pytest.approx(
+            TWO_PI * 0.127, rel=1e-12
+        )
+        assert pc.detection.noise_density == detection["noise_density_hz_per_sqrt_hz"]
         assert min(pc.drive.detunings) == pytest.approx(TWO_PI * -0.01, rel=1e-12)
         assert max(pc.drive.detunings) == pytest.approx(TWO_PI * 0.08, rel=1e-12)
 
@@ -163,6 +167,70 @@ class TestBuilders:
         pc2 = cfg.build_protocol(electron_rc, seed=999)
         assert pc1.seed == electron_rc.seed
         assert pc2.seed == 999
+
+
+# another accepted value for each magnet and protocol leaf of paper-electron
+OTHER_VALUES = {
+    "magnet.inner_radius_m": 4.0e-3,
+    "magnet.outer_radius_m": 1.6e-2,
+    "magnet.height_m": 6.0e-3,
+    "magnet.mu0_magnetization_tesla": 2.0,
+    "magnet.center_z_m": 1.0e-3,
+    "magnet.background_field_tesla": 5.0,
+    "magnet.calibrate_b2_tesla_per_m2": 8000.0,
+    "magnet.profile.z_min_m": -0.01,
+    "magnet.profile.z_max_m": 0.07,
+    "magnet.profile.samples": 101,
+    "magnet.profile.logic_site_m": 1.0e-3,
+    "magnet.profile.spectroscopy_site_m": 0.04,
+    "protocol.cycles": 300,
+    "protocol.pi_pulse_fidelity": 0.95,
+    "protocol.sideband_cooling_residual": 0.05,
+    "protocol.cooling_time_s": 0.2,
+    "protocol.pulse_time_s": 2.0e-3,
+    "protocol.mode": "anomaly",
+    "protocol.field_noise_per_sqrt_minute": 1.0e-10,
+    "protocol.detection.averaging_time_s": 0.1,
+    "protocol.detection.noise_density_hz_per_sqrt_hz": 0.2,
+    "protocol.detection.threshold_hz": 10.0,  # left out: delta_L/2, 11.6 Hz
+    "protocol.drive.profile": "gaussian",
+    "protocol.drive.peak_probability": 0.5,
+    "protocol.drive.grid.start_hz": -0.02,
+    "protocol.drive.grid.stop_hz": 0.09,
+    "protocol.drive.grid.points": 31,
+}
+
+
+class TestLeavesReachModels:
+    """Builders read the walked blocks by key, so each leaf must change what
+    they build; a leaf nobody reads, or a mistyped key, fails here."""
+
+    def test_table_covers_every_leaf(self):
+        leaves = {row[0] for row in cfg.SCHEMA if row[0].startswith(("magnet.", "protocol."))}
+        assert set(OTHER_VALUES) == leaves
+
+    @pytest.mark.parametrize("dotted", sorted(OTHER_VALUES))
+    def test_leaf_changes_the_model(self, electron_raw, dotted):
+        from wireqls import cli
+
+        if dotted == "magnet.mu0_magnetization_tesla":  # calibration cancels it
+            del electron_raw["magnet"]["calibrate_b2_tesla_per_m2"]
+        base = cfg.parse_config(electron_raw)
+        data = copy.deepcopy(electron_raw)
+        *parents, leaf = dotted.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        assert node.get(leaf) != OTHER_VALUES[dotted]
+        node[leaf] = OTHER_VALUES[dotted]
+        changed = cfg.parse_config(data)
+        if dotted.startswith("protocol."):
+            assert cfg.build_protocol(changed) != cfg.build_protocol(base)
+        else:
+            def model(rc):
+                return cfg.build_ring(rc), cli.cmd_field(rc, argparse.Namespace())[1]
+
+            assert model(changed) != model(base)
 
 
 class TestSweepPathHelper:
