@@ -4,8 +4,8 @@ Every command takes --config (a scenario file path or a bundled scenario
 name) and writes CSV/text to stdout, or into --out <dir> when given; `main`
 writes it once, after the command has computed and checked everything.
 `protocol` checks its set-up the same way, then hands `main` a writer that
-draws and writes the record table one block of cycles at a time, so its
-memory does not grow with the number of cycles.
+draws and writes the record table block by block; `lineshape` counts each
+point's jumps over the same blocks, so neither grows with the cycles.
 `lineshape` and `protocol` take --seed to override the scenario seed;
 `budget` takes --format to switch between the human-readable report and JSON
 records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema

@@ -12,8 +12,8 @@ A leaf of those blocks goes from its `SCHEMA` row through `_walk` into
 in rad/s), and from there to the code that reads it by key: `build_ring`,
 `build_protocol` or `cli.cmd_field`. A new leaf is its row plus that code.
 
-`parse_config` adds the checks that span several leaves: exactly one
-resonator placement, a profile that starts below its end, a bound on the
+`parse_config` adds the checks that span several leaves: one resonator
+placement, above zero, a profile that starts below its end, a bound on the
 cycles over the whole drive grid, and one axial frequency for both traps.
 `circuit.TrapParams` and `magnetics.RingMagnet` own the trap and ring
 ranges, and their errors gain the block's key path; `SCHEMA` only caps the
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
-# a `lineshape` point holds its record columns (36 bytes a cycle) and, while
-# it draws, a few float rows; `protocol` draws and writes one block at a time
+# caps a point's time; `lineshape` and `protocol` draw it in bounded blocks
 MAX_CYCLES = 1_000_000
 # cycles over the whole drive grid, about 12 s of Monte Carlo at ~0.12 us a cycle
 MAX_TOTAL_CYCLES = 100_000_000
@@ -338,6 +337,11 @@ def _build(v: dict, data: dict) -> RunConfig:
             "traps.spectroscopy.axial_frequency_hz",
             "must equal traps.logic.axial_frequency_hz",
         )
+    # ResonatorParams.detuned_below's placement, which must stay above zero
+    width = 1.0 / (res["C_p_farad"] * res["R_p_ohm"])
+    if traps["logic"].omega_z - detune * width <= 0:
+        key = "detune_linewidths" if res["detune_hz"] is None else "detune_hz"
+        raise ConfigError(f"resonator.{key}", "places omega_res at or below zero")
 
     ring = None
     if (m := v["magnet"]) is not None:

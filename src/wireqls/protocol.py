@@ -49,7 +49,6 @@ __all__ = [
     "readout_chain",
     "point_rng",
     "record_blocks",
-    "simulate_point",
     "lineshape_scan",
     "analytic_jump_probability",
     "vanishing_inputs",
@@ -71,7 +70,8 @@ DETECTION_SNR_Z = 3.0
 DETECTION_TIME_FLOOR = 0.050  # [s]
 DETECTION_BOTTLE_RATIO = 30.0
 
-RECORDS_CHUNK = 1024  # cycles drawn per block and record rows formatted per write
+RECORDS_CHUNK = 1024  # record rows formatted per write, cycles per block past ONE_BLOCK
+ONE_BLOCK = 8192  # a point of at most this many cycles is drawn as one block
 # a record row's text around its two floats, by numpy index: the four stage
 # flags as the bits of a code, n_c_after_drive highest, and declared_jump
 _FLAGS_TEXT = np.array([",".join(f"{c:04b}") + "," for c in range(16)], dtype=object)
@@ -321,13 +321,11 @@ def _row_cursor(seed: int, point_index: int, draws: int) -> np.random.Generator:
 
 
 def record_blocks(
-    config: ProtocolConfig,
-    detuning: float,
-    point_index: int = 0,
-    block: int = RECORDS_CHUNK,
+    config: ProtocolConfig, detuning: float, point_index: int = 0
 ) -> Iterator[ProtocolRecords]:
-    """Run `config.cycles` cycles at one drive detuning, `block` cycles at
-    a time, yielding each block's records in cycle order.
+    """Run `config.cycles` cycles at one drive detuning, yielding the
+    records in cycle order: one block for a point of at most `ONE_BLOCK`
+    cycles, else blocks of `RECORDS_CHUNK` cycles, so memory is bounded.
 
     Each stage is one boolean array operation over a block. The cyclotron
     line center random-walks with the magnet field noise: each cycle adds
@@ -336,27 +334,27 @@ def record_blocks(
     so the stream never branches on it: six uniform rows, then two normal
     rows of `cycles` values each (the same stream as one (6, n) and one
     (2, n) block), each uniform row reduced to its stage outcome as soon
-    as it is drawn. The blocks join into the same table whatever `block`
-    is; memory grows with `block`, not with `cycles`.
+    as it is drawn. The blocks join into the same table either way.
 
     The readout chain is resolved when this is called, so a failing
     set-up raises before any block is drawn.
     """
-    return _draw_blocks(config, detuning, point_index, block, readout_chain(config))
+    return _draw_blocks(config, detuning, point_index, readout_chain(config))
 
 
 def _draw_blocks(
     config: ProtocolConfig,
     detuning: float,
     point_index: int,
-    block: int,
     chain: ReadoutChain,
 ) -> Iterator[ProtocolRecords]:
     n = config.cycles
-    if n <= block:
+    if n <= ONE_BLOCK:
         # one block: the eight rows one after another from the point's stream
+        block = n
         rows = (point_rng(config.seed, point_index),) * 8
     else:
+        block = RECORDS_CHUNK
         # a cursor per row: uniform row r starts after r * n draws (one draw
         # a value), and so does the first normal row at r = 6; a normal
         # value takes a varying number of draws, so the second normal row's
@@ -418,17 +416,9 @@ def _draw_blocks(
         )
 
 
-def simulate_point(
-    config: ProtocolConfig, detuning: float, point_index: int = 0
-) -> ProtocolRecords:
-    """Run `config.cycles` cycles at one drive detuning: the whole table
-    as the one block of `record_blocks`."""
-    (records,) = record_blocks(config, detuning, point_index, block=config.cycles)
-    return records
-
-
 def lineshape_scan(config: ProtocolConfig) -> Lineshape:
-    """Declared-jump fraction across the drive detuning grid.
+    """Declared-jump fraction across the drive detuning grid, counted over
+    each point's `record_blocks`.
 
     Reproducible given the config seed; per-point streams are independent,
     so points may be evaluated in any order (or concurrently) without
@@ -437,11 +427,12 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
     detunings = np.asarray(config.drive.detunings, dtype=float)
     if detunings.size == 0:
         raise ValueError("drive detuning grid must be non-empty")
+    chain = readout_chain(config)
     fractions = np.empty(detunings.size)
     errors = np.empty(detunings.size)
     for k, det in enumerate(detunings):
-        records = simulate_point(config, float(det), k)
-        f = np.count_nonzero(records.declared_jump) / config.cycles
+        blocks = _draw_blocks(config, float(det), k, chain)
+        f = sum(np.count_nonzero(b.declared_jump) for b in blocks) / config.cycles
         fractions[k] = f
         errors[k] = math.sqrt(f * (1.0 - f) / config.cycles)
     return Lineshape(

@@ -488,8 +488,8 @@ class TestLineshapeAndProtocolCommands:
         [
             ("no protocol block", 2),
             ("threshold above delta", 2),
-            # passes the schema and the parse, fails in the resonator model
-            ("resonator at or below zero", 1),
+            # passes the schema and the parse, fails in the trap model
+            ("bare axial frequency negative", 1),
         ],
     )
     def test_failed_protocol_writes_nothing(
@@ -500,8 +500,8 @@ class TestLineshapeAndProtocolCommands:
         else:
             if where == "threshold above delta":
                 electron_raw["protocol"]["detection"]["threshold_hz"] = 1.0e6
-            else:  # 1e4 linewidths of 2e5 rad/s exceed omega_z = 1.26e9 rad/s
-                electron_raw["resonator"]["detune_linewidths"] = 1.0e4
+            else:  # a 10 nm trap pulls omega_z below the resonator's shift
+                electron_raw["traps"]["logic"]["d_eff_m"] = 1.0e-8
             config = write_scenario(tmp_path, electron_raw)
         out_dir = tmp_path / "o"
         code, out, err = run_cli(capsys, "protocol", "--config", config, "--out", str(out_dir))
@@ -743,7 +743,7 @@ def test_package_loads_modules_on_first_access():
     out = run_python(
         "import sys, wireqls\n"
         "print('wireqls.protocol' in sys.modules,"
-        " callable(wireqls.protocol.simulate_point), hasattr(wireqls, 'nope'))"
+        " callable(wireqls.protocol.record_blocks), hasattr(wireqls, 'nope'))"
     )
     assert out == "False True False"
 

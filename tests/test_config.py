@@ -104,6 +104,28 @@ class TestStrictSchema:
         with pytest.raises(cfg.ConfigError):
             cfg.parse_config(electron_raw)  # neither given
 
+    def test_resonator_at_or_below_zero_names_its_key(self, electron_rc, electron_raw):
+        # at the edge omega_z = detune * width the parse agrees with the model
+        width = 1.0 / (electron_rc.C_p * electron_rc.R_p)
+        edge = electron_rc.trap_logic.omega_z / width
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+        for detune in (below, edge, above, 1.0e4):
+            electron_raw["resonator"]["detune_linewidths"] = detune
+            try:
+                rc = cfg.parse_config(electron_raw)
+            except cfg.ConfigError as exc:
+                assert exc.path == "resonator.detune_linewidths"
+                assert detune > below
+                with pytest.raises(ValueError, match="at or below zero"):
+                    cfg.build_resonator(electron_rc._replace(detune_linewidths=detune))
+            else:
+                assert cfg.build_resonator(rc).omega_res > 0.0
+        del electron_raw["resonator"]["detune_linewidths"]
+        electron_raw["resonator"]["detune_hz"] = 1.0e9
+        with pytest.raises(cfg.ConfigError) as exc:
+            cfg.parse_config(electron_raw)
+        assert exc.value.path == "resonator.detune_hz"
+
 
 class TestUnitBoundary:
     def test_hz_converted_once(self, electron_rc):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -46,6 +47,12 @@ def base_config(paper_budget, shifts):
         omega_c_spec=cyclotron_frequency(6.0),
         swap_probability=1.0,
     )
+
+
+def _joined(config, detuning, point_index=0):
+    """The record table of one point: its `record_blocks` joined."""
+    blocks = list(protocol.record_blocks(config, detuning, point_index))
+    return protocol.ProtocolRecords(*map(np.concatenate, zip(*blocks)))
 
 
 class TestDriveProbability:
@@ -127,10 +134,10 @@ class TestDriveProbabilityUnderflow:
 
 
 class TestRunCycle:
-    """Cycles run through simulate_point's array kernel."""
+    """Cycles run through record_blocks' array kernel."""
 
     def test_deterministic_ideal_limit(self, base_config):
-        rec = protocol.simulate_point(base_config._replace(cycles=1), 0.0)
+        rec = _joined(base_config._replace(cycles=1), 0.0)
         assert rec.n_c_after_drive[0] == 1
         assert rec.transfer_s_ok[0] and rec.exchange_ok[0] and rec.transfer_l_ok[0]
         assert rec.declared_jump[0]
@@ -142,7 +149,7 @@ class TestRunCycle:
             drive=base_config.drive._replace(peak_probability=0.0),
             cycles=50,
         )
-        rec = protocol.simulate_point(config, 0.0)
+        rec = _joined(config, 0.0)
         assert not rec.declared_jump.any()
         assert np.all(rec.measured_shift == 0.0)
 
@@ -154,7 +161,7 @@ class TestRunCycle:
             swap_probability=0.7,
             cycles=400,
         )
-        rec = protocol.simulate_point(config, 0.0)
+        rec = _joined(config, 0.0)
         threshold = config.detection.threshold
         assert np.all(rec.measured_shift[rec.declared_jump] >= threshold)
         # column invariants of the record table
@@ -231,7 +238,7 @@ class TestAnalyticOracle:
         )
         for k, det in enumerate((0.0, config.shifts_S.broadening)):
             p = protocol.analytic_jump_probability(config, det)
-            records = protocol.simulate_point(config, det, k)
+            records = _joined(config, det, k)
             rate = np.count_nonzero(records.declared_jump) / config.cycles
             sigma = math.sqrt(p * (1.0 - p) / config.cycles)
             assert abs(rate - p) <= 3.0 * sigma
@@ -250,7 +257,7 @@ class TestAnalyticOracle:
         n_seeds = 10
         rates = []
         for seed in range(n_seeds):
-            records = protocol.simulate_point(config._replace(seed=seed), det, 1)
+            records = _joined(config._replace(seed=seed), det, 1)
             rates.append(np.count_nonzero(records.declared_jump) / config.cycles)
         mean = sum(rates) / n_seeds
         sigma = math.sqrt(p * (1.0 - p) / config.cycles / n_seeds)
@@ -265,7 +272,7 @@ class TestAnalyticOracle:
             cycles=10_000,
         )
         p = protocol.analytic_jump_probability(config, 0.0)
-        records = protocol.simulate_point(config, 0.0, 0)
+        records = _joined(config, 0.0, 0)
         rate = np.count_nonzero(records.declared_jump) / config.cycles
         sigma = math.sqrt(p * (1.0 - p) / config.cycles)
         assert abs(rate - p) <= 3.0 * sigma
@@ -359,9 +366,9 @@ class TestLineshape:
         b = protocol.lineshape_scan(base_config)
         np.testing.assert_array_equal(a.fractions, b.fractions)
         # per-point streams do not depend on evaluation order
-        recs_direct = protocol.simulate_point(base_config, 1.0, 3)
-        protocol.simulate_point(base_config, 0.5, 1)
-        recs_again = protocol.simulate_point(base_config, 1.0, 3)
+        recs_direct = _joined(base_config, 1.0, 3)
+        _joined(base_config, 0.5, 1)
+        recs_again = _joined(base_config, 1.0, 3)
         for field in protocol.ProtocolRecords._fields:
             np.testing.assert_array_equal(
                 getattr(recs_direct, field), getattr(recs_again, field)
@@ -413,8 +420,8 @@ class TestLineshape:
     def test_field_noise_washes_out_narrow_line(self, base_config):
         noisy = base_config._replace(field_noise=1e-10, cycles=300)
         quiet = base_config._replace(cycles=300)
-        on_res_noisy = protocol.simulate_point(noisy, 0.0, 0)
-        on_res_quiet = protocol.simulate_point(quiet, 0.0, 0)
+        on_res_noisy = _joined(noisy, 0.0, 0)
+        on_res_quiet = _joined(quiet, 0.0, 0)
         rate_noisy = np.count_nonzero(on_res_noisy.declared_jump) / 300
         rate_quiet = np.count_nonzero(on_res_quiet.declared_jump) / 300
         # the walk (~1e2 rad/s per root-minute) dwarfs the 0.07 rad/s line
@@ -444,7 +451,7 @@ class TestAnomalyMode:
         # transfer chain still completes; the tiny negative shift stays
         # below any positive threshold, so no jump is declared
         for cycles in (1, 50, 400):
-            rec = protocol.simulate_point(config._replace(cycles=cycles), 0.0)
+            rec = _joined(config._replace(cycles=cycles), 0.0)
             assert rec.transfer_l_ok.all()
             assert not rec.declared_jump.any()
 
@@ -492,7 +499,7 @@ class TestValidationAndExport:
             base_config._replace(mode="spin")
 
     def test_records_csv_round_trip_stable(self, base_config):
-        records = protocol.simulate_point(base_config, 0.0, 0)
+        records = _joined(base_config, 0.0, 0)
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
@@ -731,9 +738,32 @@ class _CountingSink:
         self.chars += len(text)
 
 
+# points on both sides of the one-block edge, the last one with a ragged
+# tail of RECORDS_CHUNK blocks
+_LAYOUT_CYCLES = [
+    protocol.ONE_BLOCK - 1,
+    protocol.ONE_BLOCK,
+    protocol.ONE_BLOCK + 1,
+    protocol.ONE_BLOCK + 3 * protocol.RECORDS_CHUNK + 7,
+]
+
+
+def _traced_peak(write, *args):
+    """Characters `write(*args, sink)` wrote and its tracemalloc peak."""
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write(*args, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return sink.chars, peak
+
+
 class TestRecordStream:
-    """The kernel draws row by row, in blocks of cycles; the writer formats
-    fixed row chunks."""
+    """The kernel draws row by row, one block for a point of at most
+    ONE_BLOCK cycles and RECORDS_CHUNK-cycle blocks past it; the writer
+    formats fixed row chunks."""
 
     @pytest.fixture()
     def noisy_config(self, base_config):
@@ -747,20 +777,22 @@ class TestRecordStream:
 
     @pytest.mark.parametrize("field_noise", [0.0, 1e-9])
     def test_kernel_matches_block_draws(self, noisy_config, field_noise):
-        config = noisy_config._replace(field_noise=field_noise)
-        width = config.shifts_S.broadening
-        for k, detuning in enumerate((0.0, 0.5 * width, 3.0 * width)):
-            records = protocol.simulate_point(config, detuning, k)
-            expected = _block_kernel(config, detuning, k)
-            for f in protocol.ProtocolRecords._fields:
-                column = getattr(records, f)
-                np.testing.assert_array_equal(column, expected[f], err_msg=f)
-                assert column.dtype == expected[f].dtype, f
+        width = noisy_config.shifts_S.broadening
+        for cycles in _LAYOUT_CYCLES:
+            config = noisy_config._replace(field_noise=field_noise, cycles=cycles)
+            for k, detuning in enumerate((0.0, 0.5 * width, 3.0 * width)):
+                records = _joined(config, detuning, k)
+                expected = _block_kernel(config, detuning, k)
+                for f in protocol.ProtocolRecords._fields:
+                    column = getattr(records, f)
+                    np.testing.assert_array_equal(column, expected[f], err_msg=f)
+                    assert column.dtype == expected[f].dtype, f
         if field_noise:
             # the walk moves the line: the drift stage is really exercised
-            quiet = protocol.simulate_point(config._replace(field_noise=0.0), 0.0, 0)
+            noisy = noisy_config._replace(field_noise=field_noise)
             assert not np.array_equal(
-                quiet.n_c_after_drive, protocol.simulate_point(config, 0.0, 0).n_c_after_drive
+                _joined(noisy_config, 0.0, 0).n_c_after_drive,
+                _joined(noisy, 0.0, 0).n_c_after_drive,
             )
 
     @settings(max_examples=40, deadline=None)
@@ -771,15 +803,7 @@ class TestRecordStream:
         # a walk of a few line widths over the table, so the drive's
         # outcome still depends on where the walk stands at a block's start
         field_noise=st.sampled_from([0.0, 1e-13, 1e-12]),
-        cycles=st.sampled_from(
-            [
-                1,
-                protocol.RECORDS_CHUNK - 1,
-                protocol.RECORDS_CHUNK,
-                protocol.RECORDS_CHUNK + 1,
-                3 * protocol.RECORDS_CHUNK + 7,
-            ]
-        ),
+        cycles=st.sampled_from([1, *_LAYOUT_CYCLES]),
     )
     def test_blocks_join_into_the_one_block_table(
         self, base_config, seed, point_index, det, field_noise, cycles
@@ -794,14 +818,28 @@ class TestRecordStream:
             seed=seed,
         )
         detuning = det * config.shifts_S.broadening
-        whole = protocol.simulate_point(config, detuning, point_index)
+        whole = _block_kernel(config, detuning, point_index)
         blocks = list(protocol.record_blocks(config, detuning, point_index))
-        assert all(len(b.cycle) <= protocol.RECORDS_CHUNK for b in blocks)
+        block = cycles if cycles <= protocol.ONE_BLOCK else protocol.RECORDS_CHUNK
+        assert [len(b.cycle) for b in blocks] == [
+            min(block, cycles - lo) for lo in range(0, cycles, block)
+        ]
         for f in protocol.ProtocolRecords._fields:
-            column = getattr(whole, f)
             joined = np.concatenate([getattr(b, f) for b in blocks])
-            assert joined.dtype == column.dtype, f
-            assert joined.tobytes() == column.tobytes(), f  # bit for bit
+            assert joined.dtype == whole[f].dtype, f
+            assert joined.tobytes() == whole[f].tobytes(), f  # bit for bit
+
+    @pytest.mark.parametrize("cycles", [protocol.ONE_BLOCK, protocol.ONE_BLOCK + 1])
+    def test_lineshape_counts_the_one_block_table(self, noisy_config, cycles):
+        config = noisy_config._replace(
+            field_noise=1e-12,
+            cycles=cycles,
+            drive=noisy_config.drive._replace(detunings=noisy_config.drive.detunings[:3]),
+        )
+        shape = protocol.lineshape_scan(config)
+        for k, detuning in enumerate(config.drive.detunings):
+            jumps = np.count_nonzero(_block_kernel(config, detuning, k)["declared_jump"])
+            assert shape.fractions[k] == jumps / cycles
 
     def test_set_up_fails_before_any_block(self, noisy_config, monkeypatch):
         def failing(config):
@@ -815,7 +853,7 @@ class TestRecordStream:
         "cycles",
         [
             1,
-            # the one-block edge, then edges of several blocks
+            # the edges of the writer's row chunks, and a point past ONE_BLOCK
             protocol.RECORDS_CHUNK - 1,
             protocol.RECORDS_CHUNK,
             protocol.RECORDS_CHUNK + 1,
@@ -827,7 +865,7 @@ class TestRecordStream:
     )
     def test_chunked_writer_matches_row_template(self, noisy_config, cycles):
         config = noisy_config._replace(cycles=cycles)
-        records = protocol.simulate_point(config, 0.0, 2)
+        records = _joined(config, 0.0, 2)
         reference = _reference_records_csv(records)
         for blocks in ([records], protocol.record_blocks(config, 0.0, 2)):
             buf = io.StringIO()
@@ -877,21 +915,9 @@ class TestRecordStream:
         assert protocol._float_texts(x[::2]) == list(map(repr, x[::2].tolist()))  # strided
 
     def test_writer_memory_does_not_grow_with_the_table(self, noisy_config):
-        import tracemalloc
-
-        def traced_peak(write, *args):
-            sink = _CountingSink()
-            tracemalloc.start()
-            try:
-                write(*args, sink)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return sink.chars, peak
-
         # one table-sized block: the writer still formats fixed row chunks
-        records = protocol.simulate_point(noisy_config._replace(cycles=100_000), 0.0, 0)
-        chars, peak = traced_peak(protocol.write_records_csv, [records])
+        records = _joined(noisy_config._replace(cycles=100_000), 0.0, 0)
+        chars, peak = _traced_peak(protocol.write_records_csv, [records])
         assert chars > 5_000_000  # the whole table went through
         assert peak < 4_000_000, f"writer peaked at {peak / 1e6:.1f} MB"
 
@@ -901,10 +927,18 @@ class TestRecordStream:
             protocol.write_records_csv(protocol.record_blocks(config, 0.0, 0), sink)
 
         stream(2_000, _CountingSink())  # first-call allocations are not the table's
-        small_chars, small = traced_peak(stream, 2_000)
-        large_chars, large = traced_peak(stream, 200_000)
+        small_chars, small = _traced_peak(stream, 2_000)
+        large_chars, large = _traced_peak(stream, 200_000)
         assert large_chars > 50 * small_chars > 0  # both tables went through
         assert large - small < 1_000_000, (
             f"streamed peak {large / 1e6:.2f} MB at 200,000 cycles vs "
             f"{small / 1e6:.2f} MB at 2,000"
         )
+
+    def test_lineshape_memory_does_not_grow_with_the_cycles(self, noisy_config):
+        drive = noisy_config.drive._replace(detunings=noisy_config.drive.detunings[:2])
+        config = noisy_config._replace(field_noise=1e-12, cycles=200_000, drive=drive)
+        protocol.lineshape_scan(config._replace(cycles=2_000))  # first-call allocations
+        _, peak = _traced_peak(lambda sink: protocol.lineshape_scan(config))
+        # one point's record table alone is 7.2 MB, 36 bytes a cycle
+        assert peak < 1_000_000, f"lineshape peaked at {peak / 1e6:.2f} MB"
