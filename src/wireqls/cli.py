@@ -14,11 +14,19 @@ errors (with the offending key path), 1 other domain errors.
 numpy and the Monte Carlo module are imported by the commands that compute
 arrays (`lineshape`, `protocol`), so `budget`, `field` and `sweep` start
 without them; `json` is imported only by `budget --format records`.
+
+A process enters through `run` (`python -m wireqls.cli` and the installed
+`wireqls` script), which freezes the heap once `main` has returned: the
+interpreter's shutdown collections then skip the imported modules (numpy's
+graph above all) instead of freeing them object by object, while atexit
+handlers and the flush of stdout and stderr still run. `main` leaves the
+collector as it found it, so in-process callers keep their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 from pathlib import Path
@@ -35,7 +43,7 @@ if TYPE_CHECKING:
 
     Writer = Callable[[TextIO], None]
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _fmt(x) -> str:
@@ -256,5 +264,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry: exit with `main`'s status, the heap frozen first so
+    that the shutdown collections skip it (see the module docstring)."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,15 @@ def paper_budget(stock_resonator, trap_logic, trap_spectroscopy) -> circuit.Exch
     return circuit.qls_budget(
         stock_resonator, trap_logic, trap_spectroscopy, T_ENV, DETUNE
     )
+
+
+def package_env() -> dict:
+    """The environment with the tested package's directory first on
+    PYTHONPATH, so that a fresh interpreter imports the same package."""
+    src = str(Path(circuit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def rel_err(value: float, reference: float) -> float:

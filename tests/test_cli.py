@@ -1,6 +1,7 @@
+import ast
 import copy
+import gc
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import yaml
 from wireqls import cli
 from wireqls import config as cfg
 
-from conftest import assert_rel
+from conftest import assert_rel, package_env
 
 
 @pytest.fixture()
@@ -35,11 +36,9 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
 
 def run_python(code: str) -> str:
     """Stripped stdout of `code` run in a fresh interpreter on this package."""
-    src = str(Path(cfg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=package_env(), check=True,
     )
     return result.stdout.strip()
 
@@ -746,6 +745,40 @@ def test_package_loads_modules_on_first_access():
         " callable(wireqls.protocol.record_blocks), hasattr(wireqls, 'nope'))"
     )
     assert out == "False True False"
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # a freeze inside main would keep each call's cyclic garbage in the
+    # calling process (a test run, the traced bench) for good
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["lineshape", "--config", "paper-electron"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_run_freezes_then_exits_with_mains_status(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == 2
+    assert calls == ["main", "freeze"]
+
+
+def test_console_script_runs_the_module_entry():
+    # `wireqls` and `python -m wireqls.cli` start through the same function
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = block.body
+    call = statement.value
+    assert isinstance(call.func, ast.Name) and not call.args, ast.unparse(statement)
+    entry = call.func.id
+    assert callable(getattr(cli, entry))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"wireqls": f"wireqls.cli:{entry}"}
 
 
 class TestSweepCommand:

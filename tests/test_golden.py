@@ -1,6 +1,7 @@
 """Golden output bytes: each case's exit code and the sha256 of its stdout,
 its stderr and every file it writes under --out, run in process through
-`cli.main`.
+`cli.main`; a subset also runs as `python -m wireqls.cli` in a child
+process and must give the same bytes.
 
 The hashes live in tests/golden/cli.json next to numpy's version, because
 `Generator`'s distributions are not promised stable across numpy
@@ -16,6 +17,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +27,8 @@ import pytest
 
 from wireqls import cli
 from wireqls import config as cfg
+
+from conftest import package_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 ELECTRON = (Path(cfg.__file__).parent / "scenarios" / "paper-electron.yaml").read_text()
@@ -77,6 +82,14 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+# the cases also run as a process: one of each command and output form,
+# the record stream to --out, an exit 1 and an exit 2
+PROCESS_CASES = [
+    "budget/paper-electron", "budget-records/paper-electron", "field/paper-electron",
+    "sweep/temperature", "lineshape/paper-electron", "protocol/paper-electron",
+    "protocol-out/cycles-5000", "lineshape/pi-zero", "budget/unknown-key",
+]
+
 
 def _write_variants(directory: Path) -> None:
     for name, (old, new) in VARIANTS.items():
@@ -88,25 +101,29 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def run_case(argv: list[str], directory: Path) -> dict:
-    """Exit code and hashes of one case, its --out directory made fresh."""
+def run_case(argv: list[str], directory: Path, process: bool = False) -> dict:
+    """Exit code and hashes of one case, its --out directory made fresh; run
+    through `cli.main`, or as `python -m wireqls.cli` when `process`."""
     argv = [a.replace("{dir}", str(directory)) for a in argv]
     out_dir = directory / "out"
     if out_dir.exists():
         for path in out_dir.iterdir():
             path.unlink()
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+    if process:
+        child = subprocess.run(
+            [sys.executable, "-m", "wireqls.cli", *argv],
+            capture_output=True, env=package_env(),
+        )
+        code, stdout, stderr = child.returncode, child.stdout, child.stderr
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        stdout, stderr = out.getvalue(), err.getvalue()
     files = {}
     if out_dir.exists():
         files = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.iterdir())}
-    return {
-        "exit": code,
-        "stdout": _sha(stdout.getvalue()),
-        "stderr": _sha(stderr.getvalue()),
-        "files": files,
-    }
+    return {"exit": code, "stdout": _sha(stdout), "stderr": _sha(stderr), "files": files}
 
 
 def regenerate() -> None:
@@ -139,8 +156,11 @@ def test_golden_file_lists_every_case(golden):
     assert {name: case["argv"] for name, case in golden["cases"].items()} == CASES
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_output_bytes_match_golden(golden, variant_dir, name):
+@pytest.mark.parametrize("name, process", [
+    *(pytest.param(name, False, id=name) for name in CASES),
+    *(pytest.param(name, True, id=f"{name}-process") for name in PROCESS_CASES),
+])
+def test_output_bytes_match_golden(golden, variant_dir, name, process):
     if golden["numpy"] != np.__version__:
         pytest.fail(
             f"golden hashes were made with numpy {golden['numpy']}, this is numpy "
@@ -149,4 +169,4 @@ def test_output_bytes_match_golden(golden, variant_dir, name):
         )
     expected = dict(golden["cases"][name])
     del expected["argv"]
-    assert run_case(CASES[name], variant_dir) == expected
+    assert run_case(CASES[name], variant_dir, process) == expected
