@@ -6,8 +6,9 @@ constants     frozen CODATA 2018 snapshot, unit conventions, checked records
 circuit       resonator impedance, series-mode equivalents, exchange budget
 magnetics     bottle-ring on-axis field and gradients
 spectroscopy  bottle shift, relativistic shift, broadening, heating estimate
-dynamics      two-mode Lindblad exchange, swap fidelity
-protocol      seven-step cycle state machine and Monte Carlo lineshapes
+dynamics      Fock-space Lindblad oracle for the swap probability (tests only)
+protocol      closed-form swap probability, seven-step cycle Monte Carlo,
+              lineshapes
 config        scenario schema and loaders
 cli           command-line entry points
 

@@ -32,7 +32,6 @@ __all__ = [
     "series_equivalent",
     "exchange_rate",
     "exchange_time",
-    "dissipation_rate",
     "thermal_occupation",
     "OccupationOverflow",
     "qls_budget",
@@ -132,8 +131,8 @@ class ExchangeBudget(NamedTuple):
 
     `figure` is t_ex * n_bar * gamma by construction, and `feasible` is set
     iff figure < FEASIBILITY_THRESHOLD. gamma_L/gamma_S are the two
-    single-mode damping rates whose max is `gamma`; they feed the open-system
-    simulation directly.
+    single-mode damping rates whose max is `gamma`; they feed the closed-form
+    swap probability directly.
     """
 
     z_at_omega_z: complex   # resonator impedance at the operating point [Ohm]
@@ -191,15 +190,6 @@ def exchange_time(omega_ex: float) -> float:
     if omega_ex <= 0:
         raise ValueError("omega_ex must be positive")
     return math.pi / (2.0 * omega_ex)
-
-
-def dissipation_rate(z_re: float, l_L: float, l_S: float) -> float:
-    """Worst single-mode damping rate max(Re Z / l_L, Re Z / l_S) in 1/s."""
-    if l_L <= 0 or l_S <= 0:
-        raise ValueError("series inductances must be positive")
-    if z_re < 0:
-        raise ValueError("Re Z must be non-negative")
-    return max(z_re / l_L, z_re / l_S)
 
 
 class OccupationOverflow(OverflowError):

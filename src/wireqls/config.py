@@ -315,7 +315,7 @@ def _build(v: dict, data: dict) -> RunConfig:
         # absolute placement below omega_z, expressed in resonator linewidths
         detune = res["detune_hz"] * res["C_p_farad"] * res["R_p_ohm"]
         if detune <= 0:
-            raise ConfigError("resonator.detune_linewidths", "must be positive")
+            raise ConfigError("resonator.detune_hz", "must be positive")
 
     # the models own these ranges; their errors gain the block's key path
     mass, charge = particle_mass_charge(v["particle"])

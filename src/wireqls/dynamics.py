@@ -1,4 +1,4 @@
-"""Open-system dynamics of the wire-mediated axial-state exchange.
+"""Fock-space test oracle for the wire-mediated axial-state exchange.
 
 Two harmonic modes (S = spectroscopy, L = logic) evolve under the resonant
 beam-splitter Hamiltonian
@@ -9,31 +9,26 @@ the standard capacitive-limit reduction when |Im Z| >> Re Z and
 w_ex << w_z, with each mode thermally damped in Lindblad form: collapse
 operators sqrt(gamma_i (n_bar+1)) a_i and sqrt(gamma_i n_bar) a_i^dag, so
 gamma_i is the energy decay rate Re Z / l_i and the bath occupation is the
-axial n_bar.
+axial n_bar. The rates are `protocol.ExchangeParams`.
 
-The model is quadratic with linear damping, so the exchange acts on the
-logic mode as a phase-insensitive Gaussian channel (Weedbrook et al.,
-RMP 84, 621 (2012)). `swap_probability` evaluates P(n_L = 1) in closed
-form from the 2x2 mode propagator; it has no truncation and is the
-production path.
-
-The Fock-space solver is the independent test oracle: a fixed-step
-4th-order Runge-Kutta scheme on the vectorized master equation, with a
-matrix exponential of the same Liouvillian as an exact cross-check path.
-States live on the joint Fock basis |n_S, n_L> with per-mode truncation
-n_max; evolution raises TruncationError if the top level accumulates more
-than TRUNCATION_LIMIT population.
+The production path is the closed form `protocol.swap_probability`; no
+command loads this module. It checks that closed form independently: a
+fixed-step 4th-order Runge-Kutta scheme on the vectorized master equation,
+with a matrix exponential of the same Liouvillian as an exact cross-check
+path. States live on the joint Fock basis |n_S, n_L> with per-mode
+truncation n_max; evolution raises TruncationError if the top level
+accumulates more than TRUNCATION_LIMIT population.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import Checked
+from .protocol import ExchangeParams
 
 __all__ = [
     "TruncationError",
@@ -46,7 +41,6 @@ __all__ = [
     "liouvillian",
     "evolve",
     "swap_fidelity",
-    "swap_probability",
 ]
 
 # propagation step is 1/(RATE_FACTOR * fastest rate); 400 keeps the
@@ -62,36 +56,6 @@ POSITIVITY_TOL = 1e-9
 
 class TruncationError(RuntimeError):
     """Raised when population reaches the truncation boundary."""
-
-
-class _ExchangeFields(NamedTuple):
-    omega_ex: float      # beam-splitter coupling [rad/s]
-    gamma_L: float       # logic-mode damping [1/s]
-    gamma_S: float       # spectroscopy-mode damping [1/s]
-    n_bar: float         # bath occupation
-    detuning: float = 0.0  # omega_z mismatch between the traps [rad/s]
-
-
-class ExchangeParams(Checked, _ExchangeFields):
-    """Rates of the exchange master equation; all in SI angular units."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.omega_ex < 0 or self.gamma_L < 0 or self.gamma_S < 0:
-            raise ValueError("rates must be non-negative")
-        if self.n_bar < 0:
-            raise ValueError("n_bar must be non-negative")
-
-    @property
-    def rate_scale(self) -> float:
-        """Fastest rate in the generator; sets the integrator step."""
-        return max(
-            self.omega_ex,
-            self.gamma_L * (self.n_bar + 1.0),
-            self.gamma_S * (self.n_bar + 1.0),
-            abs(self.detuning),
-        )
 
 
 class _StateFields(NamedTuple):
@@ -303,45 +267,3 @@ def swap_fidelity(
     t_ex = math.pi / (2.0 * params.omega_ex)
     final = evolve(initial, params, t_ex, method=method, step=step)
     return final.level_population("L", 1)
-
-
-def swap_probability(params: ExchangeParams) -> float:
-    """Closed-form P(n_L = 1) after a full exchange from |1, 0>.
-
-    The mode amplitudes obey d(a_S, a_L)/dt = A (a_S, a_L) with
-    A = -i[[detuning, w_ex], [w_ex, 0]] - diag(gamma_S, gamma_L)/2, so
-    u = exp(A t) at t = pi/(2 w_ex) gives the channel's transmissivity
-    eta = |u_LS|^2 and added thermal noise N = n_bar (1 - |u_LS|^2 - |u_LL|^2).
-    A single quantum through that channel lands in n_L = 1 with
-    probability (N + eta)/(1 + N)^2 - 2 eta N/(1 + N)^3. With x = 1/(1 + N)
-    that is x (N x + eta (1 - N) x^2), whose factors all lie within [-1, 1],
-    so no N overflows it, and which keeps full precision as N goes to 0.
-    Agrees with `swap_fidelity` up to its Fock truncation error.
-    """
-    if params.omega_ex <= 0:
-        raise ValueError("swap probability requires a positive exchange rate")
-    t = math.pi / (2.0 * params.omega_ex)
-    # entries of A t, so the exchange entry is -i pi/2 at any rate
-    a = (-1j * params.detuning - 0.5 * params.gamma_S) * t
-    d = -0.5 * params.gamma_L * t
-    c = -0.5j * math.pi
-    # u = e^m [cosh(s) + (A t - m) sinh(s)/s] with m +- s the eigenvalues of
-    # A t; away from s = 0 it is built from e^{m +- s}, which decay under
-    # damping, so a large damping rate underflows instead of overflowing
-    m = 0.5 * (a + d)
-    half = 0.5 * (a - d)
-    s = cmath.sqrt(half * half + c * c)
-    if abs(s) < 1e-4:
-        growth = cmath.exp(m)
-        sinhc = growth * (1.0 + s * s / 6.0)
-        cosh = growth * (1.0 + s * s / 2.0)
-    else:
-        up, down = cmath.exp(m + s), cmath.exp(m - s)
-        sinhc = (up - down) / (2.0 * s)
-        cosh = 0.5 * (up + down)
-    u_ls = c * sinhc
-    u_ll = cosh - half * sinhc
-    eta = abs(u_ls) ** 2
-    noise = params.n_bar * (1.0 - eta - abs(u_ll) ** 2)
-    x = 1.0 / (1.0 + noise)
-    return x * (noise * x + eta * (1.0 - noise) * x * x)

@@ -11,7 +11,8 @@ One spectroscopy cycle:
   (iii) sideband pi-pulse on the spectroscopy particle,
         |n_z, n_c> = |0, 1> -> |1, 0>, conditional on n_c = 1;
   (iv)  close the switches: the wire exchanges the axial quanta of the two
-        particles with the swap probability from the open-system model;
+        particles with the closed-form swap probability of the damped
+        exchange (`swap_probability`);
   (v)   sideband pi-pulse on the logic particle, |1, 0> -> |0, 1>;
   (vi)  measure the logic particle's axial frequency; the bottle shift
         reveals n_c^L, with Gaussian frequency noise set by the averaging
@@ -25,13 +26,13 @@ distinct detuning points use independent RNG streams derived from
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics
 from .circuit import ExchangeBudget
 from .constants import G_E, Checked
 from .spectroscopy import ShiftSet
@@ -39,12 +40,14 @@ from .spectroscopy import ShiftSet
 __all__ = [
     "DetectionModel",
     "DriveModel",
+    "ExchangeParams",
     "ProtocolConfig",
     "ProtocolRecords",
     "Lineshape",
     "ReadoutChain",
     "TimingBudget",
     "drive_probability",
+    "swap_probability",
     "resolve_swap_probability",
     "readout_chain",
     "point_rng",
@@ -54,7 +57,6 @@ __all__ = [
     "vanishing_inputs",
     "fitted_center_width",
     "center_uncertainty",
-    "day_scale_center_report",
     "required_averaging_time",
     "timing_budget",
     "write_records_csv",
@@ -76,6 +78,37 @@ ONE_BLOCK = 8192  # a point of at most this many cycles is drawn as one block
 # flags as the bits of a code, n_c_after_drive highest, and declared_jump
 _FLAGS_TEXT = np.array([",".join(f"{c:04b}") + "," for c in range(16)], dtype=object)
 _JUMP_TEXT = np.array([",0,", ",1,"], dtype=object)
+
+
+class _ExchangeFields(NamedTuple):
+    omega_ex: float      # beam-splitter coupling [rad/s]
+    gamma_L: float       # logic-mode damping [1/s]
+    gamma_S: float       # spectroscopy-mode damping [1/s]
+    n_bar: float         # bath occupation
+    detuning: float = 0.0  # omega_z mismatch between the traps [rad/s]
+
+
+class ExchangeParams(Checked, _ExchangeFields):
+    """Rates of the damped two-mode exchange, step (iv); all in SI angular
+    units. `dynamics` gives its master equation."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        if self.omega_ex < 0 or self.gamma_L < 0 or self.gamma_S < 0:
+            raise ValueError("rates must be non-negative")
+        if self.n_bar < 0:
+            raise ValueError("n_bar must be non-negative")
+
+    @property
+    def rate_scale(self) -> float:
+        """Fastest rate in the generator; sets the Fock oracle's step."""
+        return max(
+            self.omega_ex,
+            self.gamma_L * (self.n_bar + 1.0),
+            self.gamma_S * (self.n_bar + 1.0),
+            abs(self.detuning),
+        )
 
 
 class _DetectionFields(NamedTuple):
@@ -142,7 +175,7 @@ class _ProtocolFields(NamedTuple):
     cooling_time: float = 0.100       # [s]
     pulse_time: float = 1e-3          # [s] per sideband pulse
     mode: str = "cyclotron"           # or "anomaly"
-    swap_probability: float | None = None  # override; default from dynamics
+    swap_probability: float | None = None  # override; default from the budget
 
 
 class ProtocolConfig(Checked, _ProtocolFields):
@@ -269,29 +302,68 @@ def drive_probability(
     return drive.peak_probability * decay
 
 
+def swap_probability(params: ExchangeParams) -> float:
+    """Closed-form P(n_L = 1) after a full exchange from |1, 0>.
+
+    The exchange is quadratic with linear damping, so it acts on the logic
+    mode as a phase-insensitive Gaussian channel (Weedbrook et al., RMP 84,
+    621 (2012)); no Fock truncation enters. The mode amplitudes obey
+    d(a_S, a_L)/dt = A (a_S, a_L) with
+    A = -i[[detuning, w_ex], [w_ex, 0]] - diag(gamma_S, gamma_L)/2, so
+    u = exp(A t) at t = pi/(2 w_ex) gives the channel's transmissivity
+    eta = |u_LS|^2 and added thermal noise N = n_bar (1 - |u_LS|^2 - |u_LL|^2).
+    A single quantum through that channel lands in n_L = 1 with
+    probability (N + eta)/(1 + N)^2 - 2 eta N/(1 + N)^3. With x = 1/(1 + N)
+    that is x (N x + eta (1 - N) x^2), whose factors all lie within [-1, 1],
+    so no N overflows it, and which keeps full precision as N goes to 0.
+    Agrees with the Fock-space oracle `dynamics.swap_fidelity` up to its
+    truncation error.
+    """
+    if params.omega_ex <= 0:
+        raise ValueError("swap probability requires a positive exchange rate")
+    t = math.pi / (2.0 * params.omega_ex)
+    # entries of A t, so the exchange entry is -i pi/2 at any rate
+    a = (-1j * params.detuning - 0.5 * params.gamma_S) * t
+    d = -0.5 * params.gamma_L * t
+    c = -0.5j * math.pi
+    # u = e^m [cosh(s) + (A t - m) sinh(s)/s] with m +- s the eigenvalues of
+    # A t; away from s = 0 it is built from e^{m +- s}, which decay under
+    # damping, so a large damping rate underflows instead of overflowing
+    m = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    s = cmath.sqrt(half * half + c * c)
+    if abs(s) < 1e-4:
+        growth = cmath.exp(m)
+        sinhc = growth * (1.0 + s * s / 6.0)
+        cosh = growth * (1.0 + s * s / 2.0)
+    else:
+        up, down = cmath.exp(m + s), cmath.exp(m - s)
+        sinhc = (up - down) / (2.0 * s)
+        cosh = 0.5 * (up + down)
+    u_ls = c * sinhc
+    u_ll = cosh - half * sinhc
+    eta = abs(u_ls) ** 2
+    noise = params.n_bar * (1.0 - eta - abs(u_ll) ** 2)
+    x = 1.0 / (1.0 + noise)
+    return x * (noise * x + eta * (1.0 - noise) * x * x)
+
+
 def resolve_swap_probability(config: ProtocolConfig) -> float:
     """Exchange success probability for step (iv).
 
     Uses the configured override when present, otherwise the closed-form
-    open-system swap probability at the budget's rates.
+    swap probability at the budget's rates.
     """
     if config.swap_probability is not None:
         return config.swap_probability
     b = config.budget
-    return dynamics.swap_probability(
-        dynamics.ExchangeParams(b.omega_ex, b.gamma_L, b.gamma_S, b.n_bar)
-    )
+    return swap_probability(ExchangeParams(b.omega_ex, b.gamma_L, b.gamma_S, b.n_bar))
 
 
-def readout_chain(
-    config: ProtocolConfig, swap_probability: float | None = None
-) -> ReadoutChain:
-    """The readout chain of `config`; `swap_probability`, when given, stands
-    in for `resolve_swap_probability`. In anomaly mode the drive also
+def readout_chain(config: ProtocolConfig) -> ReadoutChain:
+    """The readout chain of `config`. In anomaly mode the drive also
     toggles the spin flag, so the readout shift is the full quantum-number
     difference delta_L * (1 - g/2), tiny and negative."""
-    if swap_probability is None:
-        swap_probability = resolve_swap_probability(config)
     n_bar = config.sideband_cooling_residual
     delta = config.shifts_L.delta
     shift = delta if config.mode == "cyclotron" else delta * (1.0 - 0.5 * G_E)
@@ -303,8 +375,8 @@ def readout_chain(
     minutes = config.cycle_time / SECONDS_PER_MINUTE
     walk_step = config.field_noise * config.omega_c_spec * math.sqrt(minutes)
     return ReadoutChain(
-        n_bar / (1.0 + n_bar), config.pi_pulse_fidelity, swap_probability, shift, sigma,
-        threshold, d0, d1, config.shifts_S.broadening, walk_step,
+        n_bar / (1.0 + n_bar), config.pi_pulse_fidelity, resolve_swap_probability(config),
+        shift, sigma, threshold, d0, d1, config.shifts_S.broadening, walk_step,
     )
 
 
@@ -461,9 +533,12 @@ def analytic_jump_probability(
     D0 + (D1 - D0) * pi * r.
 
     Exact at zero field noise only: p_exc is `drive_probability` at zero
-    drift, while the Monte Carlo walks the line center.
+    drift, while the Monte Carlo walks the line center. `swap_probability`,
+    when given, stands in for the config's own.
     """
-    c = readout_chain(config, swap_probability)
+    if swap_probability is not None:
+        config = config._replace(swap_probability=swap_probability)
+    c = readout_chain(config)
     r, p_exc = c.residual, float(drive_probability(config.drive, c.width, detuning))
     return c.d0 + (c.d1 - c.d0) * c.pi * (r + (1.0 - r) * c.pi * c.swap * p_exc)
 
@@ -516,49 +591,6 @@ def center_uncertainty(lineshape: Lineshape) -> float:
     _, total, center = _moment(lineshape)
     partials = (lineshape.detunings - center) / total
     return float(np.sqrt(((partials * lineshape.errors) ** 2).sum()))
-
-
-def day_scale_center_report(
-    config: ProtocolConfig, total_duration: float = 86400.0
-) -> dict:
-    """Order-of-magnitude report of the line-center uncertainty after a
-    long measurement campaign.
-
-    Distributes `total_duration` of wall-clock time evenly over the drive
-    grid, runs the Monte Carlo with the configured field-noise walk, and
-    fits the center. Returns the fitted center, its statistical
-    uncertainty, the uncertainty relative to the cyclotron frequency, and
-    the expected field-walk drift over the campaign. When the walk carries
-    the line off the grid entirely (no excitation recorded), the fit
-    entries are None and only the walk scale is meaningful. Reporting
-    only; day-scale projections also hinge on drift tracking and cycle
-    overheads outside this model.
-    """
-    points = len(config.drive.detunings)
-    cycles = max(1, int(total_duration / config.cycle_time / points))
-    day_config = config._replace(cycles=cycles)
-    shape = lineshape_scan(day_config)
-    walk_sigma = (
-        config.field_noise
-        * config.omega_c_spec
-        * math.sqrt(total_duration / SECONDS_PER_MINUTE)
-    )
-    report = {
-        "cycles_per_point": cycles,
-        "total_cycles": cycles * points,
-        "simulated_duration_s": cycles * points * config.cycle_time,
-        "walk_sigma_rad_per_s": walk_sigma,
-        "center_rad_per_s": None,
-        "center_sigma_rad_per_s": None,
-        "relative_center_uncertainty": None,
-    }
-    if shape.fractions.sum() > 0.0:
-        center, _ = fitted_center_width(shape)
-        sigma = center_uncertainty(shape)
-        report["center_rad_per_s"] = center
-        report["center_sigma_rad_per_s"] = sigma
-        report["relative_center_uncertainty"] = sigma / config.omega_c_spec
-    return report
 
 
 def required_averaging_time(delta: float, noise_density: float) -> float:

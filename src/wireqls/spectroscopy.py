@@ -20,24 +20,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .circuit import TrapParams
-from .constants import (
-    C_LIGHT,
-    E,
-    G_E,
-    HBAR,
-    K_B,
-    M_E,
-    TWO_PI,
-    Checked,
-    cyclotron_frequency,
-)
+from .constants import C_LIGHT, E, HBAR, K_B, M_E, TWO_PI
 
 __all__ = [
-    "QuantumNumbers",
     "ShiftSet",
     "HeatingModel",
     "bottle_delta",
-    "axial_frequency",
     "relativistic_delta",
     "cyclotron_broadening",
     "electric_field_noise",
@@ -46,30 +34,10 @@ __all__ = [
 ]
 
 
-class _QuantumNumbersFields(NamedTuple):
-    n_c: int
-    m_s: float  # +-1/2
-    n_z: int = 0
-
-
-class QuantumNumbers(Checked, _QuantumNumbersFields):
-    """Cyclotron/spin/axial quantum numbers of one trapped particle."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.n_c < 0 or self.n_z < 0:
-            raise ValueError("n_c and n_z must be non-negative")
-        if self.m_s not in (-0.5, 0.5):
-            raise ValueError("m_s must be +-1/2")
-
-
 class ShiftSet(NamedTuple):
-    """Per-trap shift/linewidth bundle: delta carries the sign of B2,
-    delta_rel is always negative."""
+    """Per-trap shift/linewidth bundle; delta carries the sign of B2."""
 
     delta: float       # bottle shift per quantum [rad/s]
-    delta_rel: float   # relativistic shift per cyclotron quantum [rad/s]
     broadening: float  # thermal cyclotron linewidth [rad/s]
 
 
@@ -96,12 +64,6 @@ def bottle_delta(B2: float, omega_z: float, m: float = M_E, q: float = E) -> flo
     if omega_z <= 0:
         raise ValueError("omega_z must be positive")
     return HBAR * abs(q) * B2 / (m**2 * omega_z)
-
-
-def axial_frequency(qn: QuantumNumbers, omega_z0: float, delta: float) -> float:
-    """Axial frequency omega_z0 + delta*(n_c + 1/2 + (g/2) m_s) [rad/s],
-    with the electron g factor."""
-    return omega_z0 + delta * (qn.n_c + 0.5 + 0.5 * G_E * qn.m_s)
 
 
 def relativistic_delta(omega_c: float, omega_z: float, m: float = M_E) -> float:
@@ -158,12 +120,10 @@ def heating_rate(
 
 
 def shift_set_for_trap(trap: TrapParams) -> ShiftSet:
-    """Bundle the three shift/linewidth numbers for the trap's particle."""
+    """Bundle the shift and linewidth of the trap's particle."""
     m, q = trap.m, trap.q
-    omega_c = cyclotron_frequency(trap.B, q, m)
     return ShiftSet(
         delta=bottle_delta(trap.B2_local, trap.omega_z, m=m, q=q),
-        delta_rel=relativistic_delta(omega_c, trap.omega_z, m=m),
         broadening=cyclotron_broadening(
             trap.B2_local, trap.T_axial, trap.omega_z, m=m, q=q
         ),

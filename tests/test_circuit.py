@@ -150,10 +150,6 @@ class TestExchangeAndDissipation:
         assert paper_budget.gamma == pytest.approx(paper_budget.gamma_L)
         assert paper_budget.gamma_L > paper_budget.gamma_S
 
-    def test_dissipation_equal_branches_and_lossless_limit(self):
-        assert circuit.dissipation_rate(5.0, 3.0, 3.0) == pytest.approx(5.0 / 3.0)
-        assert circuit.dissipation_rate(0.0, 3.0, 7.0) == 0.0
-
 
 class TestThermalOccupation:
     def test_worked_point(self):

@@ -702,6 +702,7 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
 def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     # json serves only `budget --format records`, the shift model only
     # `lineshape` and `protocol`, orjson only `protocol`'s record table;
+    # the Fock-space oracle `dynamics` serves only tests;
     # PyYAML only scenarios the block reader declines, so no command on a
     # bundled scenario loads it; the records are named tuples, so no
     # command loads dataclasses, and only numpy's import loads inspect
@@ -728,13 +729,13 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
         "print(json.loads(text)['particle'], 'yaml' in sys.modules)\n"
         "run(['lineshape', '--config', 'paper-electron'])\n"
         "print('orjson' in sys.modules, 'yaml' in sys.modules,"
-        " 'dataclasses' in sys.modules)\n"
+        " 'dataclasses' in sys.modules, 'wireqls.dynamics' in sys.modules)\n"
         "run(['protocol', '--config', 'paper-electron'])\n"
         "print('orjson' in sys.modules, 'yaml' in sys.modules,"
-        " 'dataclasses' in sys.modules)\n"
+        " 'dataclasses' in sys.modules, 'wireqls.dynamics' in sys.modules)\n"
     )
     assert out.splitlines() == [
-        "[]", "electron False", "False False False", "True False False"
+        "[]", "electron False", "False False False False", "True False False False"
     ]
 
 

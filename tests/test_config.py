@@ -121,10 +121,16 @@ class TestStrictSchema:
             else:
                 assert cfg.build_resonator(rc).omega_res > 0.0
         del electron_raw["resonator"]["detune_linewidths"]
-        electron_raw["resonator"]["detune_hz"] = 1.0e9
-        with pytest.raises(cfg.ConfigError) as exc:
-            cfg.parse_config(electron_raw)
-        assert exc.value.path == "resonator.detune_hz"
+        for detune_hz, message in (
+            (1.0e9, "places omega_res at or below zero"),
+            (-1.0e6, "must be positive"),
+            (0.0, "must be positive"),
+        ):
+            electron_raw["resonator"]["detune_hz"] = detune_hz
+            with pytest.raises(cfg.ConfigError) as exc:
+                cfg.parse_config(electron_raw)
+            assert exc.value.path == "resonator.detune_hz"
+            assert str(exc.value) == f"resonator.detune_hz: {message}"
 
 
 class TestUnitBoundary:

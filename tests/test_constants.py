@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wireqls import circuit, constants, dynamics, magnetics, protocol, spectroscopy
+from wireqls import circuit, constants, dynamics, magnetics, protocol
 from wireqls import config as cfg
 
 
@@ -78,16 +78,12 @@ CHECKED_CASES = {
         {"height": 0.0}, "height must be positive",
     ),
     "ExchangeParams": (
-        lambda: dynamics.ExchangeParams(10.0, 1.0, 0.5, 0.6),
+        lambda: protocol.ExchangeParams(10.0, 1.0, 0.5, 0.6),
         {"n_bar": -1.0}, "n_bar must be non-negative",
     ),
     "TwoModeState": (
         lambda: dynamics.TwoModeState.fock(2, 1, 0),
         {"n_max": 3}, "rho must be 16x16 for n_max=3",
-    ),
-    "QuantumNumbers": (
-        lambda: spectroscopy.QuantumNumbers(0, 0.5),
-        {"m_s": 0.0}, "m_s must be +-1/2",
     ),
     "DetectionModel": (
         lambda: protocol.DetectionModel(0.05, 0.8, 10.0),

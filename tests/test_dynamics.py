@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wireqls import dynamics
+from wireqls import dynamics, protocol
 
 # worked-point rates (the circuit budget of the paper-electron scenario)
 WORKED_PARAMS = dynamics.ExchangeParams(
@@ -159,19 +159,23 @@ class TestSwapFidelity:
 
 
 class TestSwapProbability:
+    def test_oracle_shares_the_production_record(self):
+        # one ExchangeParams, defined next to the closed form, not a copy
+        assert dynamics.ExchangeParams is protocol.ExchangeParams
+
     def test_worked_point_value_frozen(self):
         # truncation-free closed form; the n_max=4 oracle above sits 2.7e-6 high
-        p = dynamics.swap_probability(WORKED_PARAMS)
+        p = protocol.swap_probability(WORKED_PARAMS)
         assert p == pytest.approx(0.7946174499841379, abs=1e-8)
 
     def test_ideal_lossless_swap_is_one(self):
-        params = dynamics.ExchangeParams(10.0, 0.0, 0.0, 0.0)
-        assert dynamics.swap_probability(params) == pytest.approx(1.0, abs=1e-12)
+        params = protocol.ExchangeParams(10.0, 0.0, 0.0, 0.0)
+        assert protocol.swap_probability(params) == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_detuned_value(self):
         # oracle value of swap_fidelity at n_max=5, method="expm"
-        params = dynamics.ExchangeParams(10.0, 0.0, 0.0, 0.0, detuning=100.0)
-        assert dynamics.swap_probability(params) == pytest.approx(
+        params = protocol.ExchangeParams(10.0, 0.0, 0.0, 0.0, detuning=100.0)
+        assert protocol.swap_probability(params) == pytest.approx(
             0.0375385358560, abs=1e-12
         )
 
@@ -179,7 +183,7 @@ class TestSwapProbability:
         rng = np.random.default_rng(5)
         for _ in range(3):
             omega_ex = 10 ** rng.uniform(0.5, 1.5)
-            params = dynamics.ExchangeParams(
+            params = protocol.ExchangeParams(
                 omega_ex=omega_ex,
                 gamma_L=10 ** rng.uniform(-2, 0),
                 gamma_S=10 ** rng.uniform(-2, 0),
@@ -187,26 +191,26 @@ class TestSwapProbability:
                 detuning=omega_ex * rng.uniform(-1.0, 1.0),
             )
             oracle = dynamics.swap_fidelity(params, n_max=5, method="expm")
-            assert abs(dynamics.swap_probability(params) - oracle) < 1e-7
+            assert abs(protocol.swap_probability(params) - oracle) < 1e-7
 
     def test_critically_damped_propagator(self):
         # (gamma_L - gamma_S)/4 = omega_ex: degenerate eigenvalues, s = 0
-        params = dynamics.ExchangeParams(1.0, 4.0, 0.0, 0.01)
+        params = protocol.ExchangeParams(1.0, 4.0, 0.0, 0.01)
         oracle = dynamics.swap_fidelity(params, n_max=4, method="expm")
-        assert abs(dynamics.swap_probability(params) - oracle) < 1e-8
+        assert abs(protocol.swap_probability(params) - oracle) < 1e-8
 
     def test_heavy_damping_leaves_the_bath_state(self):
         # both modes relax long before the exchange completes: the logic
         # mode ends thermal at n_bar = 0.5, P(1) = n_bar/(1 + n_bar)^2
-        params = dynamics.ExchangeParams(1.0, 1e4, 1e4, 0.5)
-        assert dynamics.swap_probability(params) == pytest.approx(2.0 / 9.0, abs=1e-12)
+        params = protocol.ExchangeParams(1.0, 1e4, 1e4, 0.5)
+        assert protocol.swap_probability(params) == pytest.approx(2.0 / 9.0, abs=1e-12)
 
     def test_huge_bath_occupation_is_finite(self):
         # (1 + N)^3 would overflow here; the bath state's P(1) ~ 1/N remains
-        params = dynamics.ExchangeParams(1.0, 1.0, 1.0, 1e302)
-        p = dynamics.swap_probability(params)
+        params = protocol.ExchangeParams(1.0, 1.0, 1.0, 1e302)
+        p = protocol.swap_probability(params)
         assert math.isfinite(p) and 0.0 <= p <= 1.0
 
     def test_requires_positive_exchange_rate(self):
         with pytest.raises(ValueError):
-            dynamics.swap_probability(dynamics.ExchangeParams(0.0, 0.1, 0.1, 0.1))
+            protocol.swap_probability(protocol.ExchangeParams(0.0, 0.1, 0.1, 0.1))

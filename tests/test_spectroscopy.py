@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wireqls import spectroscopy
-from wireqls.constants import E, G_E, HBAR, K_B, M_E, TWO_PI
+from wireqls.constants import E, HBAR, K_B, M_E, TWO_PI
 
 from conftest import OMEGA_Z, assert_rel
 
@@ -22,52 +22,6 @@ class TestBottleDelta:
 
     def test_sign_follows_gradient(self):
         assert spectroscopy.bottle_delta(-9000.0, OMEGA_Z) < 0.0
-
-
-class TestAxialFrequency:
-    def test_no_bottle_no_shift(self):
-        qn = spectroscopy.QuantumNumbers(n_c=3, m_s=0.5)
-        assert spectroscopy.axial_frequency(qn, OMEGA_Z, 0.0) == OMEGA_Z
-
-    def test_single_quantum_jump_shift(self):
-        delta = 145.0
-        w0 = spectroscopy.axial_frequency(
-            spectroscopy.QuantumNumbers(0, 0.5), OMEGA_Z, delta
-        )
-        w1 = spectroscopy.axial_frequency(
-            spectroscopy.QuantumNumbers(1, 0.5), OMEGA_Z, delta
-        )
-        assert w1 - w0 == pytest.approx(delta, rel=1e-12)
-
-    def test_spin_flip_shift(self):
-        delta = 145.0
-        down = spectroscopy.axial_frequency(
-            spectroscopy.QuantumNumbers(0, -0.5), OMEGA_Z, delta
-        )
-        up = spectroscopy.axial_frequency(
-            spectroscopy.QuantumNumbers(0, 0.5), OMEGA_Z, delta
-        )
-        # cancellation in the float difference costs a few digits
-        assert (up - down) / delta == pytest.approx(G_E / 2.0, rel=1e-9)
-        assert (up - down) / delta == pytest.approx(1.00116, rel=1e-5)
-
-    def test_equal_spacing_in_cyclotron_number(self):
-        delta = 145.0
-        rng = np.random.default_rng(5)
-        for n_c in rng.integers(0, 40, size=12):
-            lo = spectroscopy.axial_frequency(
-                spectroscopy.QuantumNumbers(int(n_c), 0.5), OMEGA_Z, delta
-            )
-            hi = spectroscopy.axial_frequency(
-                spectroscopy.QuantumNumbers(int(n_c) + 1, 0.5), OMEGA_Z, delta
-            )
-            assert hi - lo == pytest.approx(delta, rel=1e-12)
-
-    def test_quantum_number_validation(self):
-        with pytest.raises(ValueError):
-            spectroscopy.QuantumNumbers(-1, 0.5)
-        with pytest.raises(ValueError):
-            spectroscopy.QuantumNumbers(0, 0.3)
 
 
 class TestRelativisticDelta:
@@ -193,7 +147,6 @@ def test_shift_set_for_trap(trap_logic):
     assert shifts.delta == pytest.approx(
         spectroscopy.bottle_delta(trap_logic.B2_local, trap_logic.omega_z), rel=1e-14
     )
-    assert shifts.delta_rel < 0.0
     assert shifts.broadening == pytest.approx(
         spectroscopy.cyclotron_broadening(
             trap_logic.B2_local, trap_logic.T_axial, trap_logic.omega_z
