@@ -16,18 +16,21 @@ arrays (`lineshape`, `protocol`), so `budget`, `field` and `sweep` start
 without them; `json` is imported only by `budget --format records`.
 
 A process enters through `run` (`python -m wireqls.cli` and the installed
-`wireqls` script), which freezes the heap once `main` has returned: the
-interpreter's shutdown collections then skip the imported modules (numpy's
-graph above all) instead of freeing them object by object, while atexit
-handlers and the flush of stdout and stderr still run. `main` leaves the
-collector as it found it, so in-process callers keep their own.
+`wireqls` script), which turns the cyclic collector off before `main` and,
+once `main` has returned, runs the atexit handlers, flushes stdout and
+stderr and ends the process with `os._exit`. A command leaves the same few
+hundred cyclic objects whatever its size, so the collections during numpy's
+import and the interpreter's teardown of every module buy nothing. `main`
+leaves the collector as it found it, so in-process callers keep their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import io
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -55,7 +58,10 @@ def _emit(body: str | Writer, out_dir: str | None, filename: str) -> None:
     `body` is the text, or a function that writes it to a stream."""
     write = body if callable(body) else lambda stream: stream.write(body)
     if out_dir is None:
+        if sys.stdout is None:  # started with its stdout closed
+            raise OSError("stdout is closed")
         write(sys.stdout)
+        sys.stdout.flush()  # a failed write is reported here, not at exit
         return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -265,11 +271,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Process entry: exit with `main`'s status, the heap frozen first so
-    that the shutdown collections skip it (see the module docstring)."""
+    """Process entry: `main` with the collector off, then the atexit
+    handlers, the flush of stdout and stderr, and `os._exit` with `main`'s
+    status, skipping the interpreter's teardown (see the module docstring)."""
+    gc.disable()
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # main has reported it, or nothing can be reported
+                pass
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ imports the array and shift modules when it is called.
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 import sys
@@ -60,7 +59,6 @@ __all__ = [
     "parse_config",
     "sweep_configs",
     "load_config",
-    "dump_config",
     "bundled_scenarios",
     "build_resonator",
     "build_budget",
@@ -279,7 +277,7 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a mapping against `SCHEMA` and build a RunConfig.
 
     The RunConfig keeps `data` itself as `raw`, not a copy, so the caller
-    must not mutate `data` afterwards; `dump_config` returns a copy.
+    must not mutate `data` afterwards.
     """
     return _build(_walk(data, ""), data)
 
@@ -483,11 +481,6 @@ def load_config(path_or_name: str | Path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
     return parse_config(data)
-
-
-def dump_config(config: RunConfig) -> dict:
-    """The validated scenario as a plain mapping (inverse of parse_config)."""
-    return copy.deepcopy(config.raw)
 
 
 def build_resonator(config: RunConfig) -> circuit.ResonatorParams:

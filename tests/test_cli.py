@@ -1,10 +1,13 @@
 import ast
+import atexit
 import copy
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -756,14 +759,135 @@ def test_main_leaves_the_collector_as_it_found_it(capsys):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
-def test_run_freezes_then_exits_with_mains_status(monkeypatch):
+def test_run_turns_the_collector_off_then_exits_with_mains_status(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    with pytest.raises(SystemExit) as exit_info:
+    monkeypatch.setattr(cli, "main", lambda: calls.append(("main", gc.isenabled())) or 2)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    for name in ("stdout", "stderr"):
+        flush = lambda name=name: calls.append(f"flush {name}")
+        monkeypatch.setattr(sys, name, types.SimpleNamespace(flush=flush))
+    monkeypatch.setattr(os, "_exit", lambda status: calls.append(("exit", status)))
+    try:
         cli.run()
-    assert exit_info.value.code == 2
-    assert calls == ["main", "freeze"]
+    finally:
+        gc.enable()
+    assert calls == [
+        ("main", False), "atexit", "flush stdout", "flush stderr", ("exit", 2)
+    ]
+
+
+def run_process(*argv: str, stdout=subprocess.PIPE, unbuffered: bool = False):
+    """`python -m wireqls.cli argv` to completion, its stdout and stderr as
+    bytes; no stderr may hold a traceback."""
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.run(
+        [sys.executable, "-m", "wireqls.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+    assert b"Traceback" not in child.stderr, child.stderr.decode()
+    return child
+
+
+class TestProcessExit:
+    """The exit contract of a command process, which `run` ends with
+    `os._exit`: every end is an exit code and at most one line on stderr."""
+
+    def test_help_exits_0(self):
+        child = run_process("--help")
+        assert child.returncode == 0
+        assert child.stdout.startswith(b"usage: wireqls")
+
+    def test_no_arguments_exit_2(self):
+        child = run_process()
+        assert child.returncode == 2
+        assert child.stderr.splitlines()[-1] == (
+            b"wireqls: error: the following arguments are required: command"
+        )
+
+    def test_schema_error_exits_2_with_one_line(self, tmp_path, electron_raw):
+        electron_raw["protocol"]["cycles"] = -1
+        child = run_process("protocol", "--config", write_scenario(tmp_path, electron_raw))
+        assert child.returncode == 2 and child.stdout == b""
+        assert child.stderr.startswith(b"config error: protocol.cycles")
+        assert child.stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["budget", "protocol"])
+    def test_full_device_exits_1_with_one_line(self, command, unbuffered):
+        with open("/dev/full", "wb") as full:
+            child = run_process(
+                command, "--config", "paper-electron", stdout=full, unbuffered=unbuffered
+            )
+        assert child.returncode == 1
+        assert child.stderr == b"error: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_exits_1_with_one_line(self):
+        # the shell closes the child's fd 1, so Python starts with no stdout
+        child = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh",
+             sys.executable, "-m", "wireqls.cli", "budget", "--config", "paper-electron"],
+            capture_output=True, env=package_env(), timeout=120,
+        )
+        assert child.returncode == 1
+        assert child.stderr == b"error: stdout is closed\n"
+
+    def test_reader_closing_the_pipe_exits_1_with_one_line(self, tmp_path, electron_raw):
+        # 50,000 records are ~2 MB, far beyond a pipe's buffer, so the
+        # writer is still writing when `head -c 100` closes its end
+        electron_raw["protocol"]["cycles"] = 50_000
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wireqls.cli",
+             "protocol", "--config", write_scenario(tmp_path, electron_raw)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+        )
+        head = child.stdout.read(100)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert head.startswith(b"cycle,")
+        assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv, filename", [
+        (["budget"], "budget.txt"),
+        (["budget", "--format", "records"], "budget.json"),
+        (["field"], "field.csv"),
+        (["sweep", "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
+         "sweep.csv"),
+        (["lineshape"], "lineshape.csv"),
+        (["protocol"], "records.csv"),
+    ])
+    def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, argv, filename):
+        argv = [*argv, "--config", "paper-electron"]
+        printed = run_process(*argv)
+        written = run_process(*argv, "--out", str(tmp_path))
+        assert printed.returncode == written.returncode == 0
+        assert printed.stderr == written.stderr == written.stdout == b""
+        assert (tmp_path / filename).read_bytes() == printed.stdout != b""
+
+
+@pytest.mark.parametrize("command, cycles", [
+    ("protocol", (2_000, 200_000)), ("lineshape", (400, 6_000))
+])
+def test_collector_off_garbage_does_not_grow_with_cycles(tmp_path, command, cycles):
+    # `run` never collects, so what a command process leaves unreachable
+    # must not depend on the cycles it draws
+    scenario = (Path(cfg.__file__).parent / "scenarios" / "paper-electron.yaml").read_text()
+    counts = []
+    for n in cycles:
+        path = tmp_path / f"cycles-{n}.yaml"
+        path.write_text(scenario.replace("  cycles: 400\n", f"  cycles: {n}\n"))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        counts.append(run_python(
+            "import gc; gc.disable()\n"
+            "from wireqls import cli\n"
+            f"print(cli.main({argv!r}), gc.collect())\n"
+        ))
+    assert counts[0] == counts[1] and counts[0].startswith("0 ")
 
 
 def test_console_script_runs_the_module_entry():
@@ -941,7 +1065,7 @@ def test_every_numeric_leaf_ends_cleanly(capsys, monkeypatch, dotted):
         except cfg.ConfigError:
             pass
         else:
-            assert cfg.parse_config(cfg.dump_config(rc)) == rc
+            assert cfg.parse_config(copy.deepcopy(rc.raw)) == rc
         # the commands parse the mapping itself, without a YAML file
         monkeypatch.setattr(cfg, "load_config", lambda _: cfg.parse_config(raw))
         for command in ("budget", "field", "lineshape", "protocol"):

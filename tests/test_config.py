@@ -35,9 +35,9 @@ class TestLoading:
     def test_round_trip_identity(self):
         for name in cfg.bundled_scenarios():
             first = cfg.load_config(name)
-            dumped = yaml.safe_dump(cfg.dump_config(first))
+            dumped = yaml.safe_dump(first.raw)
             second = cfg.parse_config(yaml.safe_load(dumped))
-            assert cfg.dump_config(first) == cfg.dump_config(second)
+            assert first.raw == second.raw
 
     def test_load_from_path(self, tmp_path, electron_raw):
         path = tmp_path / "scenario.yaml"
