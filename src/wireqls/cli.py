@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import io
 import os
@@ -263,11 +264,13 @@ def main(argv: list[str] | None = None) -> int:
         _emit(body, args.out if args.out is not None else rc.output_dir, filename)
         return 0
     except cfg.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        status, report = 2, f"config error: {exc}"
     except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, report = 1, f"error: {exc}"
+    if sys.stderr is not None:  # None when the process started without fd 2
+        with contextlib.suppress(OSError):  # a failed report changes no status
+            print(report, file=sys.stderr)
+    return status
 
 
 def run() -> None:
@@ -277,12 +280,9 @@ def run() -> None:
     gc.disable()
     status = main()
     atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            try:
-                stream.flush()
-            except OSError:  # main has reported it, or nothing can be reported
-                pass
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        with contextlib.suppress(OSError):  # main reported it, or nothing can be
+            stream.flush()
     os._exit(status)
 
 

@@ -19,8 +19,9 @@ One spectroscopy cycle:
         time, thresholded into a declared jump;
   (vii) bookkeeping and return to (i).
 
-Stage failures are silent (nothing is heralded before step vi). Cycles at
-distinct detuning points use independent RNG streams derived from
+Stage failures are silent (nothing is heralded before step vi). `_stages`
+alone composes steps (iii)-(v), for the Monte Carlo and the closed form.
+Cycles at distinct detuning points use independent RNG streams derived from
 (seed, point index), so scans are reproducible and order independent.
 """
 
@@ -248,9 +249,9 @@ class Lineshape(Checked, _LineshapeFields):
 
 class ReadoutChain(NamedTuple):
     """The links of one config's readout chain, resolved once for the Monte
-    Carlo, the closed form and the zero-line diagnosis. The closed form
-    (`analytic_jump_probability`) is exact at zero field noise only: it
-    takes `drive_probability` at zero drift, where the Monte Carlo walks
+    Carlo, the closed form and the zero-line diagnosis, which all run them
+    through `_stages`. The closed form is exact at zero field noise only:
+    it takes `drive_probability` at zero drift, where the Monte Carlo walks
     the line center by `walk_step` a cycle."""
 
     residual: float   # r, P(n_z >= 1) after cooling: n_bar / (1 + n_bar)
@@ -399,14 +400,14 @@ def record_blocks(
     records in cycle order: one block for a point of at most `ONE_BLOCK`
     cycles, else blocks of `RECORDS_CHUNK` cycles, so memory is bounded.
 
-    Each stage is one boolean array operation over a block. The cyclotron
-    line center random-walks with the magnet field noise: each cycle adds
-    a Gaussian step of relative size field_noise * sqrt(cycle_time /
-    minute) to the line position. Every draw is made whatever the config,
-    so the stream never branches on it: six uniform rows, then two normal
-    rows of `cycles` values each (the same stream as one (6, n) and one
-    (2, n) block), each uniform row reduced to its stage outcome as soon
-    as it is drawn. The blocks join into the same table either way.
+    `_stages` runs on a whole block at once. The cyclotron line center
+    random-walks with the magnet field noise: each cycle adds a Gaussian
+    step of relative size field_noise * sqrt(cycle_time / minute) to the
+    line position. Every draw is made whatever the config, so the stream
+    never branches on it: six uniform rows, then two normal rows of
+    `cycles` values each (the same stream as one (6, n) and one (2, n)
+    block), each uniform row reduced to its hit as soon as it is drawn.
+    The blocks join into the same table either way.
 
     The readout chain is resolved when this is called, so a failing
     set-up raises before any block is drawn.
@@ -415,10 +416,7 @@ def record_blocks(
 
 
 def _draw_blocks(
-    config: ProtocolConfig,
-    detuning: float,
-    point_index: int,
-    chain: ReadoutChain,
+    config: ProtocolConfig, detuning: float, point_index: int, chain: ReadoutChain
 ) -> Iterator[ProtocolRecords]:
     n = config.cycles
     if n <= ONE_BLOCK:
@@ -463,14 +461,7 @@ def _draw_blocks(
             config.drive, chain.width, detuning, walk * chain.walk_step
         )
         del u_drive, walk
-        # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
-        transfer_s = excited & ~n_z_s & pi_s
-        n_z_s = n_z_s | transfer_s
-        # (iv) wire exchange of the axial quanta, only when they differ
-        exchange = (n_z_s != n_z_l) & swap
-        n_z_l = n_z_l ^ exchange
-        # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
-        transfer_l = n_z_l & pi_l
+        transfer_s, exchange, transfer_l = _stages(n_z_s, n_z_l, excited, pi_s, swap, pi_l)
         # (vi) axial-frequency measurement of the logic particle, with the
         # second normal row as its noise
         noise = noise_row.standard_normal(m)
@@ -486,6 +477,27 @@ def _draw_blocks(
             declared_jump=measured >= chain.threshold,
             wall_time=np.arange(lo + 1, lo + m + 1) * config.cycle_time,
         )
+
+
+def _stages(n_z_s, n_z_l, excited, pi_s, swap, pi_l):
+    """Steps (iii)-(v), (transfer_s, exchange, transfer_l), from bool arrays
+    of whether each draw hit, one entry a cycle or a hit pattern."""
+    # (iii) sideband transfer on S, only from |n_z, n_c> = |0, 1>
+    transfer_s = excited & ~n_z_s & pi_s
+    # (iv) wire exchange of the axial quanta, only when they differ
+    exchange = ((n_z_s | transfer_s) != n_z_l) & swap
+    # (v) sideband transfer on L, only from |n_z, n_c> = |1, 0>
+    transfer_l = (n_z_l ^ exchange) & pi_l
+    return transfer_s, exchange, transfer_l
+
+
+def _jump_sum(hit_probabilities: tuple[float, ...]) -> float:
+    """P(transfer_l) when `_stages`' six draws hit with these probabilities:
+    a sum over the 64 hit patterns, exact for any boolean chain of stages."""
+    p = np.array(hit_probabilities)[:, None]
+    hits = (np.arange(64) >> np.arange(6)[:, None] & 1).astype(bool)
+    weights = np.where(hits, p, 1.0 - p).prod(axis=0)
+    return float(weights[_stages(*hits)[2]].sum())
 
 
 def lineshape_scan(config: ProtocolConfig) -> Lineshape:
@@ -515,22 +527,10 @@ def lineshape_scan(config: ProtocolConfig) -> Lineshape:
 def analytic_jump_probability(
     config: ProtocolConfig, detuning: float, swap_probability: float | None = None
 ) -> float:
-    """Exact declared-jump probability of one cycle: the independent
-    oracle the Monte Carlo must converge to.
-
-    The stage chain is affine in the drive probability p_exc:
-
-        P = D0 + (D1 - D0) * pi * [r + (1 - r) * pi * s * p_exc]
-
-    with r the residual excitation after cooling, pi the pi-pulse
-    fidelity, s the swap probability, and D1 and D0 the detection
-    probabilities with and without a completed jump, all read from
-    `readout_chain`. The swap mixes the two axial occupations, so the
-    logic mode leaves step (iv) excited with probability
-    (1 - s) r + s [r + (1 - r) pi p_exc], the bracket, and step (v) and
-    the detection act on that. The line's contrast is
-    peak * (1 - r) * pi^2 * s * (D1 - D0) over a background of
-    D0 + (D1 - D0) * pi * r.
+    """Exact declared-jump probability of one cycle, the value the Monte
+    Carlo must converge to: D0 + (D1 - D0) * `_jump_sum`, with D1 and D0
+    the detection probabilities with and without a completed jump, all
+    read from `readout_chain`.
 
     Exact at zero field noise only: p_exc is `drive_probability` at zero
     drift, while the Monte Carlo walks the line center. `swap_probability`,
@@ -540,27 +540,26 @@ def analytic_jump_probability(
         config = config._replace(swap_probability=swap_probability)
     c = readout_chain(config)
     r, p_exc = c.residual, float(drive_probability(config.drive, c.width, detuning))
-    return c.d0 + (c.d1 - c.d0) * c.pi * (r + (1.0 - r) * c.pi * c.swap * p_exc)
+    return c.d0 + (c.d1 - c.d0) * _jump_sum((r, r, p_exc, c.pi, c.swap, c.pi))
 
 
 def vanishing_inputs(config: ProtocolConfig) -> list[str]:
-    """The scenario keys whose values zero the line, the closed-form jump
-    probability above its false-jump floor D0, at every grid point: a factor
-    of (D1 - D0) * pi * [r + (1 - r) * pi * s * p_exc]. Empty if none is."""
+    """The scenario keys whose values zero the line, (D1 - D0) * `_jump_sum`
+    above the false-jump floor D0, at every grid point; empty if none does.
+    `protocol.mode` is named when D1 <= D0, any other key when the sum is
+    zero with its stage and the cooling residual as configured and every
+    other draw a certain hit (the drive at the grid's largest p_exc)."""
     c = readout_chain(config)
-    r = c.residual
-    drive = config.drive
-    peak = drive.peak_probability
-    p_exc = drive_probability(drive, c.width, drive.detunings)
-    # with r > 0 the bracket is positive whatever the drive and the swap
-    factors = {
-        "protocol.mode": c.d1 - c.d0,
-        "protocol.pi_pulse_fidelity": c.pi,
-        "protocol.drive.peak_probability": r or peak,
-        "protocol.drive.grid": r or not peak or np.max(p_exc),  # off the line
-        "resonator": r or c.swap,  # no swap
+    r, drive = c.residual, config.drive
+    p_max = np.max(drive_probability(drive, c.width, drive.detunings))
+    drive_key = "grid" if drive.peak_probability else "peak_probability"
+    hit_probabilities = {
+        "protocol.pi_pulse_fidelity": (r, r, 1.0, c.pi, 1.0, c.pi),
+        f"protocol.drive.{drive_key}": (r, r, p_max, 1.0, 1.0, 1.0),
+        "resonator": (r, r, 1.0, 1.0, c.swap, 1.0),
     }
-    return [name for name, factor in factors.items() if not factor > 0.0]
+    names = [] if c.d1 - c.d0 > 0.0 else ["protocol.mode"]
+    return names + [name for name, p in hit_probabilities.items() if not _jump_sum(p) > 0.0]
 
 
 def _moment(lineshape: Lineshape) -> tuple[np.ndarray, float, float]:

@@ -835,6 +835,27 @@ class TestProcessExit:
         assert child.returncode == 1
         assert child.stderr == b"error: stdout is closed\n"
 
+    # fd 2 closed, so Python starts with no stderr, or open for reading
+    # only, so every write to stderr fails
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "unwritable"])
+    @pytest.mark.parametrize("argv, status", [
+        (["budget", "--config", "nope"], 2),
+        (["lineshape", "--config", "paper-electron", "--seed", "-1"], 2),
+        (["lineshape", "--config", "{anomaly}"], 1),  # no jump reaches the threshold
+    ], ids=["no-scenario", "negative-seed", "zero-line"])
+    def test_failed_report_keeps_the_status(
+        self, tmp_path, electron_raw, redirect, argv, status
+    ):
+        electron_raw["protocol"]["mode"] = "anomaly"
+        anomaly = write_scenario(tmp_path, electron_raw)
+        child = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "wireqls.cli",
+             *(arg.format(anomaly=anomaly) for arg in argv)],
+            capture_output=True, env=package_env(), timeout=120,
+        )
+        assert child.returncode == status
+        assert child.stdout == b""
+
     def test_reader_closing_the_pipe_exits_1_with_one_line(self, tmp_path, electron_raw):
         # 50,000 records are ~2 MB, far beyond a pipe's buffer, so the
         # writer is still writing when `head -c 100` closes its end

@@ -208,14 +208,23 @@ class TestAnalyticOracle:
         residual=st.sampled_from([0.0, 0.05]),
         swap=st.sampled_from([0.0, 0.7]),
         peak=st.sampled_from([0.0, 0.8]),
-        below=st.booleans(),  # the grid lies wholly below the one-sided line
+        profile=st.sampled_from(["exponential", "gaussian"]),
+        # the grid lies wholly off the line: below the one-sided exponential,
+        # at least 40 widths out on both sides of the Gaussian
+        below=st.booleans(),
         mode=st.sampled_from(["cyclotron", "anomaly"]),
         noise=st.sampled_from([0.0, 15.0]),
     )
+    @example(  # a Gaussian line with no background, the grid far out on both sides
+        pi=1.0, residual=0.0, swap=0.7, peak=0.8, profile="gaussian", below=True,
+        mode="cyclotron", noise=0.0,
+    )
     def test_vanishing_inputs_name_the_zero_factors(
-        self, base_config, pi, residual, swap, peak, below, mode, noise
+        self, base_config, pi, residual, swap, peak, profile, below, mode, noise
     ):
         w = base_config.shifts_S.broadening
+        off_line = (np.linspace(-6.0, -2.0, 5) if profile == "exponential"
+                    else np.array([-60.0, -40.0, 40.0, 60.0]))
         config = base_config._replace(
             pi_pulse_fidelity=pi,
             sideband_cooling_residual=residual,
@@ -223,9 +232,9 @@ class TestAnalyticOracle:
             mode=mode,
             detection=base_config.detection._replace(noise_density=noise),
             drive=base_config.drive._replace(
+                profile=profile,
                 peak_probability=peak,
-                detunings=tuple(np.linspace(-6.0, -2.0, 5) * w) if below
-                else base_config.drive.detunings,
+                detunings=tuple(off_line * w) if below else base_config.drive.detunings,
             ),
         )
         names = protocol.vanishing_inputs(config)
