@@ -531,7 +531,9 @@ def build_protocol(
         raise ConfigError(
             "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
         )
-    shifts_s = spectroscopy.shift_set_for_trap(trap_s)
+    if (shifts_s := spectroscopy.shift_set_for_trap(trap_s)).broadening < 0.0:
+        raise ConfigError("traps.spectroscopy.b2_tesla_per_m2",  # the line would vanish
+                          "must give a non-negative cyclotron linewidth")
     threshold = detection["threshold_hz"]
     if threshold is None:
         threshold = 0.5 * shifts_l.delta

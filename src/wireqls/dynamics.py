@@ -14,10 +14,11 @@ axial n_bar. The rates are `protocol.ExchangeParams`.
 The production path is the closed form `protocol.swap_probability`; no
 command loads this module. It checks that closed form independently: a
 fixed-step 4th-order Runge-Kutta scheme on the vectorized master equation,
-with a matrix exponential of the same Liouvillian as an exact cross-check
-path. States live on the joint Fock basis |n_S, n_L> with per-mode
-truncation n_max; evolution raises TruncationError if the top level
-accumulates more than TRUNCATION_LIMIT population.
+whose generator `liouvillian` is a sparse (CSR) matrix, with
+`scipy.sparse.linalg.expm_multiply` on the same matrix as an exact
+cross-check path. States live on the joint Fock basis |n_S, n_L> with
+per-mode truncation n_max; evolution raises TruncationError if the top
+level accumulates more than TRUNCATION_LIMIT population.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "TruncationError",
     "ExchangeParams",
     "TwoModeState",
-    "destroy_op",
-    "mode_operators",
-    "hamiltonian",
-    "collapse_operators",
     "liouvillian",
     "evolve",
     "swap_fidelity",
@@ -127,54 +124,37 @@ class TwoModeState(Checked, _StateFields):
             raise ValueError("state has a significantly negative eigenvalue")
 
 
-def destroy_op(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator on a `dim`-level ladder."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+def rate_scale(params: ExchangeParams) -> float:
+    """Fastest rate in the generator; the RK4 step is 1/(RATE_FACTOR * it)."""
+    return max(
+        params.omega_ex,
+        params.gamma_L * (params.n_bar + 1.0),
+        params.gamma_S * (params.n_bar + 1.0),
+        abs(params.detuning),
+    )
 
 
-def mode_operators(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_S, a_L) on the joint space, mode S ordered first."""
+def liouvillian(params: ExchangeParams, n_max: int):
+    """Sparse (CSR) superoperator of the master equation, column-stacked vec.
+
+    vec(A rho B) = (B^T kron A) vec(rho), and the ladder operators are real
+    (C^dag = C^T): -i[H, rho] is -i(1 kron H - H^T kron 1), and a channel c
+    of rate r adds r (c kron c - (1 kron c^T c + (c^T c)^T kron 1) / 2)."""
+    from scipy import sparse  # oracle only; keeps scipy off the CLI path
+
     n = n_max + 1
-    a = destroy_op(n)
-    eye = np.eye(n, dtype=complex)
-    return np.kron(a, eye), np.kron(eye, a)
-
-
-def hamiltonian(params: ExchangeParams, n_max: int) -> np.ndarray:
-    """Beam-splitter Hamiltonian (in units of hbar) with the detuning on S."""
-    a_s, a_l = mode_operators(n_max)
-    h = params.omega_ex * (a_s.conj().T @ a_l + a_s @ a_l.conj().T)
-    if params.detuning != 0.0:
-        h = h + params.detuning * (a_s.conj().T @ a_s)
-    return h
-
-
-def collapse_operators(params: ExchangeParams, n_max: int) -> list[np.ndarray]:
-    """Thermal damping channels for both modes (zero-rate channels dropped)."""
-    a_s, a_l = mode_operators(n_max)
-    ops = []
-    for a, gamma in ((a_s, params.gamma_S), (a_l, params.gamma_L)):
-        down = gamma * (params.n_bar + 1.0)
-        up = gamma * params.n_bar
-        if down > 0.0:
-            ops.append(math.sqrt(down) * a)
-        if up > 0.0:
-            ops.append(math.sqrt(up) * a.conj().T)
-    return ops
-
-
-def liouvillian(params: ExchangeParams, n_max: int) -> np.ndarray:
-    """Dense superoperator of the master equation, column-stacked vec."""
-    h = hamiltonian(params, n_max)
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    lsup = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in collapse_operators(params, n_max):
-        cdc = c.conj().T @ c
-        lsup += np.kron(c.conj(), c) - 0.5 * (
-            np.kron(eye, cdc) + np.kron(cdc.T, eye)
-        )
-    return lsup
+    a = sparse.diags(np.sqrt(np.arange(1.0, n)), 1)
+    a_s, a_l = sparse.kron(a, sparse.identity(n)), sparse.kron(sparse.identity(n), a)
+    h = params.omega_ex * (a_s.T @ a_l + a_s @ a_l.T) + params.detuning * (a_s.T @ a_s)
+    eye = sparse.identity(n * n)
+    lsup = -1j * (sparse.kron(eye, h) - sparse.kron(h.T, eye))
+    for a_i, gamma in ((a_s, params.gamma_S), (a_l, params.gamma_L)):
+        for rate, c in ((gamma * (params.n_bar + 1.0), a_i), (gamma * params.n_bar, a_i.T)):
+            cdc = c.T @ c
+            lsup = lsup + rate * (
+                sparse.kron(c, c) - 0.5 * (sparse.kron(eye, cdc) + sparse.kron(cdc.T, eye))
+            )
+    return lsup.tocsr()
 
 
 def _check_truncation(state: TwoModeState) -> None:
@@ -207,7 +187,7 @@ def evolve(
         Duration in seconds, t >= 0.
     method : {"rk4", "expm"}
         Fixed-step RK4 on the vectorized master equation, or the exact
-        matrix exponential of the (time-independent) Liouvillian.
+        action of the (time-independent) Liouvillian's exponential.
     step : float, optional
         RK4 step override; defaults to 1/(RATE_FACTOR * fastest rate).
 
@@ -220,17 +200,17 @@ def evolve(
     if t < 0:
         raise ValueError("duration must be non-negative")
     state.validate()
-    if t == 0.0 or params.rate_scale == 0.0:
+    if t == 0.0 or rate_scale(params) == 0.0:
         return TwoModeState(n_max=state.n_max, rho=state.rho.copy())
 
     lsup = liouvillian(params, state.n_max)
     v = state.rho.flatten(order="F")
     if method == "expm":
-        from scipy.linalg import expm  # oracle only; keeps scipy off the CLI path
+        from scipy.sparse.linalg import expm_multiply
 
-        v_t = expm(lsup * t) @ v
+        v_t = expm_multiply(lsup * t, v)
     elif method == "rk4":
-        h = step if step is not None else 1.0 / (RATE_FACTOR * params.rate_scale)
+        h = step if step is not None else 1.0 / (RATE_FACTOR * rate_scale(params))
         n_steps = max(1, math.ceil(t / h))
         dt = t / n_steps
         for _ in range(n_steps):

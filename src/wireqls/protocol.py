@@ -101,16 +101,6 @@ class ExchangeParams(Checked, _ExchangeFields):
         if self.n_bar < 0:
             raise ValueError("n_bar must be non-negative")
 
-    @property
-    def rate_scale(self) -> float:
-        """Fastest rate in the generator; sets the Fock oracle's step."""
-        return max(
-            self.omega_ex,
-            self.gamma_L * (self.n_bar + 1.0),
-            self.gamma_S * (self.n_bar + 1.0),
-            abs(self.detuning),
-        )
-
 
 class _DetectionFields(NamedTuple):
     averaging_time: float  # [s]

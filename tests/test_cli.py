@@ -585,6 +585,36 @@ class TestLineshapeAndProtocolCommands:
             ) and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("b2", [-4.0, -1.0e-6])
+    def test_readout_needs_non_negative_spectroscopy_bottle(
+        self, capsys, tmp_path, electron_raw, b2
+    ):
+        # a negative linewidth zeroes every drive probability: no line to read
+        electron_raw["traps"]["spectroscopy"]["b2_tesla_per_m2"] = b2
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("budget", "field"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 0, err
+        out_dir = tmp_path / "o"
+        for command in ("lineshape", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path, "--out", str(out_dir))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(
+                "config error: traps.spectroscopy.b2_tesla_per_m2: "
+            ) and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_zero_spectroscopy_bottle_reads_a_zero_width_line(
+        self, capsys, tmp_path, electron_raw
+    ):
+        electron_raw["traps"]["spectroscopy"]["b2_tesla_per_m2"] = 0.0
+        electron_raw["protocol"]["cycles"] = 40
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("lineshape", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 0, err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["start_hz", "stop_hz"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
