@@ -34,6 +34,7 @@ __all__ = [
     "exchange_time",
     "thermal_occupation",
     "OccupationOverflow",
+    "common_axial_frequency",
     "qls_budget",
     "optimize_detuning",
     "FEASIBILITY_THRESHOLD",
@@ -86,7 +87,7 @@ class ResonatorParams(Checked, _ResonatorFields):
         width = 1.0 / (C_p * R_p)
         omega_res = omega_z - detune_linewidths * width
         if omega_res <= 0:
-            raise ValueError("requested detuning places omega_res at or below zero")
+            raise ValueError("places omega_res at or below zero")
         return cls(L_p=1.0 / (omega_res**2 * C_p), C_p=C_p, R_p=R_p)
 
 
@@ -146,7 +147,7 @@ class ExchangeBudget(NamedTuple):
     gamma_S: float          # spectroscopy-branch damping Re Z / l_S [1/s]
     l_L: float              # logic series inductance [H]
     l_S: float              # spectroscopy series inductance [H]
-    resonator: ResonatorParams  # as tuned for this budget
+    resonator: ResonatorParams  # as placed, the one the budget was given
     feasible: bool
 
 
@@ -193,7 +194,8 @@ def exchange_time(omega_ex: float) -> float:
 
 
 class OccupationOverflow(OverflowError):
-    """The thermal occupation lies beyond the float range."""
+    """The thermal occupation, or the budget figure it scales, lies beyond
+    the float range."""
 
 
 def thermal_occupation(omega_z: float, T: float) -> float:
@@ -216,28 +218,27 @@ def thermal_occupation(omega_z: float, T: float) -> float:
     return n_bar
 
 
-def qls_budget(
-    res: ResonatorParams,
-    trap_L: TrapParams,
-    trap_S: TrapParams,
-    T: float,
-    detune_linewidths: float,
-) -> ExchangeBudget:
-    """Compose impedance -> series equivalents -> exchange budget.
+def common_axial_frequency(trap_L: TrapParams, trap_S: TrapParams) -> float:
+    """The axial frequency both traps are tuned to, the logic trap's omega_z;
+    raises ValueError when the two differ beyond rounding."""
+    if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
+        raise ValueError("both traps must be tuned to the same axial frequency")
+    return trap_L.omega_z
 
-    The resonator inductor is re-solved from (C_p, R_p) so that omega_res
-    sits `detune_linewidths` line widths below the traps' common axial
-    frequency; the L_p carried by `res` is treated as stock and replaced.
-    Both traps must be tuned to the same omega_z.
+
+def qls_budget(
+    res: ResonatorParams, trap_L: TrapParams, trap_S: TrapParams, T: float
+) -> ExchangeBudget:
+    """Compose impedance -> series equivalents -> exchange budget for the
+    resonator `res` as placed (see ResonatorParams.detuned_below) and the
+    traps' common axial frequency. Raises OccupationOverflow where n_bar or
+    the figure lies beyond the float range.
 
     Returns an ExchangeBudget; `feasible` is set iff
     t_ex * n_bar * gamma < FEASIBILITY_THRESHOLD.
     """
-    if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
-        raise ValueError("both traps must be tuned to the same axial frequency")
-    omega_z = trap_L.omega_z
-    tuned = ResonatorParams.detuned_below(res.C_p, res.R_p, omega_z, detune_linewidths)
-    z = impedance(tuned, omega_z)
+    omega_z = common_axial_frequency(trap_L, trap_S)
+    z = impedance(res, omega_z)
     eq_L = series_equivalent(trap_L, z_im=z.imag)
     eq_S = series_equivalent(trap_S, z_im=z.imag)
     z_im_abs = abs(z.imag)
@@ -250,6 +251,8 @@ def qls_budget(
     gamma = max(gamma_L, gamma_S)
     n_bar = thermal_occupation(omega_z, T)
     figure = t_ex * n_bar * gamma
+    if not math.isfinite(figure):
+        raise OccupationOverflow("budget figure overflows")
     return ExchangeBudget(
         z_at_omega_z=z,
         c_T=1.0 / (omega_z * z_im_abs),
@@ -262,7 +265,7 @@ def qls_budget(
         gamma_S=gamma_S,
         l_L=eq_L.l,
         l_S=eq_S.l,
-        resonator=tuned,
+        resonator=res,
         feasible=figure < FEASIBILITY_THRESHOLD,
     )
 
@@ -289,9 +292,7 @@ def optimize_detuning(
     """
     if not 0.0 < constraint < 1.0:
         raise ValueError("constraint must lie in (0, 1)")
-    if not math.isclose(trap_L.omega_z, trap_S.omega_z, rel_tol=1e-12):
-        raise ValueError("both traps must be tuned to the same axial frequency")
-    omega_z = trap_L.omega_z
+    omega_z = common_axial_frequency(trap_L, trap_S)
     l_L = series_equivalent(trap_L).l
     l_S = series_equivalent(trap_S).l
     k = math.pi * thermal_occupation(omega_z, T) * math.sqrt(l_L * l_S) / min(l_L, l_S)

@@ -132,19 +132,20 @@ def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
 def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     ring = cfg.build_ring(rc)
     p = rc.magnet["profile"]
-    sites = {p["logic_site_m"]: "logic", p["spectroscopy_site_m"]: "spectroscopy"}
-    grid = sorted(set(cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])) | set(sites))
+    sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
+    grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
+    grid = sorted(set(grid).union(sites.values()))
     profile = magnetics.field_profile(
         ring, grid, background=rc.magnet["background_field_tesla"]
     )
     buf = io.StringIO()
     magnetics.write_profile_csv(profile, buf, markers=sites)
-    # independent-derivative spot check, appended as an agreement flag; each
-    # gradient's error is relative to its largest magnitude over the checked
-    # points, so a point near a zero of B1 or B2 does not inflate it
-    zs = grid[:: max(1, len(grid) // 8)]
-    analytic = [magnetics.gradients(ring, z) for z in zs]
-    fd = [magnetics.fd_gradients(ring, z) for z in zs]
+    # independent-derivative spot check of the printed gradients, appended as an
+    # agreement flag; each error is relative to the gradient's largest magnitude
+    # over the checked rows, so a row near a zero of B1 or B2 does not inflate it
+    step = max(1, len(grid) // 8)
+    analytic = list(zip(profile.B1[::step], profile.B2[::step]))
+    fd = [magnetics.fd_gradients(ring, z) for z in grid[::step]]
     worst = 0.0
     for k in (0, 1):
         scale = max(abs(a[k]) for a in analytic)

@@ -13,11 +13,12 @@ in rad/s), and from there to the code that reads it by key: `build_ring`,
 `build_protocol` or `cli.cmd_field`. A new leaf is its row plus that code.
 
 `parse_config` adds the checks that span several leaves: one resonator
-placement, above zero, a profile that starts below its end, a bound on the
-cycles over the whole drive grid, and one axial frequency for both traps.
-`circuit.TrapParams` and `magnetics.RingMagnet` own the trap and ring
-ranges, and their errors gain the block's key path; `SCHEMA` only caps the
-ring's inner and outer radius and height at `MAX_PROFILE_M`.
+placement, a profile that starts below its end, a bound on the cycles over
+the whole drive grid, and one axial frequency for both traps. `circuit`
+owns the trap ranges, the common axial frequency and the placement (so
+`RunConfig.resonator` is placed once, here), `magnetics.RingMagnet` the
+ring ranges; their errors gain a key path. `SCHEMA` only caps the ring's
+inner and outer radius and height at `MAX_PROFILE_M`.
 `build_protocol` checks two leaves against the logic trap's bottle shift
 delta_L: traps.logic.b2_tesla_per_m2 must make it positive, and
 protocol.detection.threshold_hz must lie between 0 and delta_L.
@@ -60,7 +61,6 @@ __all__ = [
     "sweep_configs",
     "load_config",
     "bundled_scenarios",
-    "build_resonator",
     "build_budget",
     "build_ring",
     "build_protocol",
@@ -261,8 +261,7 @@ class RunConfig(NamedTuple):
     output_format: str
     output_dir: str | None
     particle: str
-    C_p: float
-    R_p: float
+    resonator: circuit.ResonatorParams  # placed below the common axial frequency
     detune_linewidths: float
     environment_temperature: float
     trap_logic: circuit.TrapParams
@@ -327,19 +326,20 @@ def _build(v: dict, data: dict) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"traps.{name}", str(exc)) from None
-    # the same tolerance as circuit.qls_budget, which keeps its own check
-    if not math.isclose(
-        traps["logic"].omega_z, traps["spectroscopy"].omega_z, rel_tol=1e-12
-    ):
+    try:
+        omega_z = circuit.common_axial_frequency(traps["logic"], traps["spectroscopy"])
+    except ValueError:
         raise ConfigError(
             "traps.spectroscopy.axial_frequency_hz",
             "must equal traps.logic.axial_frequency_hz",
+        ) from None
+    try:
+        resonator = circuit.ResonatorParams.detuned_below(
+            res["C_p_farad"], res["R_p_ohm"], omega_z, detune
         )
-    # ResonatorParams.detuned_below's placement, which must stay above zero
-    width = 1.0 / (res["C_p_farad"] * res["R_p_ohm"])
-    if traps["logic"].omega_z - detune * width <= 0:
+    except ValueError as exc:
         key = "detune_linewidths" if res["detune_hz"] is None else "detune_hz"
-        raise ConfigError(f"resonator.{key}", "places omega_res at or below zero")
+        raise ConfigError(f"resonator.{key}", str(exc)) from None
 
     ring = None
     if (m := v["magnet"]) is not None:
@@ -369,8 +369,7 @@ def _build(v: dict, data: dict) -> RunConfig:
         output_format=v["output"]["format"],
         output_dir=v["output"]["directory"],
         particle=v["particle"],
-        C_p=res["C_p_farad"],
-        R_p=res["R_p_ohm"],
+        resonator=resonator,
         detune_linewidths=detune,
         environment_temperature=v["environment"]["temperature_k"],
         trap_logic=traps["logic"],
@@ -483,22 +482,14 @@ def load_config(path_or_name: str | Path) -> RunConfig:
     return parse_config(data)
 
 
-def build_resonator(config: RunConfig) -> circuit.ResonatorParams:
-    """Resonator placed the configured number of linewidths below omega_z."""
-    return circuit.ResonatorParams.detuned_below(
-        config.C_p, config.R_p, config.trap_logic.omega_z, config.detune_linewidths
-    )
-
-
 def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
     """Exchange/dissipation budget at the configured operating point."""
     try:
         return circuit.qls_budget(
-            build_resonator(config),
+            config.resonator,
             config.trap_logic,
             config.trap_spectroscopy,
             config.environment_temperature,
-            config.detune_linewidths,
         )
     except circuit.OccupationOverflow as exc:
         raise ConfigError("environment.temperature_k", str(exc)) from None

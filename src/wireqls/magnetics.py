@@ -187,21 +187,18 @@ def field_profile(ring: RingMagnet, z, background: float = 0.0) -> FieldProfile:
 def write_profile_csv(
     profile: FieldProfile,
     stream: IO[str],
-    markers: dict[float, str] | None = None,
+    markers: dict[str, float] | None = None,
 ) -> None:
     """Write the profile as CSV columns (z, B, B1, B2) in SI units.
 
-    `markers` maps sample positions to row labels (e.g. trap sites); rows
-    whose z matches a marker carry the label in a trailing `site` column.
+    `markers` maps row labels (e.g. trap sites) to positions; a row whose z
+    lies within 1e-15 m of markers carries their labels, joined by `+` in
+    the order given, in a trailing `site` column.
     """
-    marks = markers or {}
+    marks = (markers or {}).items()
     stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
     for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
-        site = ""
-        for mz, label in marks.items():
-            if math.isclose(z, mz, rel_tol=0.0, abs_tol=1e-15):
-                site = label
-                break
+        site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
         stream.write(
             f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n"
         )

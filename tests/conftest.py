@@ -38,9 +38,7 @@ def stock_resonator() -> circuit.ResonatorParams:
 
 @pytest.fixture(scope="session")
 def paper_budget(stock_resonator, trap_logic, trap_spectroscopy) -> circuit.ExchangeBudget:
-    return circuit.qls_budget(
-        stock_resonator, trap_logic, trap_spectroscopy, T_ENV, DETUNE
-    )
+    return circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, T_ENV)
 
 
 def package_env() -> dict:

@@ -13,6 +13,13 @@ from wireqls.constants import E, M_E, M_P, TWO_PI
 from conftest import C_P, DETUNE, OMEGA_Z, R_P, T_ENV, assert_rel, bose
 
 
+def placed(detune: float, res=None, omega_z: float = OMEGA_Z) -> circuit.ResonatorParams:
+    """The resonator of `res` (the worked one by default) placed `detune`
+    line widths below omega_z."""
+    C_p, R_p = (C_P, R_P) if res is None else (res.C_p, res.R_p)
+    return circuit.ResonatorParams.detuned_below(C_p, R_p, omega_z, detune)
+
+
 def oracle_impedance(L, C, R, omega):
     """Direct complex-arithmetic oracle, written independently of the
     module's internals."""
@@ -195,9 +202,7 @@ class TestQlsBudget:
     def test_zero_temperature_always_feasible(
         self, stock_resonator, trap_logic, trap_spectroscopy
     ):
-        budget = circuit.qls_budget(
-            stock_resonator, trap_logic, trap_spectroscopy, 0.0, DETUNE
-        )
+        budget = circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, 0.0)
         assert budget.figure == 0.0
         assert budget.feasible
 
@@ -207,15 +212,20 @@ class TestQlsBudget:
         # k_B T / (hbar omega_z) past the float range: an inf n_bar would give
         # an inf figure and a nan swap probability downstream
         with pytest.raises(circuit.OccupationOverflow, match="overflows"):
-            circuit.qls_budget(
-                stock_resonator, trap_logic, trap_spectroscopy, 1.7e308, DETUNE
-            )
+            circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, 1.7e308)
+
+    @pytest.mark.parametrize("T, detune", [(1.0e305, 0.01), (1.0e300, 1.0e-6)])
+    def test_overflowing_figure_raises(self, trap_logic, trap_spectroscopy, T, detune):
+        # n_bar is finite (~1e307 at 1e305 K), but t_ex * n_bar * gamma is not
+        assert math.isfinite(circuit.thermal_occupation(OMEGA_Z, T))
+        with pytest.raises(circuit.OccupationOverflow, match="figure overflows"):
+            circuit.qls_budget(placed(detune), trap_logic, trap_spectroscopy, T)
 
     def test_proton_preset_marginal(self):
         trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, M_P, E)
         trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, M_P, E)
         res = circuit.ResonatorParams.detuned_below(C_P, 1e9, TWO_PI * 1e6, DETUNE)
-        budget = circuit.qls_budget(res, trap_l, trap_s, 0.010, DETUNE)
+        budget = circuit.qls_budget(res, trap_l, trap_s, 0.010)
         assert budget.n_bar >= 100.0
         assert not budget.feasible
 
@@ -223,29 +233,35 @@ class TestQlsBudget:
         self, stock_resonator, trap_logic
     ):
         other = circuit.TrapParams(3e-3, OMEGA_Z * 1.01, 6.0, 4.0, 0.010, M_E, E)
-        with pytest.raises(ValueError):
-            circuit.qls_budget(stock_resonator, trap_logic, other, T_ENV, DETUNE)
+        with pytest.raises(ValueError, match="same axial frequency"):
+            circuit.qls_budget(stock_resonator, trap_logic, other, T_ENV)
 
-    def test_feasible_iff_figure_below_threshold(
-        self, stock_resonator, trap_logic, trap_spectroscopy
+    def test_uses_the_resonator_it_is_given(
+        self, stock_resonator, trap_logic, trap_spectroscopy, paper_budget
     ):
+        # the budget reads L_p as given, and solves no placement of its own
+        assert paper_budget.resonator is stock_resonator
+        moved = stock_resonator._replace(L_p=stock_resonator.L_p * 1.001)
+        budget = circuit.qls_budget(moved, trap_logic, trap_spectroscopy, T_ENV)
+        assert budget.resonator is moved
+        assert budget.z_at_omega_z == circuit.impedance(moved, OMEGA_Z)
+        assert budget.z_at_omega_z != paper_budget.z_at_omega_z
+        assert budget.figure != paper_budget.figure
+
+    def test_feasible_iff_figure_below_threshold(self, trap_logic, trap_spectroscopy):
         # figures 2.92 and 0.975 straddle the fixed threshold of 1.0
         assert circuit.FEASIBILITY_THRESHOLD == 1.0
         budgets = [
-            circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, T_ENV, d)
+            circuit.qls_budget(placed(d), trap_logic, trap_spectroscopy, T_ENV)
             for d in (1.0, 3.0)
         ]
         assert [b.feasible for b in budgets] == [False, True]
         assert 0.95 < budgets[1].figure < 1.0 < budgets[0].figure
 
-    def test_figure_scales_inversely_with_detuning(
-        self, stock_resonator, trap_logic, trap_spectroscopy
-    ):
+    def test_figure_scales_inversely_with_detuning(self, trap_logic, trap_spectroscopy):
         # capacitive-limit scaling: figure ~ 1/detuning
         figures = [
-            circuit.qls_budget(
-                stock_resonator, trap_logic, trap_spectroscopy, T_ENV, d
-            ).figure
+            circuit.qls_budget(placed(d), trap_logic, trap_spectroscopy, T_ENV).figure
             for d in (20.0, 40.0, 80.0)
         ]
         assert figures[0] > figures[1] > figures[2]
@@ -256,10 +272,11 @@ class TestQlsBudget:
 def _scan_detuning(res, trap_L, trap_S, T, constraint):
     """First point of the 0.25-linewidth grid from 1 to 1000 line widths
     whose figure meets `constraint`, or None: the scan the closed-form
-    inverse replaced, kept as its oracle."""
+    inverse replaced, kept as its oracle. Each point places `res` anew."""
     for i in range(3997):
         detuning = 1.0 + i * 0.25
-        if circuit.qls_budget(res, trap_L, trap_S, T, detuning).figure <= constraint:
+        res_at = placed(detuning, res, trap_L.omega_z)
+        if circuit.qls_budget(res_at, trap_L, trap_S, T).figure <= constraint:
             return detuning
     return None
 
@@ -291,6 +308,11 @@ class TestOptimizeDetuning:
         )
         assert result is None
 
+    def test_mismatched_axial_frequencies_rejected(self, stock_resonator, trap_logic):
+        other = circuit.TrapParams(3e-3, OMEGA_Z * 1.01, 6.0, 4.0, 0.010, M_E, E)
+        with pytest.raises(ValueError, match="same axial frequency"):
+            circuit.optimize_detuning(stock_resonator, trap_logic, other, T_ENV, 0.1)
+
     def test_invalid_constraint_rejected(
         self, stock_resonator, trap_logic, trap_spectroscopy
     ):
@@ -309,7 +331,8 @@ class TestOptimizeDetuning:
         args = (stock_resonator, trap_logic, trap_spectroscopy, T, target)
         d = circuit.optimize_detuning(*args)
         assert d is not None
-        assert_rel(circuit.qls_budget(*args[:4], d).figure, target, 1e-9)
+        budget = circuit.qls_budget(placed(d), trap_logic, trap_spectroscopy, T)
+        assert_rel(budget.figure, target, 1e-9)
         # the grid's first point at or above max(d, 1.0), up to the
         # rounding of a figure that lands on the target at a grid point
         edge = max(d, 1.0)
@@ -322,13 +345,12 @@ class TestOptimizeDetuning:
 
     def test_paper_electron_beyond_the_old_scan_cap(self):
         rc = cfg.load_config("paper-electron")
-        args = (
-            cfg.build_resonator(rc), rc.trap_logic, rc.trap_spectroscopy,
-            rc.environment_temperature,
-        )
-        d = circuit.optimize_detuning(*args, 0.003)
+        traps = (rc.trap_logic, rc.trap_spectroscopy)
+        T = rc.environment_temperature
+        d = circuit.optimize_detuning(rc.resonator, *traps, T, 0.003)
         assert d == pytest.approx(1065.15, abs=0.01)
-        assert_rel(circuit.qls_budget(*args, d).figure, 0.003, 1e-9)
+        res = placed(d, rc.resonator, rc.trap_logic.omega_z)
+        assert_rel(circuit.qls_budget(res, *traps, T).figure, 0.003, 1e-9)
 
     def test_zero_temperature_needs_no_detuning(
         self, stock_resonator, trap_logic, trap_spectroscopy
@@ -336,6 +358,18 @@ class TestOptimizeDetuning:
         args = (stock_resonator, trap_logic, trap_spectroscopy, 0.0, 0.5)
         assert circuit.optimize_detuning(*args) == 0.0
         assert _scan_detuning(*args) == 1.0
+
+
+class TestCommonAxialFrequency:
+    def test_returns_the_logic_traps_frequency(self, trap_logic):
+        within = trap_logic._replace(omega_z=OMEGA_Z * (1.0 + 1e-13))
+        assert circuit.common_axial_frequency(trap_logic, within) == OMEGA_Z
+        assert circuit.common_axial_frequency(within, trap_logic) == within.omega_z
+
+    def test_rejects_a_mismatch_beyond_rounding(self, trap_logic):
+        beyond = trap_logic._replace(omega_z=OMEGA_Z * (1.0 + 1e-11))
+        with pytest.raises(ValueError, match="same axial frequency"):
+            circuit.common_axial_frequency(trap_logic, beyond)
 
 
 class TestTrapParams:

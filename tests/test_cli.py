@@ -161,6 +161,31 @@ class TestBudgetCommand:
         assert out == ""
         assert err == "config error: environment.temperature_k: thermal occupation overflows\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["budget"],
+            ["budget", "--format", "records"],
+            ["sweep", "--axis", "resonator.R_p_ohm", "--range", "5e5:6e5:2"],
+            ["lineshape"],
+            ["protocol"],
+        ],
+        ids=["budget", "records", "sweep", "lineshape", "protocol"],
+    )
+    @pytest.mark.parametrize("temperature, detune", [(1.0e305, 0.01), (1.0e300, 1.0e-6)])
+    def test_overflowing_figure_is_schema_error(
+        self, capsys, tmp_path, electron_raw, argv, temperature, detune
+    ):
+        # n_bar is finite, but t_ex * n_bar * Gamma would print as inf, and as
+        # Infinity, which is not JSON, in the records
+        electron_raw["environment"]["temperature_k"] = temperature
+        electron_raw["resonator"]["detune_linewidths"] = detune
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "config error: environment.temperature_k: budget figure overflows\n"
+
     @pytest.mark.parametrize("text", ["scenario: [unclosed\n", "seed: 1\x00\n"])
     def test_malformed_yaml_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.yaml"
@@ -281,6 +306,24 @@ class TestFieldCommand:
         assert "# fd_agreement_ok = 1" in lines
         worst = [l for l in lines if l.startswith("# fd_agreement_max_rel_err")]
         assert len(worst) == 1 and float(worst[0].split("=")[1]) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "site, marked",
+        [
+            (0.0, {"0.0": "logic+spectroscopy"}),
+            (1.0e-17, {"0.0": "logic+spectroscopy", "1e-17": "logic+spectroscopy"}),
+            (0.05, {"0.0": "logic", "0.05": "spectroscopy"}),
+        ],
+    )
+    def test_sites_at_one_position_keep_both_labels(
+        self, capsys, tmp_path, electron_raw, site, marked
+    ):
+        electron_raw["magnet"]["profile"]["spectroscopy_site_m"] = site
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, _ = run_cli(capsys, "field", "--config", path)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:] if line[0] != "#"]
+        assert {row[0]: row[4] for row in rows if row[4]} == marked
 
     def test_fd_check_ignores_gradient_zeros(self, capsys, tmp_path, electron_raw):
         # a spot-check point lands where B2 ~ 0.005 T/m^2 against a peak of

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wireqls import circuit
 from wireqls import config as cfg
 from wireqls.constants import M_E, M_P, TWO_PI
 
@@ -98,16 +99,17 @@ class TestStrictSchema:
             cfg.parse_config(electron_raw)  # both given
         del electron_raw["resonator"]["detune_linewidths"]
         rc = cfg.parse_config(electron_raw)  # absolute placement alone is fine
-        expected = TWO_PI * 1e6 * rc.C_p * rc.R_p
+        expected = TWO_PI * 1e6 * rc.resonator.C_p * rc.resonator.R_p
         assert rc.detune_linewidths == pytest.approx(expected, rel=1e-12)
         del electron_raw["resonator"]["detune_hz"]
         with pytest.raises(cfg.ConfigError):
             cfg.parse_config(electron_raw)  # neither given
 
     def test_resonator_at_or_below_zero_names_its_key(self, electron_rc, electron_raw):
-        # at the edge omega_z = detune * width the parse agrees with the model
-        width = 1.0 / (electron_rc.C_p * electron_rc.R_p)
-        edge = electron_rc.trap_logic.omega_z / width
+        # at the edge omega_z = detune * width the parse is the model's placement
+        C_p, R_p = electron_rc.resonator.C_p, electron_rc.resonator.R_p
+        omega_z = electron_rc.trap_logic.omega_z
+        edge = omega_z / (1.0 / (C_p * R_p))
         below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
         for detune in (below, edge, above, 1.0e4):
             electron_raw["resonator"]["detune_linewidths"] = detune
@@ -115,11 +117,16 @@ class TestStrictSchema:
                 rc = cfg.parse_config(electron_raw)
             except cfg.ConfigError as exc:
                 assert exc.path == "resonator.detune_linewidths"
+                assert str(exc) == (
+                    "resonator.detune_linewidths: places omega_res at or below zero"
+                )
                 assert detune > below
                 with pytest.raises(ValueError, match="at or below zero"):
-                    cfg.build_resonator(electron_rc._replace(detune_linewidths=detune))
+                    circuit.ResonatorParams.detuned_below(C_p, R_p, omega_z, detune)
             else:
-                assert cfg.build_resonator(rc).omega_res > 0.0
+                placed = circuit.ResonatorParams.detuned_below(C_p, R_p, omega_z, detune)
+                assert rc.resonator == placed
+                assert rc.resonator.omega_res > 0.0
         del electron_raw["resonator"]["detune_linewidths"]
         for detune_hz, message in (
             (1.0e9, "places omega_res at or below zero"),

@@ -175,7 +175,7 @@ class TestProfileExport:
         profile = magnetics.field_profile(RING, z, background=6.0)
         buf = io.StringIO()
         magnetics.write_profile_csv(
-            profile, buf, markers={0.0: "logic", 0.05: "spectroscopy"}
+            profile, buf, markers={"logic": 0.0, "spectroscopy": 0.05}
         )
         lines = buf.getvalue().splitlines()
         assert lines[0] == "z_m,B_T,B1_T_per_m,B2_T_per_m2,site"
@@ -183,3 +183,13 @@ class TestProfileExport:
         assert lines[3].endswith(",spectroscopy")
         # B1 at the midplane is exactly zero in the exported row
         assert lines[2].split(",")[2] == "0.0"
+
+    @pytest.mark.parametrize("second", [0.0, 1.0e-17])
+    def test_csv_row_carries_every_matching_marker(self, second):
+        profile = magnetics.field_profile(RING, [-0.01, 0.0, 1.0e-17, 0.05])
+        buf = io.StringIO()
+        magnetics.write_profile_csv(
+            profile, buf, markers={"logic": 0.0, "spectroscopy": second}
+        )
+        sites = [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]]
+        assert sites == ["", "logic+spectroscopy", "logic+spectroscopy", ""]
