@@ -5,7 +5,7 @@ Modules
 constants     frozen CODATA 2018 snapshot, unit conventions, checked records
 circuit       resonator impedance, series-mode equivalents, exchange budget
 magnetics     bottle-ring on-axis field and gradients
-spectroscopy  bottle shift, relativistic shift, broadening, heating estimate
+spectroscopy  bottle shift, broadening, heating estimate
 dynamics      Fock-space Lindblad oracle for the swap probability (tests only)
 protocol      closed-form swap probability, seven-step cycle Monte Carlo,
               lineshapes

@@ -88,7 +88,10 @@ class ResonatorParams(Checked, _ResonatorFields):
         omega_res = omega_z - detune_linewidths * width
         if omega_res <= 0:
             raise ValueError("places omega_res at or below zero")
-        return cls(L_p=1.0 / (omega_res**2 * C_p), C_p=C_p, R_p=R_p)
+        if not 0.0 < (square := omega_res * omega_res) * C_p < math.inf:  # ** would raise
+            culprit = "omega_z" if math.isinf(square) else "C_p"
+            raise ValueError(f"{culprit} puts omega_res**2 * C_p beyond the float range")
+        return cls(L_p=1.0 / (square * C_p), C_p=C_p, R_p=R_p)
 
 
 class _TrapFields(NamedTuple):

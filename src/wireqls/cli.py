@@ -1,39 +1,25 @@
 """Command-line surface: budget, field, lineshape, protocol, sweep.
 
-Every command takes --config (a scenario file path or a bundled scenario
-name) and writes CSV/text to stdout, or into --out <dir> when given; `main`
-writes it once, after the command has computed and checked everything.
-`protocol` checks its set-up the same way, then hands `main` a writer that
-draws and writes the record table block by block; `lineshape` counts each
-point's jumps over the same blocks, so neither grows with the cycles.
-`lineshape` and `protocol` take --seed to override the scenario seed;
-`budget` takes --format to switch between the human-readable report and JSON
-records; `sweep` takes --axis and --range. Exit codes: 0 success, 2 schema
-errors (with the offending key path), 1 other domain errors.
-
-numpy and the Monte Carlo module are imported by the commands that compute
-arrays (`lineshape`, `protocol`), so `budget`, `field` and `sweep` start
-without them; `json` is imported only by `budget --format records`.
-
-A process enters through `run` (`python -m wireqls.cli` and the installed
-`wireqls` script), which turns the cyclic collector off before `main` and,
-once `main` has returned, runs the atexit handlers, flushes stdout and
-stderr and ends the process with `os._exit`. A command leaves the same few
-hundred cyclic objects whatever its size, so the collections during numpy's
-import and the interpreter's teardown of every module buy nothing. `main`
-leaves the collector as it found it, so in-process callers keep their own.
+`parse_args` reads argv from the `_COMMANDS` and `_FLAGS` tables as the
+standard library's parser would (`--flag value`, `--flag=value`, a unique
+prefix, a negative number as a value). A command computes and checks
+everything, then `main` writes its output once, to stdout or --out <dir>.
+Exit codes: 0 success or help, 2 usage and schema errors, 1 other errors.
+`run`, the process entry, turns the cyclic collector off, calls `main`, runs
+the atexit handlers, flushes stdout and stderr and ends with `os._exit`.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import gc
 import io
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import circuit
@@ -43,11 +29,11 @@ from .constants import angular_to_hz
 
 if TYPE_CHECKING:
     from collections.abc import Callable
-    from typing import TextIO
+    from typing import NoReturn, TextIO
 
     Writer = Callable[[TextIO], None]
 
-__all__ = ["main", "run"]
+__all__ = ["main", "parse_args", "run"]
 
 
 def _fmt(x) -> str:
@@ -97,7 +83,7 @@ def _budget_dict(rc: cfg.RunConfig) -> dict:
     }
 
 
-def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def cmd_budget(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
     d = _budget_dict(rc)
     if (args.format or rc.output_format) == "records":
         import json
@@ -129,7 +115,7 @@ def cmd_budget(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     return "budget.txt", "\n".join(lines) + "\n"
 
 
-def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def cmd_field(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
     ring = cfg.build_ring(rc)
     p = rc.magnet["profile"]
     sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
@@ -157,7 +143,7 @@ def cmd_field(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
     return "field.csv", buf.getvalue()
 
 
-def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def cmd_lineshape(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
     import numpy as np
 
     from . import protocol
@@ -181,7 +167,7 @@ def cmd_lineshape(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str
     return "lineshape.csv", buf.getvalue()
 
 
-def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, Writer]:
+def cmd_protocol(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, Writer]:
     from . import protocol
 
     # record stream at zero drive detuning (on the nominal line center);
@@ -197,7 +183,7 @@ def cmd_protocol(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, Writ
     return "records.csv", write
 
 
-def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def cmd_sweep(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
     try:
         start, stop, points = args.range.split(":")
         start, stop, points = float(start), float(stop), int(points)
@@ -222,43 +208,102 @@ def cmd_sweep(rc: cfg.RunConfig, args: argparse.Namespace) -> tuple[str, str]:
 
 
 _FLAGS = {
-    "--format": dict(choices=cfg.OUTPUT_FORMATS, default=None),
+    "--config": dict(required=True, help="scenario path or bundled name"),
+    "--out": dict(default=None, help="output directory (default stdout)"),
+    "--format": dict(choices=cfg.OUTPUT_FORMATS, default=None, help="csv (report) or records"),
     "--seed": dict(type=int, default=None, help="override scenario seed"),
     "--axis": dict(required=True, help="dotted config path"),
     "--range": dict(required=True, help="start:stop:points"),
 }
 
-# name -> (command, help, the flags it reads beyond --config and --out); a
-# command computes and checks everything first, then returns (output
-# filename, text) or (output filename, function writing the text to a stream)
+# name -> (command, help, the flags it reads beyond --config and --out); a command
+# returns (output filename, text or a function writing the text to a stream)
 _COMMANDS = {
     "budget": (cmd_budget, "exchange/dissipation budget report", ("--format",)),
     "field": (cmd_field, "bottle-ring on-axis field profile CSV", ()),
     "lineshape": (cmd_lineshape, "quantum-jump lineshape scan CSV", ("--seed",)),
     "protocol": (cmd_protocol, "per-cycle protocol record stream CSV", ("--seed",)),
-    "sweep": (cmd_sweep, "budget report swept along one config axis",
-              ("--axis", "--range")),
+    "sweep": (cmd_sweep, "budget report swept along one config axis", ("--axis", "--range")),
 }
 
+_USAGE = {None: "wireqls [-h] {" + ",".join(_COMMANDS) + "} ...", **{
+    name: " ".join(["wireqls", name, "[-h] --config --out", *flags])
+    for name, (_, _, flags) in _COMMANDS.items()}}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wireqls",
-        description="Budgets, field profiles, and Monte Carlo for "
-        "wire-coupled two-trap quantum logic readout.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario path or bundled name")
-        p.add_argument("--out", default=None, help="output directory (default stdout)")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-    return parser
+
+def _stop(status: int, text: str, command: str | None = None) -> NoReturn:
+    if status:  # a usage error
+        prog = "wireqls" if command is None else f"wireqls {command}"
+        text = f"usage: {_USAGE[command]}\n{prog}: error: {text}"
+    with contextlib.suppress(AttributeError, OSError):  # no stream, or a closed one
+        (sys.stderr if status else sys.stdout).write(text + "\n")
+    raise SystemExit(status)
+
+
+def _help(flag: str, text: str | None, command: str | None) -> NoReturn:
+    if text is not None and not (flag == "-h" and text and not text.strip("h")):  # -hh is help
+        _stop(2, f"argument -h/--help: ignored explicit argument {text!r}", command)
+    lines = [f"  {n:10} {a}\n  {'':10} {_USAGE[n]}" for n, (_, a, _) in _COMMANDS.items()]
+    lines += ["", *(f"  {f:10} {spec.get('help', '')}" for f, spec in _FLAGS.items())]
+    _stop(0, "\n".join([f"usage: {_USAGE[None]}", "", *lines]))
+
+
+def _option(arg: str, options: tuple[str, ...], command: str | None):
+    """None for a value (a negative number too), else (the option or None, its text)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, text = arg.partition("=")
+    if arg in (known := ("-h", *options)) or eq and name in known:  # exact, before `=`
+        return (arg, None) if arg in known else (name, text)
+    if arg[:2] == "-h":
+        return "-h", arg[2:]
+    if len(hits := [o for o in options if arg[1] == "-" and o.startswith(name)]) > 1:
+        _stop(2, f"ambiguous option: {arg} could match {', '.join(hits)}", command)
+    if hits:
+        return hits[0], text if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """`argv` read as the standard library's parser reads it (see tests)."""
+    for i, arg in enumerate([*argv, "--"]):  # flags before the command: help or unknown
+        if arg == "--" or not (word := _option(arg, ("--help",), None)):
+            break
+        if word[0]:
+            _help(*word, None)
+    if (command := argv[i] if i < len(argv) else None) not in _COMMANDS:
+        _stop(2, "the following arguments are required: command" if command is None
+              else f"argument command: invalid choice: {command!r}")
+    flags, rest, extras = ("--config", "--out", *_COMMANDS[command][2]), argv[i + 1:], argv[:i]
+    cut = rest.index("--") if "--" in rest else len(rest)  # no flag after `--`
+    words = [_option(arg, ("--help", *flags), command) for arg in rest[:cut]] + [("--",)]
+    values, j = dict.fromkeys(flags), 0
+    while j < cut:
+        word, j = words[j], j + 1
+        if word is None or word[0] is None:
+            extras.append(rest[j - 1])
+        elif word[0] in ("-h", "--help"):
+            _help(*word, command)
+        else:
+            flag, text = word
+            if text is None:
+                if words[j] is not None:
+                    _stop(2, f"argument {flag}: expected one argument", command)
+                text, j = rest[j], j + 1
+            spec, values[flag] = _FLAGS[flag], None
+            with contextlib.suppress(ValueError):
+                values[flag] = spec.get("type", str)(text)
+            if values[flag] is None or values[flag] not in spec.get("choices", [values[flag]]):
+                _stop(2, f"argument {flag}: invalid value: {text!r}", command)
+    if missing := [f for f in flags if _FLAGS[f].get("required") and values[f] is None]:
+        _stop(2, f"the following arguments are required: {', '.join(missing)}", command)
+    if extras := extras + rest[cut:]:
+        _stop(2, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{f[2:]: v for f, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         rc = cfg.load_config(args.config)
         filename, body = _COMMANDS[args.command][0](rc, args)
@@ -275,9 +320,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Process entry: `main` with the collector off, then the atexit
-    handlers, the flush of stdout and stderr, and `os._exit` with `main`'s
-    status, skipping the interpreter's teardown (see the module docstring)."""
+    """Process entry: `main`, without the interpreter's teardown (see above)."""
     gc.disable()
     status = main()
     atexit._run_exitfuncs()

@@ -338,8 +338,9 @@ def _build(v: dict, data: dict) -> RunConfig:
             res["C_p_farad"], res["R_p_ohm"], omega_z, detune
         )
     except ValueError as exc:
-        key = "detune_linewidths" if res["detune_hz"] is None else "detune_hz"
-        raise ConfigError(f"resonator.{key}", str(exc)) from None
+        named = {"omega_z": "traps.logic.axial_frequency_hz", "C_p": "resonator.C_p_farad"}
+        key = "resonator." + ("detune_linewidths" if res["detune_hz"] is None else "detune_hz")
+        raise ConfigError(named.get(str(exc).split()[0], key), str(exc)) from None
 
     ring = None
     if (m := v["magnet"]) is not None:
@@ -532,7 +533,7 @@ def build_protocol(
         delta_hz = angular_to_hz(shifts_l.delta)
         raise ConfigError("protocol.detection.threshold_hz",
                           f"must lie between 0 and the logic-trap delta, {delta_hz!r} Hz")
-    return protocol.ProtocolConfig(
+    pc = protocol.ProtocolConfig(
         budget=budget,
         shifts_L=shifts_l,
         shifts_S=shifts_s,
@@ -556,6 +557,10 @@ def build_protocol(
         pulse_time=p["pulse_time_s"],
         mode=p["mode"],
     )
+    if not math.isfinite(pc.cycle_time * pc.cycles):  # the last wall time
+        raise ConfigError("protocol", "cooling_time_s, pulse_time_s and detection."
+                          "averaging_time_s put cycles x cycle time beyond the float range")
+    return pc
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

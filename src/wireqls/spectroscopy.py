@@ -8,10 +8,8 @@ numbers to the axial frequency,
 
 so a single quantum jump moves w_z by delta. The same gradient couples to
 the thermal axial amplitude <z^2> = k_B T_z / (m w_z^2) and broadens the
-cyclotron line by Delta_w_c = q B2 <z^2> / m. With B2 = 0 a residual
-"relativistic bottle" delta_rel = -hbar w_c w_z / (2 m c^2) survives (always
-negative). Anomalous motional heating is estimated from a scaled
-electric-field noise density converted through
+cyclotron line by Delta_w_c = q B2 <z^2> / m. Anomalous motional heating
+is estimated from a scaled electric-field noise density converted through
 Gamma_h = q^2 S_E(w) / (4 m hbar w).
 """
 
@@ -20,13 +18,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .circuit import TrapParams
-from .constants import C_LIGHT, E, HBAR, K_B, M_E, TWO_PI
+from .constants import E, HBAR, K_B, M_E, TWO_PI
 
 __all__ = [
     "ShiftSet",
     "HeatingModel",
     "bottle_delta",
-    "relativistic_delta",
     "cyclotron_broadening",
     "electric_field_noise",
     "heating_rate",
@@ -64,14 +61,6 @@ def bottle_delta(B2: float, omega_z: float, m: float = M_E, q: float = E) -> flo
     if omega_z <= 0:
         raise ValueError("omega_z must be positive")
     return HBAR * abs(q) * B2 / (m**2 * omega_z)
-
-
-def relativistic_delta(omega_c: float, omega_z: float, m: float = M_E) -> float:
-    """Relativistic-mass shift per cyclotron quantum,
-    -hbar omega_c omega_z / (2 m c^2) [rad/s]; negative by construction."""
-    if omega_c <= 0 or omega_z <= 0:
-        raise ValueError("frequencies must be positive")
-    return -HBAR * omega_c * omega_z / (2.0 * m * C_LIGHT**2)
 
 
 def cyclotron_broadening(

@@ -107,16 +107,39 @@ class TestBudgetCommand:
     def test_arithmetic_error_is_one_line(
         self, capsys, tmp_path, electron_raw, key, value
     ):
-        # division by zero and float overflow inside the budget; both traps
+        # division by zero inside the budget, and a float overflow in the
+        # resonator placement, which names the axial frequency; both traps
         # take the value, as they must share one axial frequency
+        status, start = {"d_eff_m": (1, "error: "), "axial_frequency_hz": (
+            2, "config error: traps.logic.axial_frequency_hz: omega_z puts ")}[key]
         for trap in ("logic", "spectroscopy"):
             electron_raw["traps"][trap][key] = value
         path = write_scenario(tmp_path, electron_raw)
         for command in ("budget", "protocol"):
             code, out, err = run_cli(capsys, command, "--config", path)
-            assert code == 1
+            assert code == status
             assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith(start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["budget", "field"])
+    @pytest.mark.parametrize("axial, c_p, key", [
+        (1.0e160, None, "traps.logic.axial_frequency_hz"),
+        (1.0e150, 1.0e10, "resonator.C_p_farad"),
+    ])
+    def test_resonator_placement_overflow_names_its_leaf(
+        self, capsys, tmp_path, electron_raw, command, axial, c_p, key
+    ):
+        # omega_res**2 overflowed (exit 1 with an errno tuple), or with a
+        # large C_p L_p read 0 and the detuning took the blame
+        for trap in ("logic", "spectroscopy"):
+            electron_raw["traps"][trap]["axial_frequency_hz"] = axial
+        if c_p is not None:
+            electron_raw["resonator"]["C_p_farad"] = c_p
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert "beyond the float range" in err
 
     @pytest.mark.parametrize(
         "dotted, value",
@@ -386,6 +409,21 @@ class TestFieldCommand:
 
 
 class TestLineshapeAndProtocolCommands:
+    @pytest.mark.parametrize("command", ["lineshape", "protocol"])
+    @pytest.mark.parametrize("leaf", ["pulse_time_s", "cooling_time_s"])
+    def test_cycle_time_beyond_the_float_range_is_schema_error(
+        self, capsys, tmp_path, electron_raw, command, leaf
+    ):
+        # a pulse time at the float maximum made the cycle time inf (inf wall
+        # times, and a drift step of nan that never excites); a cooling time
+        # there overflowed the wall-time column with a RuntimeWarning
+        electron_raw["protocol"][leaf] = 1.7e308
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: protocol: ") and err.count("\n") == 1
+        assert leaf in err and "inf" not in err
+
     def test_lineshape_deterministic(self, capsys, tmp_path, electron_raw):
         electron_raw["protocol"]["cycles"] = 60
         path = write_scenario(tmp_path, electron_raw)
@@ -815,6 +853,35 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
     ]
 
 
+def test_no_command_loads_argparse():
+    # the parser reads argv from the command table; argparse, and the gettext
+    # and locale modules it loads, serve only as its oracle in tests
+    argvs = [
+        ["budget", "--config", "paper-electron"],
+        ["field", "--config", "paper-electron"],
+        ["lineshape", "--config", "paper-electron"],
+        ["protocol", "--config", "paper-electron"],
+        ["sweep", "--config", "paper-electron",
+         "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
+        ["budget", "--config", "paper-electron", "--seed", "3"],
+    ]
+    for argv, status in zip(argvs, [0, 0, 0, 0, 0, 2]):  # one process each
+        out = run_python(
+            "import contextlib, io, sys\n"
+            "from wireqls import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()),"
+            " contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        print(cli.main({argv!r}), file=sys.__stdout__)\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code, file=sys.__stdout__)\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
+        )
+        assert out.splitlines() == [str(status), "[]"], argv
+    src = Path(cli.__file__).parent
+    assert [p.name for p in src.glob("*.py") if "argparse" in p.read_text()] == []
+
+
 def test_package_loads_modules_on_first_access():
     out = run_python(
         "import sys, wireqls\n"
@@ -1114,7 +1181,7 @@ class TestSweepCommand:
     def test_sweep_leaves_scenario_unchanged(self):
         rc = cfg.load_config("paper-electron")
         before = copy.deepcopy(rc.raw)
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["sweep", "--config", "paper-electron", "--axis",
              "traps.logic.temperature_k", "--range", "0.004:0.02:9"]
         )

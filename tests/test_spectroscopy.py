@@ -24,30 +24,6 @@ class TestBottleDelta:
         assert spectroscopy.bottle_delta(-9000.0, OMEGA_Z) < 0.0
 
 
-class TestRelativisticDelta:
-    def test_worked_value(self):
-        omega_c = E * 6.0 / M_E
-        d = spectroscopy.relativistic_delta(omega_c, OMEGA_Z)
-        assert_rel(d, -TWO_PI * 0.14, 0.05)
-        assert 0.5e-9 <= abs(d) / OMEGA_Z <= 2e-9
-
-    def test_always_negative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            wc = 10 ** rng.uniform(8, 13)
-            wz = 10 ** rng.uniform(5, 10)
-            assert spectroscopy.relativistic_delta(wc, wz) < 0.0
-
-    def test_bilinear(self):
-        base = spectroscopy.relativistic_delta(1e12, 1e9)
-        assert spectroscopy.relativistic_delta(2e12, 1e9) == pytest.approx(
-            2.0 * base, rel=1e-14
-        )
-        assert spectroscopy.relativistic_delta(1e12, 3e9) == pytest.approx(
-            3.0 * base, rel=1e-14
-        )
-
-
 class TestCyclotronBroadening:
     def test_zero_temperature(self):
         assert spectroscopy.cyclotron_broadening(4.0, 0.0, OMEGA_Z) == 0.0
@@ -130,9 +106,6 @@ class TestHomogeneityProperties:
             )
             assert spectroscopy.cyclotron_broadening(b2, k * t, w) == pytest.approx(
                 k * spectroscopy.cyclotron_broadening(b2, t, w), rel=1e-12
-            )
-            assert spectroscopy.relativistic_delta(k * w, w) == pytest.approx(
-                k * spectroscopy.relativistic_delta(w, w), rel=1e-12
             )
             model = spectroscopy.HeatingModel()
             assert spectroscopy.electric_field_noise(
