@@ -112,6 +112,12 @@ class TrapParams(Checked, _TrapFields):
     def _check(self) -> None:
         if self.d_eff <= 0:
             raise ValueError("d_eff must be positive")
+        try:  # series_equivalent's inductance, as it computes it
+            l = self.m * (2.0 * self.d_eff / self.q) ** 2
+        except OverflowError:
+            l = math.inf
+        if not 0.0 < l < math.inf:
+            raise ValueError("d_eff puts l = m (2 d_eff / q)^2 outside the float range")
         if self.omega_z <= 0:
             raise ValueError("omega_z must be positive")
         if not math.isfinite(self.omega_z):

@@ -3,7 +3,9 @@
 `parse_args` reads argv from the `_COMMANDS` and `_FLAGS` tables as the
 standard library's parser would (`--flag value`, `--flag=value`, a unique
 prefix, a negative number as a value). A command computes and checks
-everything, then `main` writes its output once, to stdout or --out <dir>.
+everything, then `main` writes its output to stdout or --out <dir>: as one
+text, or, for `field` and `protocol`, through a writer that computes and
+writes one block at a time, so their memory does not grow with the output.
 Exit codes: 0 success or help, 2 usage and schema errors, 1 other errors.
 `run`, the process entry, turns the cyclic collector off, calls `main`, runs
 the atexit handlers, flushes stdout and stderr and ends with `os._exit`.
@@ -115,32 +117,38 @@ def cmd_budget(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
     return "budget.txt", "\n".join(lines) + "\n"
 
 
-def cmd_field(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
+PROFILE_BLOCK = 256  # positions a block of `field`'s profile; 1024 already shows in its RSS
+
+
+def cmd_field(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, Writer]:
     ring = cfg.build_ring(rc)
     p = rc.magnet["profile"]
     sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
     grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
     grid = sorted(set(grid).union(sites.values()))
-    profile = magnetics.field_profile(
-        ring, grid, background=rc.magnet["background_field_tesla"]
-    )
-    buf = io.StringIO()
-    magnetics.write_profile_csv(profile, buf, markers=sites)
     # independent-derivative spot check of the printed gradients, appended as an
     # agreement flag; each error is relative to the gradient's largest magnitude
     # over the checked rows, so a row near a zero of B1 or B2 does not inflate it
-    step = max(1, len(grid) // 8)
-    analytic = list(zip(profile.B1[::step], profile.B2[::step]))
-    fd = [magnetics.fd_gradients(ring, z) for z in grid[::step]]
+    checked = grid[:: max(1, len(grid) // 8)]
+    profile = magnetics.field_profile(ring, checked)
+    analytic = list(zip(profile.B1, profile.B2))
+    fd = [magnetics.fd_gradients(ring, z) for z in checked]
     worst = 0.0
     for k in (0, 1):
         scale = max(abs(a[k]) for a in analytic)
         if scale > 0.0:
             err = max(abs(a[k] - f[k]) for a, f in zip(analytic, fd))
             worst = max(worst, err / scale)
-    buf.write(f"# fd_agreement_max_rel_err = {worst!r}\n")
-    buf.write(f"# fd_agreement_ok = {int(worst <= 1e-6)}\n")
-    return "field.csv", buf.getvalue()
+    background = rc.magnet["background_field_tesla"]
+    blocks = (magnetics.field_profile(ring, grid[i:i + PROFILE_BLOCK], background)
+              for i in range(0, len(grid), PROFILE_BLOCK))
+
+    def write(stream: TextIO) -> None:
+        magnetics.write_profile_csv(blocks, stream, markers=sites)
+        stream.write(f"# fd_agreement_max_rel_err = {worst!r}\n")
+        stream.write(f"# fd_agreement_ok = {int(worst <= 1e-6)}\n")
+
+    return "field.csv", write
 
 
 def cmd_lineshape(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:

@@ -18,7 +18,8 @@ the whole drive grid, and one axial frequency for both traps. `circuit`
 owns the trap ranges, the common axial frequency and the placement (so
 `RunConfig.resonator` is placed once, here), `magnetics.RingMagnet` the
 ring ranges; their errors gain a key path. `SCHEMA` only caps the ring's
-inner and outer radius and height at `MAX_PROFILE_M`.
+inner and outer radius and height, and its center's distance from the
+origin, at `MAX_PROFILE_M`.
 `build_protocol` checks two leaves against the logic trap's bottle shift
 delta_L: traps.logic.b2_tesla_per_m2 must make it positive, and
 protocol.detection.threshold_hz must lie between 0 and delta_L.
@@ -74,7 +75,7 @@ MAX_CYCLES = 1_000_000
 MAX_TOTAL_CYCLES = 100_000_000
 MAX_GRID = 100_000  # detuning grid points, field profile samples
 MAX_DRIVE_HZ = 1.0e12  # |drive grid end| [Hz], above any modelled cyclotron line
-MAX_PROFILE_M = 10.0  # |field profile end or trap site|, ring size [m]
+MAX_PROFILE_M = 10.0  # |field profile end, trap site or ring center|, ring size [m]
 
 
 class Range(NamedTuple):
@@ -132,7 +133,7 @@ SCHEMA = (
     ("magnet.outer_radius_m", float, REQUIRED, RING_SIZE),
     ("magnet.height_m", float, REQUIRED, RING_SIZE),
     ("magnet.mu0_magnetization_tesla", float, REQUIRED, None),
-    ("magnet.center_z_m", float, 0.0, None),
+    ("magnet.center_z_m", float, 0.0, PROFILE_EXTENT),
     ("magnet.background_field_tesla", float, 0.0, None),
     ("magnet.calibrate_b2_tesla_per_m2", float, None, None),
     ("magnet.profile.z_min_m", float, REQUIRED, PROFILE_EXTENT),

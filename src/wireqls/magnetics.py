@@ -24,6 +24,7 @@ gives floats without numpy, and an ndarray of positions gives ndarrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import IO, NamedTuple
 
 from .constants import Checked
@@ -62,6 +63,10 @@ class RingMagnet(Checked, _RingFields):
     def _check(self) -> None:
         if not 0.0 < self.r_in < self.r_out:
             raise ValueError("require 0 < r_in < r_out")
+        try:  # the axis's largest terms: a position on a face, u = 0
+            _face_term(0.0, self.r_in**2)
+        except ArithmeticError:
+            raise ValueError("r_in too small: the field overflows at the faces") from None
         if self.height <= 0:
             raise ValueError("height must be positive")
         if not math.isfinite(self.magnetization):
@@ -185,11 +190,12 @@ def field_profile(ring: RingMagnet, z, background: float = 0.0) -> FieldProfile:
 
 
 def write_profile_csv(
-    profile: FieldProfile,
+    profiles: Iterable[FieldProfile],
     stream: IO[str],
     markers: dict[str, float] | None = None,
 ) -> None:
-    """Write the profile as CSV columns (z, B, B1, B2) in SI units.
+    """Write the profile from its blocks in order as CSV columns (z, B, B1,
+    B2) in SI units, one write a block.
 
     `markers` maps row labels (e.g. trap sites) to positions; a row whose z
     lies within 1e-15 m of markers carries their labels, joined by `+` in
@@ -197,8 +203,9 @@ def write_profile_csv(
     """
     marks = (markers or {}).items()
     stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
-    for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
-        site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
-        stream.write(
-            f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n"
-        )
+    for profile in profiles:
+        rows = []
+        for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
+            site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
+            rows.append(f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n")
+        stream.write("".join(rows))

@@ -41,6 +41,16 @@ def paper_budget(stock_resonator, trap_logic, trap_spectroscopy) -> circuit.Exch
     return circuit.qls_budget(stock_resonator, trap_logic, trap_spectroscopy, T_ENV)
 
 
+class CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
 def package_env() -> dict:
     """The environment with the tested package's directory first on
     PYTHONPATH, so that a fresh interpreter imports the same package."""

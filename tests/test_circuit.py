@@ -383,6 +383,12 @@ class TestTrapParams:
         with pytest.raises(ValueError):
             circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, -0.01, M_E, E)
 
+    @pytest.mark.parametrize("d_eff", [1e200, 1e-170, 1e-200])
+    def test_inductance_outside_the_float_range_rejected(self, d_eff):
+        # l = m (2 d_eff / q)^2 overflows, or underflows to zero
+        with pytest.raises(ValueError, match="d_eff puts l"):
+            circuit.TrapParams(d_eff, OMEGA_Z, 6.0, 0.0, 0.01, M_E, E)
+
     @pytest.mark.parametrize("omega_z", [math.inf, math.nan])
     def test_non_finite_axial_frequency_rejected(self, omega_z):
         with pytest.raises(ValueError, match="omega_z"):

@@ -1,23 +1,31 @@
 import ast
 import atexit
+import contextlib
 import copy
+import functools
 import gc
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wireqls import cli
+from wireqls import cli, magnetics
 from wireqls import config as cfg
 
-from conftest import assert_rel, package_env
+from conftest import CountingSink, assert_rel, package_env
 
 
 @pytest.fixture()
@@ -107,10 +115,12 @@ class TestBudgetCommand:
     def test_arithmetic_error_is_one_line(
         self, capsys, tmp_path, electron_raw, key, value
     ):
-        # division by zero inside the budget, and a float overflow in the
-        # resonator placement, which names the axial frequency; both traps
-        # take the value, as they must share one axial frequency
-        status, start = {"d_eff_m": (1, "error: "), "axial_frequency_hz": (
+        # a series inductance that underflows to zero, which the trap model
+        # rejects, and a float overflow in the resonator placement, which
+        # names the axial frequency; both traps take the value, as they must
+        # share one axial frequency
+        status, start = {"d_eff_m": (2, "config error: traps.logic: d_eff puts "),
+                         "axial_frequency_hz": (
             2, "config error: traps.logic.axial_frequency_hz: omega_z puts ")}[key]
         for trap in ("logic", "spectroscopy"):
             electron_raw["traps"][trap][key] = value
@@ -120,6 +130,21 @@ class TestBudgetCommand:
             assert code == status
             assert out == ""
             assert err.startswith(start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trap", ["logic", "spectroscopy"])
+    @pytest.mark.parametrize("d_eff", [1.0e200, 1.0e-170, 1.0e-200])
+    def test_trap_size_outside_the_inductance_range_names_its_trap(
+        self, capsys, tmp_path, electron_raw, trap, d_eff
+    ):
+        # l = m (2 d_eff / q)^2 overflows, which read as an errno tuple, or
+        # underflows to zero, which read as a division by zero
+        electron_raw["traps"][trap]["d_eff_m"] = d_eff
+        path = write_scenario(tmp_path, electron_raw)
+        for command in ("budget", "lineshape", "protocol"):
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert code == 2 and out == ""
+            assert err.startswith(f"config error: traps.{trap}: d_eff puts ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["budget", "field"])
     @pytest.mark.parametrize("axial, c_p, key", [
@@ -402,10 +427,120 @@ class TestFieldCommand:
         assert out == ""
         assert err.startswith(f"config error: magnet.{key}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["field", "budget"])
+    @pytest.mark.parametrize("r_in", [1.0e-70, 1.0e-170])
+    def test_inner_radius_whose_face_field_overflows_is_schema_error(
+        self, capsys, tmp_path, electron_raw, command, r_in
+    ):
+        # a site on the top face: inv**5 in the face term overflowed (an
+        # errno tuple), or r_in**2 underflowed to zero (0.0 to a negative power)
+        electron_raw["magnet"]["inner_radius_m"] = r_in
+        electron_raw["magnet"]["profile"]["logic_site_m"] = 2.5e-3
+        path = write_scenario(tmp_path, electron_raw)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, command, "--config", path, "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: magnet: r_in ") and err.count("\n") == 1
+        assert not out_dir.exists()
+        code, out, _ = run_cli(capsys, command, "--config", path)
+        assert code == 2 and out == ""
+
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
         assert code == 2
         assert "magnet" in err
+
+
+def write_profile_csv_whole(profile, stream, markers=None):
+    """`magnetics.write_profile_csv` as it was before it took blocks."""
+    marks = (markers or {}).items()
+    stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
+    for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
+        site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
+        stream.write(
+            f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n"
+        )
+
+
+def field_whole(rc: cfg.RunConfig, args) -> tuple[str, str]:
+    """`cli.cmd_field` as it was before it streamed: every row in memory at
+    once, the oracle of the streamed command's bytes."""
+    ring = cfg.build_ring(rc)
+    p = rc.magnet["profile"]
+    sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
+    grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
+    grid = sorted(set(grid).union(sites.values()))
+    profile = magnetics.field_profile(
+        ring, grid, background=rc.magnet["background_field_tesla"]
+    )
+    buf = io.StringIO()
+    write_profile_csv_whole(profile, buf, markers=sites)
+    # independent-derivative spot check of the printed gradients, appended as an
+    # agreement flag; each error is relative to the gradient's largest magnitude
+    # over the checked rows, so a row near a zero of B1 or B2 does not inflate it
+    step = max(1, len(grid) // 8)
+    analytic = list(zip(profile.B1[::step], profile.B2[::step]))
+    fd = [magnetics.fd_gradients(ring, z) for z in grid[::step]]
+    worst = 0.0
+    for k in (0, 1):
+        scale = max(abs(a[k]) for a in analytic)
+        if scale > 0.0:
+            err = max(abs(a[k] - f[k]) for a, f in zip(analytic, fd))
+            worst = max(worst, err / scale)
+    buf.write(f"# fd_agreement_max_rel_err = {worst!r}\n")
+    buf.write(f"# fd_agreement_ok = {int(worst <= 1e-6)}\n")
+    return "field.csv", buf.getvalue()
+
+
+# 0.05 is a point of the bundled 201-sample grid; two sites that coincide;
+# a span of one ulp, where linspace repeats its values
+_EDGE_PROFILES = {
+    "site-on-grid-point": {"samples": 201, "spectroscopy_site_m": 0.05},
+    "coincident-sites": {"samples": 300, "spectroscopy_site_m": 0.0},
+    "one-ulp-span": {"samples": 300, "z_min_m": 0.01,
+                     "z_max_m": math.nextafter(0.01, 1.0)},
+}
+
+
+class TestFieldStream:
+    """`field` computes and writes its profile PROFILE_BLOCK positions at a
+    time; its bytes are those of the whole profile at once."""
+
+    @pytest.mark.parametrize("profile", [
+        *({"samples": n} for n in (2, 255, 256, 257, 513, 2_000)),
+        *_EDGE_PROFILES.values(),
+    ], ids=[*(f"samples-{n}" for n in (2, 255, 256, 257, 513, 2_000)), *_EDGE_PROFILES])
+    def test_bytes_equal_the_whole_profile(self, capsys, tmp_path, electron_raw, profile):
+        electron_raw["magnet"]["profile"].update(profile)
+        _, expected = field_whole(cfg.parse_config(electron_raw), None)
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "field", "--config", path)
+        assert (code, err) == (0, "") and out == expected
+        code, out, err = run_cli(capsys, "field", "--config", path, "--out", str(tmp_path))
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+
+    def test_writer_memory_does_not_grow_with_samples(self, electron_raw):
+        def traced_write(samples):
+            electron_raw["magnet"]["profile"]["samples"] = samples
+            _, write = cli.cmd_field(cfg.parse_config(electron_raw), None)
+            sink = CountingSink()
+            tracemalloc.start()
+            try:
+                write(sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return sink.chars, peak
+
+        traced_write(2_000)  # first-call allocations are not the profile's
+        small_chars, small = traced_write(2_000)
+        large_chars, large = traced_write(cfg.MAX_GRID)
+        assert large_chars > 40 * small_chars > 0  # both profiles went through
+        assert large - small < 500_000, (
+            f"writer peak {large / 1e6:.2f} MB at {cfg.MAX_GRID} samples vs "
+            f"{small / 1e6:.2f} MB at 2,000"
+        )
 
 
 class TestLineshapeAndProtocolCommands:
@@ -1237,3 +1372,81 @@ def test_every_numeric_leaf_ends_cleanly(capsys, monkeypatch, dotted):
             assert code in (0, 1, 2), where
             assert err.count("\n") <= 1, where
             assert not re.match(r"error: \(\d+, ", err), where
+
+
+ROWS = {path: (kind, default, accept) for path, kind, default, accept in cfg.SCHEMA}
+JOINT_LEAVES = [
+    *(path for path, (kind, _, _) in ROWS.items()
+      if path.startswith("magnet.") and kind is not str),
+    "traps.logic.d_eff_m", "traps.spectroscopy.d_eff_m",
+]
+
+
+def edge_values(dotted: str) -> list:
+    """Values to draw for a leaf: its Range's finite edges and their float
+    neighbours, zero, the least float and the decades up to the float
+    maximum, of both signs; and None, the key left out, where it has a
+    default."""
+    kind, default, accept = ROWS[dotted]
+    values = {0.0, math.ulp(0.0), sys.float_info.max,
+              *(float(f"1e{k}") for k in range(-300, 309, 10))}
+    for edge in (accept.lo, accept.hi) if isinstance(accept, cfg.Range) else ():
+        if math.isfinite(edge):
+            values |= {edge, *(math.nextafter(edge, to) for to in (-math.inf, math.inf))}
+    values |= {-v for v in values}
+    if kind is int:  # an int's neighbours are one apart
+        values = {int(v) for v in values if float(v).is_integer()}
+        values |= {int(v) + step for v in (accept.lo, accept.hi) for step in (-1, 1)}
+    return sorted(values) + ([] if default is cfg.REQUIRED else [None])
+
+
+@st.composite
+def joint_leaves(draw) -> dict:
+    paths = draw(st.lists(st.sampled_from(JOINT_LEAVES), min_size=1, max_size=3, unique=True))
+    return {path: draw(st.sampled_from(edge_values(path))) for path in paths}
+
+
+# the two repros of an inner radius whose face terms overflow, the two of a
+# trap inductance outside the float range, an uncalibrated ring far from the
+# profile, where the finite-difference step's square overflowed, and a step
+# that underflows at a grid point on the ring center (exit 1)
+@example({"magnet.inner_radius_m": 1.0e-70, "magnet.profile.logic_site_m": 2.5e-3})
+@example({"magnet.inner_radius_m": 1.0e-170, "magnet.profile.logic_site_m": 2.5e-3})
+@example({"traps.spectroscopy.d_eff_m": 1.0e200})
+@example({"traps.spectroscopy.d_eff_m": 1.0e-200})
+@example({"magnet.center_z_m": -1.0e270, "magnet.calibrate_b2_tesla_per_m2": None})
+@example({"magnet.inner_radius_m": 1.0e-21, "magnet.outer_radius_m": 1.0e-20,
+          "magnet.height_m": 1.0e-20, "magnet.center_z_m": -0.02,
+          "magnet.calibrate_b2_tesla_per_m2": None})
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(joint_leaves())
+def test_a_failing_field_writes_nothing(leaves):
+    # every mix of magnet leaves and trap sizes ends in output, or in exit 1
+    # or 2 with one line on stderr, and then nothing on stdout and no file
+    raw = copy.deepcopy(cfg.load_config("paper-electron").raw)
+    for dotted, value in leaves.items():
+        if value is None:
+            *parents, leaf = dotted.split(".")
+            del functools.reduce(dict.get, parents, raw)[leaf]
+        else:
+            set_key(raw, dotted, value)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        # the commands parse the mapping itself, without a YAML file
+        patch.setattr(cfg, "load_config", lambda _: cfg.parse_config(raw))
+        for argv, filename in [(["field"], None), (["field", "--out", tmp], "field.csv"),
+                               (["budget", "--out", tmp], "budget.txt")]:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = cli.main([*argv, "--config", "fuzz"])
+            out, err = out.getvalue(), err.getvalue()
+            where = f"{' '.join(argv[:2])} with {leaves}: {err!r}"
+            assert code in (0, 1, 2), where
+            assert err.count("\n") <= 1 and "Traceback" not in err, where
+            assert not re.match(r"error: \(\d+, ", err), where
+            if code:
+                assert out == "", where
+                assert not (filename and (Path(tmp) / filename).exists()), where
+            else:
+                assert (out == "") == (filename is not None), where

@@ -22,6 +22,31 @@ class TestGeometryValidation:
                 r_in=1e-3, r_out=1e-2, height=1e-3, magnetization=math.inf
             )
 
+    def test_inner_radius_edge_where_the_face_field_overflows(self):
+        # the least accepted r_in, found by bisection over the floats: at it
+        # the field on and beside a face is finite, one float below it the
+        # ring is rejected (inv**5 in the face term would overflow there)
+        def accepted(r_in):
+            try:
+                magnetics.RingMagnet(r_in, 1e-3, 1e-3, 1e6)
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = 1e-70, 1e-50
+        assert not accepted(lo) and accepted(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo * hi)
+            mid = mid if lo < mid < hi else math.nextafter(lo, hi)
+            lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+        assert 1e-62 < hi < 1e-61 and not accepted(math.nextafter(hi, 0.0))
+        for r_in in (hi, math.nextafter(hi, 1.0)):
+            ring = magnetics.RingMagnet(r_in, 1e-3, 1e-3, 1e6)
+            for face in (-0.5e-3, 0.5e-3):
+                for z in (face, math.nextafter(face, -1.0), math.nextafter(face, 1.0)):
+                    values = magnetics._derivatives(ring, z)
+                    assert all(map(math.isfinite, values)), (r_in, z, values)
+
 
 class TestFieldShape:
     def test_far_field_dipole_decay(self):
@@ -175,7 +200,7 @@ class TestProfileExport:
         profile = magnetics.field_profile(RING, z, background=6.0)
         buf = io.StringIO()
         magnetics.write_profile_csv(
-            profile, buf, markers={"logic": 0.0, "spectroscopy": 0.05}
+            [profile], buf, markers={"logic": 0.0, "spectroscopy": 0.05}
         )
         lines = buf.getvalue().splitlines()
         assert lines[0] == "z_m,B_T,B1_T_per_m,B2_T_per_m2,site"
@@ -189,7 +214,7 @@ class TestProfileExport:
         profile = magnetics.field_profile(RING, [-0.01, 0.0, 1.0e-17, 0.05])
         buf = io.StringIO()
         magnetics.write_profile_csv(
-            profile, buf, markers={"logic": 0.0, "spectroscopy": second}
+            [profile], buf, markers={"logic": 0.0, "spectroscopy": second}
         )
         sites = [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]]
         assert sites == ["", "logic+spectroscopy", "logic+spectroscopy", ""]

@@ -12,7 +12,7 @@ from wireqls import config as cfg
 from wireqls import protocol, spectroscopy
 from wireqls.constants import G_E, cyclotron_frequency
 
-from conftest import assert_rel
+from conftest import CountingSink, assert_rel
 
 
 @pytest.fixture(scope="module")
@@ -716,16 +716,6 @@ def _flag_table(rows: int, order: int, shifts: list, times: list, block: int | N
     ]
 
 
-class _CountingSink:
-    """A text stream that keeps only the number of characters written."""
-
-    def __init__(self):
-        self.chars = 0
-
-    def write(self, text):
-        self.chars += len(text)
-
-
 # points on both sides of the one-block edge, the last one with a ragged
 # tail of RECORDS_CHUNK blocks
 _LAYOUT_CYCLES = [
@@ -738,7 +728,7 @@ _LAYOUT_CYCLES = [
 
 def _traced_peak(write, *args):
     """Characters `write(*args, sink)` wrote and its tracemalloc peak."""
-    sink = _CountingSink()
+    sink = CountingSink()
     tracemalloc.start()
     try:
         write(*args, sink)
@@ -914,7 +904,7 @@ class TestRecordStream:
             config = noisy_config._replace(cycles=cycles)
             protocol.write_records_csv(protocol.record_blocks(config, 0.0, 0), sink)
 
-        stream(2_000, _CountingSink())  # first-call allocations are not the table's
+        stream(2_000, CountingSink())  # first-call allocations are not the table's
         small_chars, small = _traced_peak(stream, 2_000)
         large_chars, large = _traced_peak(stream, 200_000)
         assert large_chars > 50 * small_chars > 0  # both tables went through
