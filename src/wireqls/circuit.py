@@ -112,8 +112,8 @@ class TrapParams(Checked, _TrapFields):
     def _check(self) -> None:
         if self.d_eff <= 0:
             raise ValueError("d_eff must be positive")
-        try:  # series_equivalent's inductance, as it computes it
-            l = self.m * (2.0 * self.d_eff / self.q) ** 2
+        try:
+            l = _series_l(self)
         except OverflowError:
             l = math.inf
         if not 0.0 < l < math.inf:
@@ -172,6 +172,10 @@ def impedance(res: ResonatorParams, omega: float) -> complex:
     return 1.0 / admittance
 
 
+def _series_l(trap: TrapParams) -> float:
+    return trap.m * (2.0 * trap.d_eff / trap.q) ** 2
+
+
 def series_equivalent(trap: TrapParams, z_im: float = 0.0) -> SeriesModeEquivalent:
     """Series-mode equivalent of the trap's particle.
 
@@ -179,7 +183,7 @@ def series_equivalent(trap: TrapParams, z_im: float = 0.0) -> SeriesModeEquivale
     -Im[Z(w_z)]/l, so the bare frequency that the trap voltage must realize
     is omega_z0 = omega_z + Im[Z(w_z)]/l; c follows from l c omega_z0^2 = 1.
     """
-    l = trap.m * (2.0 * trap.d_eff / trap.q) ** 2
+    l = _series_l(trap)
     omega_z0 = trap.omega_z + z_im / l
     if omega_z0 <= 0:
         raise ValueError("frequency pulling drives the bare axial frequency negative")

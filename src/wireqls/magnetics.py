@@ -66,7 +66,7 @@ class RingMagnet(Checked, _RingFields):
         try:  # the axis's largest terms: a position on a face, u = 0
             _face_term(0.0, self.r_in**2)
         except ArithmeticError:
-            raise ValueError("r_in too small: the field overflows at the faces") from None
+            raise ValueError("r_in outside the float range of the face terms") from None
         if self.height <= 0:
             raise ValueError("height must be positive")
         if not math.isfinite(self.magnetization):
@@ -195,7 +195,7 @@ def write_profile_csv(
     markers: dict[str, float] | None = None,
 ) -> None:
     """Write the profile from its blocks in order as CSV columns (z, B, B1,
-    B2) in SI units, one write a block.
+    B2) in SI units.
 
     `markers` maps row labels (e.g. trap sites) to positions; a row whose z
     lies within 1e-15 m of markers carries their labels, joined by `+` in
@@ -204,8 +204,6 @@ def write_profile_csv(
     marks = (markers or {}).items()
     stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
     for profile in profiles:
-        rows = []
         for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
             site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
-            rows.append(f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n")
-        stream.write("".join(rows))
+            stream.write(f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n")

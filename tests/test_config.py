@@ -1,5 +1,6 @@
 import argparse
 import copy
+import io
 import math
 import re
 import struct
@@ -262,8 +263,10 @@ class TestLeavesReachModels:
         if dotted.startswith("protocol."):
             assert cfg.build_protocol(changed) != cfg.build_protocol(base)
         else:
-            def model(rc):
-                return cfg.build_ring(rc), cli.cmd_field(rc, argparse.Namespace())[1]
+            def model(rc):  # the ring, and the CSV text the field writer emits
+                buf = io.StringIO()
+                cli.cmd_field(rc, argparse.Namespace())[1](buf)
+                return cfg.build_ring(rc), buf.getvalue()
 
             assert model(changed) != model(base)
 

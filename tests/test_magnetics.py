@@ -47,6 +47,11 @@ class TestGeometryValidation:
                     values = magnetics._derivatives(ring, z)
                     assert all(map(math.isfinite, values)), (r_in, z, values)
 
+    def test_inner_radius_whose_square_overflows_rejected(self):
+        # r_in**2 in the face terms overflows above ~1.3e154 m
+        with pytest.raises(ValueError, match="r_in outside the float range"):
+            magnetics.RingMagnet(1e200, 1e201, 1e-3, 1e6)
+
 
 class TestFieldShape:
     def test_far_field_dipole_decay(self):
