@@ -10,10 +10,15 @@ dynamics      Fock-space Lindblad oracle for the swap probability (tests only)
 protocol      closed-form swap probability, seven-step cycle Monte Carlo,
               lineshapes
 config        scenario schema and loaders
-cli           command-line entry points
+cli           command-line parser and process entry
+cmd_budget, cmd_field, cmd_lineshape, cmd_protocol, cmd_sweep
+              one module per command, each imported only by its own run
 
-The modules load on first attribute access (`wireqls.protocol`), so the
-`budget`, `field` and `sweep` commands start without numpy.
+The modules load on first attribute access (`wireqls.protocol`). A command
+loads `cli`, `config`, `circuit`, `constants` and its own module;
+`magnetics` for `field` and for a scenario with a `magnet` block; and
+`spectroscopy`, `protocol` and numpy for `lineshape` and `protocol`. So
+`budget`, `field` and `sweep` start without numpy.
 """
 
 import importlib

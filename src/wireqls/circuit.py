@@ -16,8 +16,6 @@ damping rate) is the feasibility figure of merit: the exchange is reliable
 when it is well below one.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -10,7 +10,7 @@ missing block fail with its key path.
 A leaf of those blocks goes from its `SCHEMA` row through `_walk` into
 `RunConfig.magnet` or `.protocol` (keyed as in the file, defaults filled in,
 in rad/s), and from there to the code that reads it by key: `build_ring`,
-`build_protocol` or `cli.cmd_field`. A new leaf is its row plus that code.
+`build_protocol` or `cmd_field`. A new leaf is its row plus that code.
 
 `parse_config` adds the checks that span several leaves: one resonator
 placement, a profile that starts below its end, a bound on the cycles over
@@ -28,10 +28,10 @@ Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
 of a path. `load_config` reads plain block YAML itself and hands any other
 text to PyYAML (by libyaml where PyYAML has it), imported only then.
 Parsing a scenario and building its budget need no numpy; `build_protocol`
-imports the array and shift modules when it is called.
+imports the array and shift modules when it is called, and a scenario
+loads `magnetics` only where it has a `magnet` block. `build_ring` names
+`magnet.calibrate_b2_tesla_per_m2` when the calibration fails.
 """
-
-from __future__ import annotations
 
 import math
 import re
@@ -40,7 +40,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import circuit, magnetics
+from . import circuit
 from .constants import (
     PARTICLES,
     angular_to_hz,
@@ -52,7 +52,7 @@ from .constants import (
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
-    from . import protocol
+    from . import magnetics, protocol
 
 __all__ = [
     "SCHEMA",
@@ -267,7 +267,7 @@ class RunConfig(NamedTuple):
     environment_temperature: float
     trap_logic: circuit.TrapParams
     trap_spectroscopy: circuit.TrapParams
-    ring: magnetics.RingMagnet | None  # as specified, before any calibration
+    ring: "magnetics.RingMagnet | None"  # as specified, before any calibration
     magnet: dict | None
     protocol: dict | None
     raw: dict
@@ -283,8 +283,8 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def sweep_configs(
-    config: RunConfig, dotted: str, values: Iterable[float]
-) -> Iterator[RunConfig]:
+    config: RunConfig, dotted: str, values: "Iterable[float]"
+) -> "Iterator[RunConfig]":
     """`parse_config(set_by_path(config.raw, dotted, value))` for each of
     `values`. The scenario is walked once; each point re-checks only the
     swept leaf, then runs the checks that span several leaves."""
@@ -345,6 +345,8 @@ def _build(v: dict, data: dict) -> RunConfig:
 
     ring = None
     if (m := v["magnet"]) is not None:
+        from . import magnetics
+
         try:
             ring = magnetics.RingMagnet.saturated(
                 r_in=m["inner_radius_m"], r_out=m["outer_radius_m"],
@@ -497,17 +499,20 @@ def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
         raise ConfigError("environment.temperature_k", str(exc)) from None
 
 
-def build_ring(config: RunConfig) -> magnetics.RingMagnet:
+def build_ring(config: RunConfig) -> "magnetics.RingMagnet":
     """Bottle ring, calibrated when the scenario requests it."""
     if config.magnet is None:
         raise ConfigError("magnet", "missing required key")
     b2 = config.magnet["calibrate_b2_tesla_per_m2"]
-    return config.ring if b2 is None else config.ring.calibrated_to(b2)
+    try:
+        return config.ring if b2 is None else config.ring.calibrated_to(b2)
+    except ValueError as exc:  # a vanishing B2, or a rescaled M beyond the float range
+        raise ConfigError("magnet.calibrate_b2_tesla_per_m2", str(exc)) from None
 
 
 def build_protocol(
     config: RunConfig, seed: int | None = None
-) -> protocol.ProtocolConfig:
+) -> "protocol.ProtocolConfig":
     """Assemble the full per-cycle configuration from the scenario."""
     from . import protocol, spectroscopy
 

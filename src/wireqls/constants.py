@@ -8,8 +8,6 @@ The package's records are named tuples; `Checked` validates the ones whose
 values have a range.
 """
 
-from __future__ import annotations
-
 import math
 
 TWO_PI = 2.0 * math.pi

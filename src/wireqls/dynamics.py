@@ -21,8 +21,6 @@ per-mode truncation n_max; evolution raises TruncationError if the top
 level accumulates more than TRUNCATION_LIMIT population.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

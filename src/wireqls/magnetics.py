@@ -21,8 +21,6 @@ The field is evaluated with arithmetic operators only: a float position
 gives floats without numpy, and an ndarray of positions gives ndarrays.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 from typing import IO, NamedTuple

@@ -25,8 +25,6 @@ Cycles at distinct detuning points use independent RNG streams derived from
 (seed, point index), so scans are reproducible and order independent.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections.abc import Iterable, Iterator
@@ -622,28 +620,34 @@ def timing_budget(config: ProtocolConfig) -> TimingBudget:
     )
 
 
-def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
+def write_records_csv(
+    blocks: Iterable[ProtocolRecords], stream, rows: int | None = None
+) -> int:
     """Record table as CSV from its blocks in cycle order; shifts in rad/s,
-    times in seconds. Returns the number of declared jumps.
+    times in seconds. Returns the number of declared jumps. `rows` is the
+    table's row count, where the caller knows it before the first block.
 
     Rows are formatted and written RECORDS_CHUNK at a time, so the text
     held in memory does not grow with the table. A chunk is one %-template
     with five values a row: the cycle, the flag text, the shift, the jump
     text and the time.
 
-    The two float columns are the text `repr` gives, made in bulk by
-    `_float_texts`. orjson prints a double with the same shortest digits
-    that round-trip, the rule `repr` follows, so the two differ only in
-    layout: `repr` switches to exponent form below 1e-4 and from 1e16 in
-    magnitude, orjson at other points (0.00001 against 1e-05, 1e16 against
-    1e+16), and orjson writes nan and +-inf as null. Values outside
-    1e-4 <= |x| < 1e16, zero and the non-finite ones included, go through
-    `repr` itself, so every byte is `repr`'s.
+    The two float columns are the text `repr` gives. A table of at most
+    ONE_BLOCK rows takes it from `repr` itself: loading orjson costs more
+    than it saves below ~9,000 rows. A longer table, or one of unknown
+    length, makes it in bulk with `_float_texts`. orjson prints a double
+    with the same shortest digits that round-trip, the rule `repr` follows,
+    so the two differ only in layout: `repr` switches to exponent form
+    below 1e-4 and from 1e16 in magnitude, orjson at other points (0.00001
+    against 1e-05, 1e16 against 1e+16), and orjson writes nan and +-inf as
+    null. Values outside 1e-4 <= |x| < 1e16, zero and the non-finite ones
+    included, go through `repr` itself, so every byte is `repr`'s.
     """
     stream.write(
         "cycle,n_c_after_drive,transfer_s_ok,exchange_ok,transfer_l_ok,"
         "measured_shift_rad_per_s,declared_jump,wall_time_s\n"
     )
+    float_texts = _float_texts if rows is None or rows > ONE_BLOCK else _repr_texts
     jumps = 0
     for records in blocks:
         jumps += int(np.count_nonzero(records.declared_jump))
@@ -655,18 +659,23 @@ def write_records_csv(blocks: Iterable[ProtocolRecords], stream) -> int:
             values = [None] * (5 * len(cycle))
             values[0::5] = cycle
             values[1::5] = _FLAGS_TEXT[flags].tolist()
-            values[2::5] = _float_texts(records.measured_shift[r])
+            values[2::5] = float_texts(records.measured_shift[r])
             values[3::5] = _JUMP_TEXT[records.declared_jump[r].view(np.uint8)].tolist()
-            values[4::5] = _float_texts(records.wall_time[r])
+            values[4::5] = float_texts(records.wall_time[r])
             stream.write(("%d,%s%s%s%s\n" * len(cycle)) % tuple(values))
     return jumps
+
+
+def _repr_texts(column: np.ndarray) -> list[str]:
+    """`repr` of each value of a column widened to double."""
+    return list(map(repr, column.astype(np.float64, copy=False).tolist()))
 
 
 def _float_texts(column: np.ndarray) -> list[str]:
     """`repr` of each value of a column widened to double: orjson's text
     inside 1e-4 <= |x| < 1e16, where its layout is `repr`'s, and `repr`
     outside (see `write_records_csv`)."""
-    import orjson  # only a record table loads it
+    import orjson  # only a record table past ONE_BLOCK rows loads it
 
     # orjson rejects a strided array, and prints a float32 with float32's digits
     x = np.ascontiguousarray(column, dtype=np.float64)

@@ -13,8 +13,6 @@ is estimated from a scaled electric-field noise density converted through
 Gamma_h = q^2 S_E(w) / (4 m hbar w).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .circuit import TrapParams

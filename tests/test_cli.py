@@ -23,6 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wireqls import cli, magnetics
+from wireqls.cmd_field import cmd_field
+from wireqls.cmd_sweep import cmd_sweep
+from wireqls.protocol import ONE_BLOCK
 from wireqls import config as cfg
 
 from conftest import CountingSink, assert_rel, package_env
@@ -445,6 +448,20 @@ class TestFieldCommand:
         code, out, _ = run_cli(capsys, command, "--config", path)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("dotted, value, message", [
+        # the rescaled magnetization overflows; a ring without magnetization
+        ("magnet.calibrate_b2_tesla_per_m2", 1.7e308, "magnetization must be finite"),
+        ("magnet.mu0_magnetization_tesla", 0.0, "B2 vanishes at the calibration point"),
+    ])
+    def test_failed_calibration_names_its_key(
+        self, capsys, tmp_path, electron_raw, dotted, value, message
+    ):
+        set_key(electron_raw, dotted, value)
+        path = write_scenario(tmp_path, electron_raw)
+        code, out, err = run_cli(capsys, "field", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"config error: magnet.calibrate_b2_tesla_per_m2: {message}\n"
+
     def test_field_needs_magnet_block(self, capsys):
         code, _, err = run_cli(capsys, "field", "--config", "paper-proton")
         assert code == 2
@@ -463,7 +480,7 @@ def write_profile_csv_whole(profile, stream, markers=None):
 
 
 def field_whole(rc: cfg.RunConfig, args) -> tuple[str, str]:
-    """`cli.cmd_field` as it was before it streamed: every row in memory at
+    """`cmd_field` as it was before it streamed: every row in memory at
     once, the oracle of the streamed command's bytes."""
     ring = cfg.build_ring(rc)
     p = rc.magnet["profile"]
@@ -523,7 +540,7 @@ class TestFieldStream:
     def test_writer_memory_does_not_grow_with_samples(self, electron_raw):
         def traced_write(samples):
             electron_raw["magnet"]["profile"]["samples"] = samples
-            _, write = cli.cmd_field(cfg.parse_config(electron_raw), None)
+            _, write = cmd_field(cfg.parse_config(electron_raw), None)
             sink = CountingSink()
             tracemalloc.start()
             try:
@@ -948,10 +965,10 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
     assert out == "False"
 
 
-def test_budget_field_and_sweep_load_neither_json_nor_shifts():
+def test_budget_field_and_sweep_load_neither_json_nor_shifts(tmp_path, electron_raw):
     # json serves only `budget --format records`, the shift model only
-    # `lineshape` and `protocol`, orjson only `protocol`'s record table;
-    # the Fock-space oracle `dynamics` serves only tests;
+    # `lineshape` and `protocol`, orjson only a `protocol` record table of
+    # more than ONE_BLOCK rows; the Fock-space oracle `dynamics` serves only tests;
     # PyYAML only scenarios the block reader declines, so no command on a
     # bundled scenario loads it; the records are named tuples, so no
     # command loads dataclasses, and only numpy's import loads inspect
@@ -962,6 +979,11 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
         ["sweep", "--config", "paper-electron",
          "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
     ]
+    tables = {}  # a record table of ONE_BLOCK rows, and one of a row more
+    for name, cycles in [("longest", ONE_BLOCK), ("longer", ONE_BLOCK + 1)]:
+        electron_raw["protocol"]["cycles"] = cycles
+        tables[name] = write_scenario(tmp_path, electron_raw, f"{name}.yaml")
+    longest, longer = tables["longest"], tables["longer"]
     out = run_python(
         "import contextlib, io, sys\n"
         "from wireqls import cli\n"
@@ -980,41 +1002,61 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts():
         "print('orjson' in sys.modules, 'yaml' in sys.modules,"
         " 'dataclasses' in sys.modules, 'wireqls.dynamics' in sys.modules)\n"
         "run(['protocol', '--config', 'paper-electron'])\n"
+        f"run(['protocol', '--config', {longest!r}])\n"
         "print('orjson' in sys.modules, 'yaml' in sys.modules,"
         " 'dataclasses' in sys.modules, 'wireqls.dynamics' in sys.modules)\n"
+        f"run(['protocol', '--config', {longer!r}])\n"
+        "print('orjson' in sys.modules, 'yaml' in sys.modules)\n"
     )
     assert out.splitlines() == [
-        "[]", "electron False", "False False False False", "True False False False"
+        "[]", "electron False", "False False False False", "False False False False",
+        "True False",
     ]
 
 
-def test_no_command_loads_argparse():
-    # the parser reads argv from the command table; argparse, and the gettext
-    # and locale modules it loads, serve only as its oracle in tests
-    argvs = [
-        ["budget", "--config", "paper-electron"],
-        ["field", "--config", "paper-electron"],
-        ["lineshape", "--config", "paper-electron"],
-        ["protocol", "--config", "paper-electron"],
-        ["sweep", "--config", "paper-electron",
-         "--axis", "environment.temperature_k", "--range", "0.004:0.02:5"],
-        ["budget", "--config", "paper-electron", "--seed", "3"],
+SWEEP = ["--axis", "environment.temperature_k", "--range", "0.004:0.02:5"]
+MODELS = ["magnetics", "protocol", "spectroscopy"]
+
+
+@pytest.mark.parametrize("argv, status, loaded", [
+    (["budget", "--config", "paper-electron"], 0, ["cmd_budget", "magnetics"]),
+    (["budget", "--config", "paper-proton"], 0, ["cmd_budget"]),
+    (["budget", "--config", "paper-proton", "--format", "records"], 0, ["cmd_budget"]),
+    (["field", "--config", "paper-electron"], 0, ["cmd_field", "magnetics"]),
+    (["lineshape", "--config", "paper-electron"], 0, ["cmd_lineshape", *MODELS]),
+    (["protocol", "--config", "paper-electron"], 0, ["cmd_protocol", *MODELS]),
+    (["sweep", "--config", "paper-electron", *SWEEP], 0, ["cmd_sweep", "magnetics"]),
+    (["sweep", "--config", "paper-proton", *SWEEP], 0, ["cmd_sweep"]),
+    (["budget", "--config", "paper-electron", "--seed", "3"], 2, []),
+])
+def test_command_loads_its_own_module_and_no_parser(argv, status, loaded):
+    # main imports only its command's module, and a scenario without a
+    # `magnet` block loads no ring model; the parser reads argv from the
+    # command table, so argparse, and the gettext and locale modules it
+    # loads, serve only as its oracle in tests; no module takes its
+    # annotations as strings, so no command loads __future__
+    out = run_python(  # one process each
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()),"
+        " contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        print(cli.main({argv!r}), file=sys.__stdout__)\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code, file=sys.__stdout__)\n"
+        "print(sorted({'__future__', 'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('wireqls.')))\n"
+    )
+    common = ["circuit", "cli", "config", "constants"]
+    assert out.splitlines() == [
+        str(status), "[]", str(sorted(f"wireqls.{name}" for name in common + loaded))
     ]
-    for argv, status in zip(argvs, [0, 0, 0, 0, 0, 2]):  # one process each
-        out = run_python(
-            "import contextlib, io, sys\n"
-            "from wireqls import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()),"
-            " contextlib.redirect_stderr(io.StringIO()):\n"
-            "    try:\n"
-            f"        print(cli.main({argv!r}), file=sys.__stdout__)\n"
-            "    except SystemExit as exc:\n"
-            "        print(exc.code, file=sys.__stdout__)\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
-        )
-        assert out.splitlines() == [str(status), "[]"], argv
+
+
+def test_no_module_of_the_package_names_argparse_or_future():
     src = Path(cli.__file__).parent
-    assert [p.name for p in src.glob("*.py") if "argparse" in p.read_text()] == []
+    assert [p.name for p in src.glob("*.py")
+            if re.search("argparse|__future__", p.read_text())] == []
 
 
 def test_package_loads_modules_on_first_access():
@@ -1024,6 +1066,25 @@ def test_package_loads_modules_on_first_access():
         " callable(wireqls.protocol.record_blocks), hasattr(wireqls, 'nope'))"
     )
     assert out == "False True False"
+
+
+def test_library_import_leaves_the_collector_on():
+    assert run_python("import gc, wireqls.cli; print(gc.isenabled())") == "True"
+
+
+def test_module_entry_imports_the_package_with_the_collector_off():
+    # under `python -m wireqls.cli` no collection runs once the package's
+    # own imports begin, however much they allocate
+    out = run_python(
+        "import atexit, gc, runpy, sys\n"
+        "seen = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start'"
+        " and seen.append('wireqls.config' in sys.modules))\n"
+        "atexit.register(lambda: print('collections after:', seen.count(True)))\n"
+        "sys.argv = ['wireqls', 'lineshape', '--config', 'paper-electron']\n"
+        "runpy.run_module('wireqls.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert out.splitlines()[-1] == "collections after: 0"
 
 
 def test_main_leaves_the_collector_as_it_found_it(capsys):
@@ -1166,8 +1227,9 @@ class TestProcessExit:
         assert (tmp_path / filename).read_bytes() == printed.stdout != b""
 
 
-@pytest.mark.parametrize("command, cycles", [
-    ("protocol", (2_000, 200_000)), ("lineshape", (400, 6_000))
+@pytest.mark.parametrize("command, cycles", [  # a protocol table past ONE_BLOCK loads orjson
+    ("protocol", (2_000, ONE_BLOCK)), ("protocol", (ONE_BLOCK + 1, 200_000)),
+    ("lineshape", (400, 6_000)),
 ])
 def test_collector_off_garbage_does_not_grow_with_cycles(tmp_path, command, cycles):
     # `run` never collects, so what a command process leaves unreachable
@@ -1190,8 +1252,9 @@ def test_console_script_runs_the_module_entry():
     # `wireqls` and `python -m wireqls.cli` start through the same function
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     tree = ast.parse(Path(cli.__file__).read_text())
-    (block,) = [node for node in tree.body if isinstance(node, ast.If)
-                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    block = tree.body[-1]  # the guard that starts the command ends the module
+    assert isinstance(block, ast.If)
+    assert ast.unparse(block.test) == "__name__ == '__main__'"
     (statement,) = block.body
     call = statement.value
     assert isinstance(call.func, ast.Name) and not call.args, ast.unparse(statement)
@@ -1320,7 +1383,7 @@ class TestSweepCommand:
             ["sweep", "--config", "paper-electron", "--axis",
              "traps.logic.temperature_k", "--range", "0.004:0.02:9"]
         )
-        texts = [cli.cmd_sweep(rc, args)[1] for _ in range(2)]
+        texts = [cmd_sweep(rc, args)[1] for _ in range(2)]
         assert rc.raw == before
         assert texts[0] == texts[1]
         rows = texts[0].splitlines()[1:]

@@ -247,7 +247,7 @@ class TestLeavesReachModels:
 
     @pytest.mark.parametrize("dotted", sorted(OTHER_VALUES))
     def test_leaf_changes_the_model(self, electron_raw, dotted):
-        from wireqls import cli
+        from wireqls.cmd_field import cmd_field
 
         if dotted == "magnet.mu0_magnetization_tesla":  # calibration cancels it
             del electron_raw["magnet"]["calibrate_b2_tesla_per_m2"]
@@ -265,7 +265,7 @@ class TestLeavesReachModels:
         else:
             def model(rc):  # the ring, and the CSV text the field writer emits
                 buf = io.StringIO()
-                cli.cmd_field(rc, argparse.Namespace())[1](buf)
+                cmd_field(rc, argparse.Namespace())[1](buf)
                 return cfg.build_ring(rc), buf.getvalue()
 
             assert model(changed) != model(base)

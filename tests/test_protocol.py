@@ -839,17 +839,21 @@ class TestRecordStream:
             4 * protocol.RECORDS_CHUNK,
             4 * protocol.RECORDS_CHUNK + 1,
             12 * protocol.RECORDS_CHUNK + 7,
+            # the longest table whose floats `repr` formats, and the shortest orjson does
+            protocol.ONE_BLOCK,
+            protocol.ONE_BLOCK + 1,
         ],
     )
     def test_chunked_writer_matches_row_template(self, noisy_config, cycles):
         config = noisy_config._replace(cycles=cycles)
         records = _joined(config, 0.0, 2)
         reference = _reference_records_csv(records)
-        for blocks in ([records], protocol.record_blocks(config, 0.0, 2)):
-            buf = io.StringIO()
-            jumps = protocol.write_records_csv(blocks, buf)
-            assert buf.getvalue() == reference
-            assert jumps == np.count_nonzero(records.declared_jump)
+        for rows in (cycles, None):  # the formatter the length picks, and the bulk one
+            for blocks in ([records], protocol.record_blocks(config, 0.0, 2)):
+                buf = io.StringIO()
+                jumps = protocol.write_records_csv(blocks, buf, rows=rows)
+                assert buf.getvalue() == reference
+                assert jumps == np.count_nonzero(records.declared_jump)
         assert reference.count("\n") == cycles + 1
 
     @settings(max_examples=60, deadline=None)
