@@ -18,7 +18,11 @@ The modules load on first attribute access (`wireqls.protocol`). A command
 loads `cli`, `config`, `circuit`, `constants` and its own module;
 `magnetics` for `field` and for a scenario with a `magnet` block; and
 `spectroscopy`, `protocol` and numpy for `lineshape` and `protocol`. So
-`budget`, `field` and `sweep` start without numpy.
+`budget`, `field` and `sweep` start without numpy, and load no hashlib.
+numpy.random loads hashlib only to seed a generator without a seed, and
+every stream here has one, so a `lineshape` or `protocol` process started
+at `cli.run` takes hashlib's built-in code and never maps OpenSSL's
+libcrypto; a library import leaves `_hashlib` importable.
 """
 
 import importlib

@@ -32,6 +32,7 @@ __all__ = [
     "exchange_time",
     "thermal_occupation",
     "OccupationOverflow",
+    "UncoupledInput",
     "common_axial_frequency",
     "qls_budget",
     "optimize_detuning",
@@ -209,6 +210,16 @@ class OccupationOverflow(OverflowError):
     the float range."""
 
 
+class UncoupledInput(ValueError):
+    """The input of `qls_budget` that `culprit` names ("res", "trap_L" or
+    "trap_S") admits no exchange: Im Z(w_z) vanishes, or the pulling drives
+    that trap's bare axial frequency to or below zero."""
+
+    def __init__(self, culprit: str, message: str):
+        super().__init__(message)
+        self.culprit = culprit
+
+
 def thermal_occupation(omega_z: float, T: float) -> float:
     """Bose-Einstein occupation 1/[exp(hbar w / k_B T) - 1]; zero at T=0.
 
@@ -242,19 +253,27 @@ def qls_budget(
 ) -> ExchangeBudget:
     """Compose impedance -> series equivalents -> exchange budget for the
     resonator `res` as placed (see ResonatorParams.detuned_below) and the
-    traps' common axial frequency. Raises OccupationOverflow where n_bar or
-    the figure lies beyond the float range.
+    traps' common axial frequency. Raises UncoupledInput naming the input
+    that admits no exchange, and OccupationOverflow where n_bar or the
+    figure lies beyond the float range.
 
     Returns an ExchangeBudget; `feasible` is set iff
     t_ex * n_bar * gamma < FEASIBILITY_THRESHOLD.
     """
     omega_z = common_axial_frequency(trap_L, trap_S)
     z = impedance(res, omega_z)
-    eq_L = series_equivalent(trap_L, z_im=z.imag)
-    eq_S = series_equivalent(trap_S, z_im=z.imag)
     z_im_abs = abs(z.imag)
     if z_im_abs == 0.0:
-        raise ValueError("Im Z(omega_z) vanishes; no reactive coupling at this detuning")
+        raise UncoupledInput(
+            "res", "Im Z(omega_z) vanishes; no reactive coupling at this detuning"
+        )
+    eq = {}
+    for culprit, trap in (("trap_L", trap_L), ("trap_S", trap_S)):
+        try:
+            eq[culprit] = series_equivalent(trap, z_im=z.imag)
+        except ValueError as exc:  # the pulling drives its bare frequency negative
+            raise UncoupledInput(culprit, str(exc)) from None
+    eq_L, eq_S = eq["trap_L"], eq["trap_S"]
     w_ex = exchange_rate(z_im_abs, eq_L.l, eq_S.l)
     t_ex = exchange_time(w_ex)
     gamma_L = z.real / eq_L.l

@@ -13,20 +13,31 @@ one it runs. A process compiles and loads only what its command uses:
   lineshape, protocol  spectroscopy, protocol and numpy; `protocol` loads
                        orjson only for a table of more than ONE_BLOCK rows
 
+numpy.random loads hashlib (through secrets and hmac) only to seed a
+generator without a seed, and every stream here has one. So in a command
+process `main` blocks `_hashlib`, which maps OpenSSL's libcrypto (~3.4
+MB), before it imports `cmd_lineshape` or `cmd_protocol`, and hashlib
+takes its built-in code instead. It does so only where every built-in
+module hashlib falls back to is present, as hashlib would otherwise log
+each hash it lacks; `budget`, `field` and `sweep` load no hashlib and
+skip that check.
+
 A command computes and checks everything, then `main` writes its output to
 stdout or --out <dir>: as one text, or, for `field` and `protocol`, through
 a writer that computes and writes one block at a time, so their memory does
 not grow with the output. Exit codes: 0 success or help, 2 usage and schema
-errors, 1 other errors. `run`, the process entry, turns the cyclic
-collector off, calls `main`, runs the atexit handlers, flushes stdout and
-stderr and ends with `os._exit`; under `python -m wireqls.cli` the
-collector is already off for the package's own imports.
+errors, 1 other errors. `run`, the process entry, marks the process as a
+command's own, turns the cyclic collector off, calls `main`, runs the
+atexit handlers, flushes stdout and stderr and ends with `os._exit`; under
+`python -m wireqls.cli` the collector is already off for the package's own
+imports. A library import, or a call of `main` from other code, turns no
+collector off and leaves `_hashlib` importable.
 """
 
 import atexit
 import contextlib
 import gc
-import importlib
+import importlib.util
 import os
 import re
 import sys
@@ -83,6 +94,12 @@ _COMMANDS = {
     "protocol": ("cmd_protocol", "per-cycle protocol record stream CSV", ("--seed",)),
     "sweep": ("cmd_sweep", "budget report swept along one config axis", ("--axis", "--range")),
 }
+
+# hashlib's built-in module for each hash it always offers (see
+# hashlib.__get_builtin_constructor); from 3.12 _sha2 holds all of SHA-2
+_HASH_FALLBACKS = ("_md5", "_sha1", "_blake2", "_sha3", *(
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+_command_process = False  # set by `run`: this interpreter runs one command and ends
 
 _USAGE = {None: "wireqls [-h] {" + ",".join(_COMMANDS) + "} ...", **{
     name: " ".join(["wireqls", name, "[-h] --config --out", *flags])
@@ -165,6 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rc = cfg.load_config(args.config)
         name = _COMMANDS[args.command][0]
+        # numpy's commands: hashlib without OpenSSL, where it has all its own code
+        if (_command_process and name in ("cmd_lineshape", "cmd_protocol")
+                and all(importlib.util.find_spec(m) for m in _HASH_FALLBACKS)):
+            sys.modules.setdefault("_hashlib", None)
         command = getattr(importlib.import_module(f".{name}", __package__), name)
         filename, body = command(rc, args)
         _emit(body, args.out if args.out is not None else rc.output_dir, filename)
@@ -181,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Process entry: `main`, without the interpreter's teardown (see above)."""
+    global _command_process
+    _command_process = True
     gc.disable()
     status = main()
     atexit._run_exitfuncs()

@@ -50,8 +50,6 @@ from .constants import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
-
     from . import magnetics, protocol
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
-    "sweep_configs",
     "load_config",
     "bundled_scenarios",
     "build_budget",
@@ -282,23 +279,6 @@ def parse_config(data: dict) -> RunConfig:
     return _build(_walk(data, ""), data)
 
 
-def sweep_configs(
-    config: RunConfig, dotted: str, values: "Iterable[float]"
-) -> "Iterator[RunConfig]":
-    """`parse_config(set_by_path(config.raw, dotted, value))` for each of
-    `values`. The scenario is walked once; each point re-checks only the
-    swept leaf, then runs the checks that span several leaves."""
-    walked = _walk(config.raw, "")
-    rows = {row[0]: row for row in SCHEMA}
-    for value in values:
-        data = set_by_path(config.raw, dotted, value)
-        leaf = data
-        for key in dotted.split("."):
-            leaf = leaf[key]  # the value as set_by_path wrote it
-        _, kind, _, accept = rows[dotted]
-        yield _build(set_by_path(walked, dotted, _leaf(dotted, kind, accept, leaf)), data)
-
-
 def _build(v: dict, data: dict) -> RunConfig:
     """The RunConfig of `data`, whose walked leaves are `v`: the checks
     that span several leaves, and the trap and ring models."""
@@ -497,6 +477,9 @@ def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
         )
     except circuit.OccupationOverflow as exc:
         raise ConfigError("environment.temperature_k", str(exc)) from None
+    except circuit.UncoupledInput as exc:  # Im Z vanishes, or pulls a trap below zero
+        keys = {"res": "resonator", "trap_L": "traps.logic", "trap_S": "traps.spectroscopy"}
+        raise ConfigError(keys[exc.culprit], str(exc)) from None
 
 
 def build_ring(config: RunConfig) -> "magnetics.RingMagnet":
@@ -590,31 +573,3 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
         values = [i * step + start for i in range(num)]
     values[-1] = stop
     return values
-
-
-def set_by_path(data: dict, dotted: str, value) -> dict:
-    """Copy `data` with the numeric leaf at `dotted` replaced by `value`.
-
-    Only the mappings along the path are copied; the copy shares every
-    other block with `data`, so neither may be mutated in place. Used by
-    parameter sweeps; the leaf must already exist and be numeric.
-    An integral value on an integer leaf is written as an int, so integer
-    leaves can be swept.
-    """
-    *parents, leaf = dotted.split(".")
-    out = node = dict(data)
-    for part in parents:
-        child = node.get(part)
-        if not isinstance(child, dict):
-            raise ConfigError(dotted, "no such key in the scenario")
-        node[part] = dict(child)
-        node = node[part]
-    if leaf not in node:
-        raise ConfigError(dotted, "no such key in the scenario")
-    current = node[leaf]
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ConfigError(dotted, "sweep axis must name a numeric leaf")
-    if isinstance(current, int) and float(value).is_integer():
-        value = int(value)
-    node[leaf] = value
-    return out

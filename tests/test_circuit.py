@@ -221,6 +221,23 @@ class TestQlsBudget:
         with pytest.raises(circuit.OccupationOverflow, match="figure overflows"):
             circuit.qls_budget(placed(detune), trap_logic, trap_spectroscopy, T)
 
+    @pytest.mark.parametrize("small", ["trap_L", "trap_S"])
+    def test_pulled_trap_is_named(self, stock_resonator, trap_logic, trap_spectroscopy, small):
+        # a 10 nm trap's l is so small that -Im Z / l exceeds omega_z; the
+        # other trap keeps its size
+        traps = {"trap_L": trap_logic, "trap_S": trap_spectroscopy}
+        traps[small] = traps[small]._replace(d_eff=1.0e-8)
+        with pytest.raises(circuit.UncoupledInput, match="bare axial frequency negative") as exc:
+            circuit.qls_budget(stock_resonator, traps["trap_L"], traps["trap_S"], T_ENV)
+        assert exc.value.culprit == small
+
+    def test_vanishing_reactance_names_the_resonator(self, trap_logic, trap_spectroscopy):
+        # C_p so large that omega_res rounds to omega_z: Im Z is exactly zero
+        res = circuit.ResonatorParams.detuned_below(1.0e200, R_P, OMEGA_Z, DETUNE)
+        with pytest.raises(circuit.UncoupledInput, match="vanishes") as exc:
+            circuit.qls_budget(res, trap_logic, trap_spectroscopy, T_ENV)
+        assert exc.value.culprit == "res"
+
     def test_proton_preset_marginal(self):
         trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, M_P, E)
         trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, M_P, E)

@@ -48,13 +48,14 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_python(code: str) -> str:
-    """Stripped stdout of `code` run in a fresh interpreter on this package."""
+def run_python(code: str, check: bool = True):
+    """Stripped stdout of `code` run in a fresh interpreter on this package;
+    with check=False, the finished child, its stdout and stderr as bytes."""
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=package_env(), check=True,
+        [sys.executable, "-c", code], capture_output=True, text=check,
+        env=package_env(), check=check, timeout=120,
     )
-    return result.stdout.strip()
+    return result.stdout.strip() if check else result
 
 
 def set_key(raw: dict, dotted: str, value) -> None:
@@ -63,6 +64,10 @@ def set_key(raw: dict, dotted: str, value) -> None:
     for key in parents:
         node = node[key]
     node[leaf] = value
+
+
+PULLED = "frequency pulling drives the bare axial frequency negative"
+VANISHED = "Im Z(omega_z) vanishes; no reactive coupling at this detuning"
 
 
 class TestBudgetCommand:
@@ -148,6 +153,26 @@ class TestBudgetCommand:
             assert code == 2 and out == ""
             assert err.startswith(f"config error: traps.{trap}: d_eff puts ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("leaf, value, report", [
+        ("resonator.R_p_ohm", 1.0e30, f"traps.logic: {PULLED}"),
+        ("traps.logic.d_eff_m", 1.0e-30, f"traps.logic: {PULLED}"),
+        ("traps.spectroscopy.d_eff_m", 1.0e-30, f"traps.spectroscopy: {PULLED}"),
+        ("resonator.C_p_farad", 1.0e200, f"resonator: {VANISHED}"),
+    ])
+    def test_uncoupled_input_names_its_trap_or_the_resonator(
+        self, capsys, tmp_path, electron_raw, leaf, value, report
+    ):
+        # Im Z(omega_z) pulls a trap's bare axial frequency below zero (a
+        # huge R_p, or a tiny trap), or vanishes (a huge C_p puts omega_res
+        # on omega_z); both read as exit 1 with no key; `field` builds no
+        # budget and ends at 0
+        set_key(electron_raw, leaf, value)
+        path = write_scenario(tmp_path, electron_raw)
+        for command, *flags in (["budget"], ["sweep", *SWEEP], ["lineshape"], ["protocol"]):
+            code, out, err = run_cli(capsys, command, "--config", path, *flags)
+            assert (code, out, err) == (2, "", f"config error: {report}\n"), command
+        assert run_cli(capsys, "field", "--config", path)[0] == 0
 
     @pytest.mark.parametrize("command", ["budget", "field"])
     @pytest.mark.parametrize("axial, c_p, key", [
@@ -723,8 +748,9 @@ class TestLineshapeAndProtocolCommands:
         [
             ("no protocol block", 2),
             ("threshold above delta", 2),
-            # passes the schema and the parse, fails in the trap model
-            ("bare axial frequency negative", 1),
+            # passes the schema and the parse, fails in the budget, which
+            # names the trap
+            ("bare axial frequency negative", 2),
         ],
     )
     def test_failed_protocol_writes_nothing(
@@ -966,8 +992,9 @@ def test_field_does_not_load_numpy(tmp_path, electron_raw):
 
 
 def test_budget_field_and_sweep_load_neither_json_nor_shifts(tmp_path, electron_raw):
-    # json serves only `budget --format records`, the shift model only
-    # `lineshape` and `protocol`, orjson only a `protocol` record table of
+    # json serves only `budget --format records`, the shift model and
+    # numpy.random's seeding code (secrets, hmac, hashlib and OpenSSL's
+    # _hashlib) only `lineshape` and `protocol`, orjson only a `protocol` record table of
     # more than ONE_BLOCK rows; the Fock-space oracle `dynamics` serves only tests;
     # PyYAML only scenarios the block reader declines, so no command on a
     # bundled scenario loads it; the records are named tuples, so no
@@ -993,8 +1020,8 @@ def test_budget_field_and_sweep_load_neither_json_nor_shifts(tmp_path, electron_
         "    return buf.getvalue()\n"
         f"for argv in {argvs!r}:\n"
         "    run(argv)\n"
-        "print(sorted({'dataclasses', 'inspect', 'json', 'orjson',"
-        " 'wireqls.spectroscopy', 'yaml'} & sys.modules.keys()))\n"
+        "print(sorted({'_hashlib', 'dataclasses', 'hmac', 'inspect', 'json', 'orjson',"
+        " 'secrets', 'wireqls.spectroscopy', 'yaml'} & sys.modules.keys()))\n"
         "text = run(['budget', '--config', 'paper-electron', '--format', 'records'])\n"
         "import json\n"
         "print(json.loads(text)['particle'], 'yaml' in sys.modules)\n"
@@ -1087,6 +1114,80 @@ def test_module_entry_imports_the_package_with_the_collector_off():
     assert out.splitlines()[-1] == "collections after: 0"
 
 
+ENTRIES = {  # the two ways a process starts at `run`
+    "module": "runpy.run_module('wireqls.cli', run_name='__main__', alter_sys=True)",
+    "run": "from wireqls import cli; cli.run()",
+}
+
+
+def entry_child(argv: list[str], report: Path, entry: str = "module", before: str = ""):
+    """A child started at `run` with `argv`, as the `entry` of ENTRIES,
+    after the statements `before`; at exit it writes to `report` what it
+    holds of hashlib's OpenSSL code, which stdout and stderr cannot carry."""
+    return run_python(
+        "import atexit, json, os, runpy, sys\n"
+        f"{before}\n"
+        "def report():\n"
+        "    maps = '/proc/self/maps'\n"
+        "    libcrypto = 'libcrypto' in open(maps).read() if os.path.exists(maps) else None\n"
+        "    loaded = {name: type(sys.modules.get(name)).__name__"
+        " for name in ('_hashlib', 'hashlib')}\n"
+        f"    open({str(report)!r}, 'w').write(json.dumps([loaded, libcrypto]))\n"
+        "atexit.register(report)\n"
+        f"sys.argv = ['wireqls', *{argv!r}]\n"
+        f"{ENTRIES[entry]}\n",
+        check=False,
+    )
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("command", ["lineshape", "protocol"])
+def test_command_process_loads_no_openssl(capsys, tmp_path, command, entry):
+    # numpy.random imports hashlib only to seed a generator without a seed;
+    # a lineshape or protocol process takes hashlib's built-in code instead
+    # of OpenSSL's, and prints what main prints in this process
+    argv = [command, "--config", "paper-electron"]
+    child = entry_child(argv, tmp_path / "report.json", entry)
+    loaded, libcrypto = json.loads((tmp_path / "report.json").read_text())
+    assert loaded == {"_hashlib": "NoneType", "hashlib": "module"}
+    assert libcrypto in (False, None)  # None where /proc/self/maps is absent
+    code, out, _ = run_cli(capsys, *argv)
+    assert (child.returncode, child.stderr) == (code, b"") == (0, b"")
+    assert child.stdout == out.encode() != b""
+
+
+def test_library_use_keeps_openssl():
+    # only `run` keeps OpenSSL out; a library caller of main keeps _hashlib
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['lineshape', '--config', 'paper-electron']) == 0\n"
+        "import _hashlib, hashlib\n"
+        "print(sys.modules['_hashlib'] is _hashlib,"
+        " hashlib.sha256 is _hashlib.openssl_sha256, hashlib.sha256(b'').hexdigest()[:8])\n"
+    )
+    assert out == "True True e3b0c442"
+
+
+# hashlib takes blake2 from _blake2 even with OpenSSL, so a build without it
+# logs at `import hashlib` whichever code serves the other hashes
+@pytest.mark.parametrize("fallback", sorted(set(cli._HASH_FALLBACKS) - {"_blake2"}))
+def test_missing_hash_fallback_leaves_openssl(tmp_path, fallback):
+    # without one of its built-in modules, hashlib without _hashlib would log
+    # "code for hash ... was not found" to stderr; the process then keeps
+    # OpenSSL, and ends as it would have, with nothing on stderr
+    block = f"sys.modules[{fallback!r}] = None"
+    argv = ["lineshape", "--config", "paper-electron"]
+    child = entry_child(argv, tmp_path / "report.json", before=block)
+    loaded, _ = json.loads((tmp_path / "report.json").read_text())
+    assert loaded == {"_hashlib": "module", "hashlib": "module"}
+    assert (child.returncode, child.stderr) == (0, b"")
+    unguarded = run_python(f"import sys; {block}; sys.modules['_hashlib'] = None; import hashlib",
+                           check=False)
+    assert b"code for hash" in unguarded.stderr and b"was not found" in unguarded.stderr
+
+
 def test_main_leaves_the_collector_as_it_found_it(capsys):
     # a freeze inside main would keep each call's cyclic garbage in the
     # calling process (a test run, the traced bench) for good
@@ -1097,7 +1198,10 @@ def test_main_leaves_the_collector_as_it_found_it(capsys):
 
 def test_run_turns_the_collector_off_then_exits_with_mains_status(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "main", lambda: calls.append(("main", gc.isenabled())) or 2)
+    monkeypatch.setattr(cli, "_command_process", False)  # restored after the test
+    monkeypatch.setattr(
+        cli, "main", lambda: calls.append(("main", gc.isenabled(), cli._command_process)) or 2
+    )
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
     for name in ("stdout", "stderr"):
         flush = lambda name=name: calls.append(f"flush {name}")
@@ -1108,7 +1212,7 @@ def test_run_turns_the_collector_off_then_exits_with_mains_status(monkeypatch):
     finally:
         gc.enable()
     assert calls == [
-        ("main", False), "atexit", "flush stdout", "flush stderr", ("exit", 2)
+        ("main", False, True), "atexit", "flush stdout", "flush stderr", ("exit", 2)
     ]
 
 

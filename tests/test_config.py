@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from wireqls import circuit
 from wireqls import config as cfg
+from wireqls.cmd_sweep import set_by_path, sweep_configs
 from wireqls.constants import M_E, M_P, TWO_PI
 
 from conftest import assert_rel, bose
@@ -273,17 +274,17 @@ class TestLeavesReachModels:
 
 class TestSweepPathHelper:
     def test_set_by_path(self, electron_raw):
-        out = cfg.set_by_path(electron_raw, "resonator.detune_linewidths", 40.0)
+        out = set_by_path(electron_raw, "resonator.detune_linewidths", 40.0)
         assert out["resonator"]["detune_linewidths"] == 40.0
         assert electron_raw["resonator"]["detune_linewidths"] == 30.0  # copy
 
     def test_missing_path(self, electron_raw):
         with pytest.raises(cfg.ConfigError):
-            cfg.set_by_path(electron_raw, "resonator.nope", 1.0)
+            set_by_path(electron_raw, "resonator.nope", 1.0)
 
     def test_non_numeric_leaf(self, electron_raw):
         with pytest.raises(cfg.ConfigError) as exc:
-            cfg.set_by_path(electron_raw, "particle", 1.0)
+            set_by_path(electron_raw, "particle", 1.0)
         assert "numeric" in str(exc.value)
 
     @settings(max_examples=150, deadline=None)
@@ -313,8 +314,8 @@ class TestSweepPathHelper:
                 out.append((type(exc), str(exc)))
             return out
 
-        full = (cfg.parse_config(cfg.set_by_path(rc.raw, dotted, v)) for v in values)
-        assert run(cfg.sweep_configs(rc, dotted, values)) == run(full)
+        full = (cfg.parse_config(set_by_path(rc.raw, dotted, v)) for v in values)
+        assert run(sweep_configs(rc, dotted, values)) == run(full)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
