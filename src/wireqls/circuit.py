@@ -212,8 +212,9 @@ class OccupationOverflow(OverflowError):
 
 class UncoupledInput(ValueError):
     """The input of `qls_budget` that `culprit` names ("res", "trap_L" or
-    "trap_S") admits no exchange: Im Z(w_z) vanishes, or the pulling drives
-    that trap's bare axial frequency to or below zero."""
+    "trap_S") admits no exchange: Im Z(w_z) vanishes or the exchange rate
+    |Im Z| / (2 sqrt(l_L l_S)) rounds to zero (both "res"), or the pulling
+    drives that trap's bare axial frequency to or below zero."""
 
     def __init__(self, culprit: str, message: str):
         super().__init__(message)
@@ -275,6 +276,8 @@ def qls_budget(
             raise UncoupledInput(culprit, str(exc)) from None
     eq_L, eq_S = eq["trap_L"], eq["trap_S"]
     w_ex = exchange_rate(z_im_abs, eq_L.l, eq_S.l)
+    if w_ex == 0.0:
+        raise UncoupledInput("res", "the exchange rate underflows to zero")
     t_ex = exchange_time(w_ex)
     gamma_L = z.real / eq_L.l
     gamma_S = z.real / eq_S.l

@@ -23,11 +23,11 @@ each hash it lacks; `budget`, `field` and `sweep` load no hashlib and
 skip that check.
 
 A command computes and checks everything, then `main` writes its output to
-stdout or --out <dir>: as one text, or, for `field` and `protocol`, through
-a writer that computes and writes one block at a time, so their memory does
-not grow with the output. Exit codes: 0 success or help, 2 usage and schema
-errors, 1 other errors. `run`, the process entry, marks the process as a
-command's own, turns the cyclic collector off, calls `main`, runs the
+stdout or --out <dir>: as one text, or through a writer that computes and
+writes a row (`field`) or a block (`protocol`) at a time, so its memory
+does not grow with the output. Exit codes: 0 success or help, 2 usage and
+schema errors, 1 other errors. `run`, the process entry, marks the process
+as a command's own, turns the cyclic collector off, calls `main`, runs the
 atexit handlers, flushes stdout and stderr and ends with `os._exit`; under
 `python -m wireqls.cli` the collector is already off for the package's own
 imports. A library import, or a call of `main` from other code, turns no

@@ -19,6 +19,8 @@ trap center to a target value.
 
 The field is evaluated with arithmetic operators only: a float position
 gives floats without numpy, and an ndarray of positions gives ndarrays.
+`field_profile` yields one row (z, B, B1, B2) per position as it is taken,
+so `write_profile_csv` streams a profile of any length in constant memory.
 """
 
 import math
@@ -30,7 +32,6 @@ from .constants import Checked
 __all__ = [
     "MU0_M_SATURATION",
     "RingMagnet",
-    "FieldProfile",
     "on_axis_field",
     "gradients",
     "fd_gradients",
@@ -92,15 +93,6 @@ class RingMagnet(Checked, _RingFields):
         if b2 == 0.0:
             raise ValueError("B2 vanishes at the calibration point")
         return self._replace(magnetization=self.magnetization * b2_target / b2)
-
-
-class FieldProfile(NamedTuple):
-    """Sampled on-axis profile; B2 carries the (1/2) d^2B/dz^2 convention."""
-
-    z: tuple[float, ...]   # [m]
-    B: tuple[float, ...]   # [T]
-    B1: tuple[float, ...]  # [T/m]
-    B2: tuple[float, ...]  # [T/m^2]
 
 
 def _face_term(u, r2):
@@ -174,26 +166,21 @@ def fd_gradients(ring: RingMagnet, z: float, step: float | None = None):
     return b1, 0.5 * b2
 
 
-def field_profile(ring: RingMagnet, z, background: float = 0.0) -> FieldProfile:
-    """Sample (B, B1, B2) on the positions `z`; `background` adds a uniform
-    solenoid field to B and leaves the gradients untouched."""
-    zs = tuple(float(v) for v in z)
-    rows = [_derivatives(ring, v) for v in zs]
-    return FieldProfile(
-        z=zs,
-        B=tuple(field + background for field, _, _ in rows),
-        B1=tuple(d1 for _, d1, _ in rows),
-        B2=tuple(0.5 * d2 for _, _, d2 in rows),
-    )
+def field_profile(ring: RingMagnet, z, background: float = 0.0):
+    """Yield the row (z, B, B1, B2) at each position of `z`, computed as it
+    is taken; `background` adds a uniform solenoid field to B and leaves the
+    gradients untouched. B2 carries the (1/2) d^2B/dz^2 convention."""
+    for v in map(float, z):
+        field, d1, d2 = _derivatives(ring, v)
+        yield v, field + background, d1, 0.5 * d2
 
 
 def write_profile_csv(
-    profiles: Iterable[FieldProfile],
+    rows: Iterable[tuple[float, float, float, float]],
     stream: IO[str],
     markers: dict[str, float] | None = None,
 ) -> None:
-    """Write the profile from its blocks in order as CSV columns (z, B, B1,
-    B2) in SI units.
+    """Write the profile rows (z, B, B1, B2) in order as CSV in SI units.
 
     `markers` maps row labels (e.g. trap sites) to positions; a row whose z
     lies within 1e-15 m of markers carries their labels, joined by `+` in
@@ -201,7 +188,6 @@ def write_profile_csv(
     """
     marks = (markers or {}).items()
     stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
-    for profile in profiles:
-        for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
-            site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
-            stream.write(f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n")
+    for z, b, b1, b2 in rows:
+        site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
+        stream.write(f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n")

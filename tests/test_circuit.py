@@ -238,6 +238,15 @@ class TestQlsBudget:
             circuit.qls_budget(res, trap_logic, trap_spectroscopy, T_ENV)
         assert exc.value.culprit == "res"
 
+    def test_underflowing_exchange_rate_names_the_resonator(self, trap_logic, trap_spectroscopy):
+        # |Im Z| ~1e-112 ohm, and two 1e100 m traps make l_L l_S overflow, so
+        # |Im Z| / (2 sqrt(l_L l_S)) is exactly zero
+        res = circuit.ResonatorParams.detuned_below(1.0e103, 1.0e-110, OMEGA_Z, DETUNE)
+        traps = [t._replace(d_eff=1.0e100) for t in (trap_logic, trap_spectroscopy)]
+        with pytest.raises(circuit.UncoupledInput, match="exchange rate underflows") as exc:
+            circuit.qls_budget(res, *traps, T_ENV)
+        assert exc.value.culprit == "res"
+
     def test_proton_preset_marginal(self):
         trap_l = circuit.TrapParams(1e-3, TWO_PI * 1e6, 6.0, 9000.0, 0.010, M_P, E)
         trap_s = circuit.TrapParams(3e-3, TWO_PI * 1e6, 6.0, 4.0, 0.010, M_P, E)

@@ -174,6 +174,21 @@ class TestBudgetCommand:
             assert (code, out, err) == (2, "", f"config error: {report}\n"), command
         assert run_cli(capsys, "field", "--config", path)[0] == 0
 
+    def test_underflowing_exchange_rate_names_the_resonator(self, capsys, tmp_path, electron_raw):
+        # |Im Z| / (2 sqrt(l_L l_S)) rounds to zero, which exchange_time
+        # would reject with a message that names no input
+        for leaf, value in (("traps.logic.d_eff_m", 1.0e100),
+                            ("traps.spectroscopy.d_eff_m", 1.0e100),
+                            ("resonator.R_p_ohm", 1.0e-110),
+                            ("resonator.C_p_farad", 1.0e103)):
+            set_key(electron_raw, leaf, value)
+        path = write_scenario(tmp_path, electron_raw)
+        report = "config error: resonator: the exchange rate underflows to zero\n"
+        for command, *flags in (["budget"], ["sweep", *SWEEP], ["lineshape"], ["protocol"]):
+            code, out, err = run_cli(capsys, command, "--config", path, *flags)
+            assert (code, out, err) == (2, "", report), command
+        assert run_cli(capsys, "field", "--config", path)[0] == 0
+
     @pytest.mark.parametrize("command", ["budget", "field"])
     @pytest.mark.parametrize("axial, c_p, key", [
         (1.0e160, None, "traps.logic.axial_frequency_hz"),
@@ -494,10 +509,11 @@ class TestFieldCommand:
 
 
 def write_profile_csv_whole(profile, stream, markers=None):
-    """`magnetics.write_profile_csv` as it was before it took blocks."""
+    """`magnetics.write_profile_csv` on a profile held whole as four columns
+    (z, B, B1, B2)."""
     marks = (markers or {}).items()
     stream.write("z_m,B_T,B1_T_per_m,B2_T_per_m2,site\n")
-    for z, b, b1, b2 in zip(profile.z, profile.B, profile.B1, profile.B2):
+    for z, b, b1, b2 in zip(*profile):
         site = "+".join([label for label, mz in marks if abs(z - mz) <= 1e-15])
         stream.write(
             f"{float(z)!r},{float(b)!r},{float(b1)!r},{float(b2)!r},{site}\n"
@@ -505,23 +521,24 @@ def write_profile_csv_whole(profile, stream, markers=None):
 
 
 def field_whole(rc: cfg.RunConfig, args) -> tuple[str, str]:
-    """`cmd_field` as it was before it streamed: every row in memory at
-    once, the oracle of the streamed command's bytes."""
+    """`cmd_field` with every row in memory at once, built from
+    `on_axis_field` and `gradients`: the oracle of the streamed command's
+    bytes."""
     ring = cfg.build_ring(rc)
     p = rc.magnet["profile"]
     sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
     grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
     grid = sorted(set(grid).union(sites.values()))
-    profile = magnetics.field_profile(
-        ring, grid, background=rc.magnet["background_field_tesla"]
-    )
+    background = rc.magnet["background_field_tesla"]
+    field = [magnetics.on_axis_field(ring, z) + background for z in grid]
+    b1, b2 = zip(*(magnetics.gradients(ring, z) for z in grid))
     buf = io.StringIO()
-    write_profile_csv_whole(profile, buf, markers=sites)
+    write_profile_csv_whole((grid, field, b1, b2), buf, markers=sites)
     # independent-derivative spot check of the printed gradients, appended as an
     # agreement flag; each error is relative to the gradient's largest magnitude
     # over the checked rows, so a row near a zero of B1 or B2 does not inflate it
     step = max(1, len(grid) // 8)
-    analytic = list(zip(profile.B1[::step], profile.B2[::step]))
+    analytic = list(zip(b1[::step], b2[::step]))
     fd = [magnetics.fd_gradients(ring, z) for z in grid[::step]]
     worst = 0.0
     for k in (0, 1):
@@ -545,8 +562,8 @@ _EDGE_PROFILES = {
 
 
 class TestFieldStream:
-    """`field` computes and writes its profile PROFILE_BLOCK positions at a
-    time; its bytes are those of the whole profile at once."""
+    """`field` computes and writes its profile one row at a time; its bytes
+    are those of the whole profile at once."""
 
     @pytest.mark.parametrize("profile", [
         *({"samples": n} for n in (2, 255, 256, 257, 513, 2_000)),
