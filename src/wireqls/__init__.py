@@ -9,7 +9,8 @@ spectroscopy  bottle shift, broadening, heating estimate
 dynamics      Fock-space Lindblad oracle for the swap probability (tests only)
 protocol      closed-form swap probability, seven-step cycle Monte Carlo,
               lineshapes
-config        scenario schema and loaders
+config        scenario schema, loader and exchange budget
+yaml_loader   PyYAML reader for scenario text that is not plain block YAML
 cli           command-line parser and process entry
 cmd_budget, cmd_field, cmd_lineshape, cmd_protocol, cmd_sweep
               one module per command, each imported only by its own run
@@ -17,12 +18,14 @@ cmd_budget, cmd_field, cmd_lineshape, cmd_protocol, cmd_sweep
 The modules load on first attribute access (`wireqls.protocol`). A command
 loads `cli`, `config`, `circuit`, `constants` and its own module;
 `magnetics` for `field` and for a scenario with a `magnet` block; and
-`spectroscopy`, `protocol` and numpy for `lineshape` and `protocol`. So
-`budget`, `field` and `sweep` start without numpy, and load no hashlib.
+`spectroscopy`, `protocol` and numpy for `lineshape` and `protocol`.
+Every command compiles `config` where no bytecode is cached, so what only
+some run is elsewhere: `protocol.build_protocol`, `cmd_field.build_ring`,
+`yaml_loader`. `lineshape` and `protocol` import the package's modules
+before numpy, so that no compile adds to the peak RSS numpy has raised.
 numpy.random loads hashlib only to seed a generator without a seed, and
-every stream here has one, so a `lineshape` or `protocol` process started
-at `cli.run` takes hashlib's built-in code and never maps OpenSSL's
-libcrypto; a library import leaves `_hashlib` importable.
+every stream here has one, so a process started at `cli.run` never maps
+OpenSSL's libcrypto; a library import leaves `_hashlib` importable.
 """
 
 import importlib

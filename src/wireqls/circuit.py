@@ -83,14 +83,21 @@ class ResonatorParams(Checked, _ResonatorFields):
             raise ValueError("detuning must be positive (resonator below omega_z)")
         if omega_z <= 0:
             raise ValueError("omega_z must be positive")
-        width = 1.0 / (C_p * R_p)
+        if not 0.0 < (tau := C_p * R_p) < math.inf:  # blame the smaller, or the larger
+            culprit = "R_p" if (R_p < C_p) == (tau == 0.0) else "C_p"
+            raise ValueError(f"{culprit} puts C_p * R_p beyond the float range")
+        width = 1.0 / tau
         omega_res = omega_z - detune_linewidths * width
         if omega_res <= 0:
             raise ValueError("places omega_res at or below zero")
         if not 0.0 < (square := omega_res * omega_res) * C_p < math.inf:  # ** would raise
             culprit = "omega_z" if math.isinf(square) else "C_p"
             raise ValueError(f"{culprit} puts omega_res**2 * C_p beyond the float range")
-        return cls(L_p=1.0 / (square * C_p), C_p=C_p, R_p=R_p)
+        placed = cls(L_p=1.0 / (square * C_p), C_p=C_p, R_p=R_p)
+        if math.isinf(placed.quality_factor):  # R_p omega_res C_p
+            culprit = "R_p" if R_p > C_p else "C_p"
+            raise ValueError(f"{culprit} puts the quality factor beyond the float range")
+        return placed
 
 
 class _TrapFields(NamedTuple):
@@ -123,6 +130,8 @@ class TrapParams(Checked, _TrapFields):
             raise ValueError("omega_z must be finite")
         if self.B <= 0:
             raise ValueError("B must be positive")
+        if not 0.0 < abs(self.q) * self.B / self.m < math.inf:
+            raise ValueError("B puts the cyclotron frequency q B / m outside the float range")
         if self.T_axial < 0:
             raise ValueError("T_axial must be non-negative")
 
@@ -211,10 +220,11 @@ class OccupationOverflow(OverflowError):
 
 
 class UncoupledInput(ValueError):
-    """The input of `qls_budget` that `culprit` names ("res", "trap_L" or
-    "trap_S") admits no exchange: Im Z(w_z) vanishes or the exchange rate
-    |Im Z| / (2 sqrt(l_L l_S)) rounds to zero (both "res"), or the pulling
-    drives that trap's bare axial frequency to or below zero."""
+    """The input of `qls_budget` that `culprit` names ("res", "trap_L",
+    "trap_S" or "traps") admits no exchange: Im Z(w_z) vanishes or the
+    exchange rate |Im Z| / (2 sqrt(l_L l_S)) rounds to zero (both "res"; it
+    is "traps" where l_L l_S overflows), or the pulling drives that trap's
+    bare axial frequency to or below zero."""
 
     def __init__(self, culprit: str, message: str):
         super().__init__(message)
@@ -277,6 +287,10 @@ def qls_budget(
     eq_L, eq_S = eq["trap_L"], eq["trap_S"]
     w_ex = exchange_rate(z_im_abs, eq_L.l, eq_S.l)
     if w_ex == 0.0:
+        if math.isinf(eq_L.l * eq_S.l):  # the traps, not Im Z, zero the rate
+            raise UncoupledInput(
+                "traps", "l_L * l_S of the two traps overflows; the exchange rate rounds to zero"
+            )
         raise UncoupledInput("res", "the exchange rate underflows to zero")
     t_ex = exchange_time(w_ex)
     gamma_L = z.real / eq_L.l

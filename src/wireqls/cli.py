@@ -7,20 +7,24 @@ same name in a module of its own (`cmd_budget`, `cmd_field`,
 `cmd_lineshape`, `cmd_protocol`, `cmd_sweep`), and `main` imports only the
 one it runs. A process compiles and loads only what its command uses:
 
-  every command        cli, config, circuit, constants and its own module
+  every command        cli, config, circuit, constants and its own module;
+                       yaml_loader and PyYAML for text not in block YAML
   field                magnetics
   the others           magnetics where the scenario has a `magnet` block
   lineshape, protocol  spectroscopy, protocol and numpy; `protocol` loads
                        orjson only for a table of more than ONE_BLOCK rows
 
-numpy.random loads hashlib (through secrets and hmac) only to seed a
-generator without a seed, and every stream here has one. So in a command
-process `main` blocks `_hashlib`, which maps OpenSSL's libcrypto (~3.4
-MB), before it imports `cmd_lineshape` or `cmd_protocol`, and hashlib
-takes its built-in code instead. It does so only where every built-in
-module hashlib falls back to is present, as hashlib would otherwise log
-each hash it lacks; `budget`, `field` and `sweep` load no hashlib and
-skip that check.
+A compile adds to the peak RSS where no bytecode is cached, so what only
+some commands run is not in `config` (`protocol.build_protocol`,
+`cmd_field.build_ring`, `yaml_loader`), and `protocol` imports numpy after
+the package's modules: a numpy command compiles its code before numpy.
+
+numpy.random loads hashlib only to seed a generator without a seed, and
+every stream here has one. So a command process's `main` blocks `_hashlib` (it
+maps OpenSSL's libcrypto, ~3.4 MB) before it imports `cmd_lineshape` or
+`cmd_protocol`, and hashlib takes its built-in code, where every module
+it falls back to is present (else it logs each hash it lacks); `budget`,
+`field` and `sweep` load no hashlib and skip that check.
 
 A command computes and checks everything, then `main` writes its output to
 stdout or --out <dir>: as one text, or through a writer that computes and

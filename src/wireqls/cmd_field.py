@@ -1,27 +1,40 @@
 """`wireqls field`: the bottle ring's on-axis field profile as CSV, with a
 finite-difference spot check of its gradients. The ring, the grid and the
 check are resolved first; the writer then computes and writes the profile
-one row at a time."""
+one row at a time. Only this command calibrates the ring (`build_ring`),
+so no other command compiles that code."""
 
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import config as cfg
 from . import magnetics
+from .constants import linspace
 
 if TYPE_CHECKING:
     from typing import TextIO
 
     from .cli import Writer
 
-__all__ = ["cmd_field"]
+__all__ = ["build_ring", "cmd_field"]
+
+
+def build_ring(config: cfg.RunConfig) -> magnetics.RingMagnet:
+    """Bottle ring, calibrated when the scenario requests it."""
+    if config.magnet is None:
+        raise cfg.ConfigError("magnet", "missing required key")
+    b2 = config.magnet["calibrate_b2_tesla_per_m2"]
+    try:
+        return config.ring if b2 is None else config.ring.calibrated_to(b2)
+    except ValueError as exc:  # a vanishing B2, or a rescaled M beyond the float range
+        raise cfg.ConfigError("magnet.calibrate_b2_tesla_per_m2", str(exc)) from None
 
 
 def cmd_field(rc: cfg.RunConfig, args: SimpleNamespace) -> "tuple[str, Writer]":
-    ring = cfg.build_ring(rc)
+    ring = build_ring(rc)
     p = rc.magnet["profile"]
     sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
-    grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
+    grid = linspace(p["z_min_m"], p["z_max_m"], p["samples"])
     grid = sorted(set(grid).union(sites.values()))
     # independent-derivative spot check of the printed gradients, appended as an
     # agreement flag; each error is relative to the gradient's largest magnitude

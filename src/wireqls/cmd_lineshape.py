@@ -4,8 +4,6 @@ drive grid as CSV, with its fitted center and width."""
 import io
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import config as cfg
 from . import protocol
 
@@ -13,7 +11,7 @@ __all__ = ["cmd_lineshape"]
 
 
 def cmd_lineshape(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
-    pc = cfg.build_protocol(rc, seed=args.seed)
+    pc = protocol.build_protocol(rc, seed=args.seed)
     shape = protocol.lineshape_scan(pc)
     if not shape.fractions.any():  # name what zeroes the line, else the cycles
         names = ", ".join(protocol.vanishing_inputs(pc))
@@ -22,7 +20,7 @@ def cmd_lineshape(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
         raise ValueError(f"lineshape has no excitation to fit: {why}")
     center, width = protocol.fitted_center_width(shape)
     summary = {
-        "jump_rate": float(np.mean(shape.fractions)),
+        "jump_rate": float(shape.fractions.mean()),
         "fitted_center_rad_per_s": center,
         "fitted_width_rad_per_s": width,
         "center_uncertainty_rad_per_s": protocol.center_uncertainty(shape),

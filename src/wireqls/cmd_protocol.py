@@ -19,7 +19,7 @@ def cmd_protocol(rc: cfg.RunConfig, args: SimpleNamespace) -> "tuple[str, Writer
     # record stream at zero drive detuning (on the nominal line center);
     # record_blocks resolves the swap probability now, and the writer draws
     # and writes the table one block of cycles at a time
-    pc = cfg.build_protocol(rc, seed=args.seed)
+    pc = protocol.build_protocol(rc, seed=args.seed)
     blocks = protocol.record_blocks(pc, 0.0, point_index=0)
 
     def write(stream: "TextIO") -> None:

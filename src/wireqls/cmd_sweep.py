@@ -7,6 +7,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import config as cfg
+from .constants import linspace
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
@@ -74,7 +75,7 @@ def cmd_sweep(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
         raise cfg.ConfigError("range", "expected start:stop:points") from None
     if points > cfg.MAX_GRID:
         raise cfg.ConfigError("range", f"at most {cfg.MAX_GRID} points")
-    values = cfg.linspace(start, stop, points)
+    values = linspace(start, stop, points)
     header = (
         f"{args.axis},omega_ex_rad_per_s,t_ex_s,gamma_per_s,n_bar,figure,feasible\n"
     )

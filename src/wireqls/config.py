@@ -1,4 +1,4 @@
-"""Scenario configuration: strict schema, loading, and domain builders.
+"""Scenario configuration: strict schema, loading and the exchange budget.
 
 Configs are YAML with nested blocks. `SCHEMA` has one row per leaf, and one
 walk over the scenario (`_walk`) checks every leaf against its row, rejects
@@ -9,8 +9,8 @@ missing block fail with its key path.
 
 A leaf of those blocks goes from its `SCHEMA` row through `_walk` into
 `RunConfig.magnet` or `.protocol` (keyed as in the file, defaults filled in,
-in rad/s), and from there to the code that reads it by key: `build_ring`,
-`build_protocol` or `cmd_field`. A new leaf is its row plus that code.
+in rad/s), and from there to the code that reads it by key
+(`protocol.build_protocol`, `cmd_field`). A new leaf is its row plus that code.
 
 `parse_config` adds the checks that span several leaves: one resonator
 placement, a profile that starts below its end, a bound on the cycles over
@@ -20,17 +20,15 @@ owns the trap ranges, the common axial frequency and the placement (so
 ring ranges; their errors gain a key path. `SCHEMA` only caps the ring's
 inner and outer radius and height, and its center's distance from the
 origin, at `MAX_PROFILE_M`.
-`build_protocol` checks two leaves against the logic trap's bottle shift
-delta_L: traps.logic.b2_tesla_per_m2 must make it positive, and
-protocol.detection.threshold_hz must lie between 0 and delta_L.
 
-Bundled scenarios (`paper-electron`, `paper-proton`) may be named in place
-of a path. `load_config` reads plain block YAML itself and hands any other
-text to PyYAML (by libyaml where PyYAML has it), imported only then.
-Parsing a scenario and building its budget need no numpy; `build_protocol`
-imports the array and shift modules when it is called, and a scenario
-loads `magnetics` only where it has a `magnet` block. `build_ring` names
-`magnet.calibrate_b2_tesla_per_m2` when the calibration fails.
+Every command compiles this module, and a compile's transient memory adds
+to the process's peak RSS, so code only some commands run lives with them:
+`build_protocol` in `protocol` (`config.build_protocol` still resolves),
+`build_ring` in `cmd_field`, and the PyYAML reader in `yaml_loader`, which
+`load_config` imports only for text that is not plain block YAML. Bundled
+scenarios (`paper-electron`, `paper-proton`) may be named in place of a
+path. Parsing a scenario and building its budget need no numpy, and a
+scenario loads `magnetics` only where it has a `magnet` block.
 """
 
 import math
@@ -41,16 +39,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import circuit
-from .constants import (
-    PARTICLES,
-    angular_to_hz,
-    cyclotron_frequency,
-    hz_to_angular,
-    particle_mass_charge,
-)
+from .constants import PARTICLES, hz_to_angular, particle_mass_charge
 
 if TYPE_CHECKING:
-    from . import magnetics, protocol
+    from . import magnetics
 
 __all__ = [
     "SCHEMA",
@@ -60,9 +52,6 @@ __all__ = [
     "load_config",
     "bundled_scenarios",
     "build_budget",
-    "build_ring",
-    "build_protocol",
-    "linspace",
 ]
 
 OUTPUT_FORMATS = ("csv", "records")
@@ -220,7 +209,9 @@ def _leaf(path: str, kind, accept, value):
         value = float(value)
     if accept is not None and not accept.lo <= value <= accept.hi:
         raise ConfigError(path, accept.text)
-    return hz_to_angular(value) if kind is HZ else value
+    if kind is HZ and not abs(value := hz_to_angular(value)) <= _FLOAT_MAX:
+        raise ConfigError(path, "must be finite in rad/s, 2 pi times the value in Hz")
+    return value
 
 
 def _walk(data, path: str, absent: str | None = None) -> dict:
@@ -319,7 +310,8 @@ def _build(v: dict, data: dict) -> RunConfig:
             res["C_p_farad"], res["R_p_ohm"], omega_z, detune
         )
     except ValueError as exc:
-        named = {"omega_z": "traps.logic.axial_frequency_hz", "C_p": "resonator.C_p_farad"}
+        named = {"omega_z": "traps.logic.axial_frequency_hz", "C_p": "resonator.C_p_farad",
+                 "R_p": "resonator.R_p_ohm"}
         key = "resonator." + ("detune_linewidths" if res["detune_hz"] is None else "detune_hz")
         raise ConfigError(named.get(str(exc).split()[0], key), str(exc)) from None
 
@@ -412,38 +404,6 @@ def _read_block_yaml(text: str) -> dict | None:
     return root if opened is None else None
 
 
-def _load_yaml(text: str):
-    """`text` read by PyYAML, with libyaml's parser where PyYAML has it;
-    constructor and resolvers are the same either way. A key that repeats
-    among one mapping's own keys is an error; a `<<` merge may still
-    supply a key that the mapping sets again."""
-    import yaml
-
-    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        def construct_mapping(self, node, deep=False):
-            own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-            self.flatten_mapping(node)  # puts the merged keys in front
-            seen = set()
-            for key_node in own:
-                if not isinstance(key_node, yaml.ScalarNode):
-                    continue  # PyYAML rejects it as unhashable
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"found duplicate key {key!r}", key_node.start_mark
-                    )
-                seen.add(key)
-            return super().construct_mapping(node, deep=deep)
-
-    try:
-        return yaml.load(text, Loader=Loader)
-    except yaml.YAMLError as exc:  # one line: the problem and its position
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
-        raise ConfigError("<root>", f"invalid YAML: {problem}{where}") from None
-
-
 def load_config(path_or_name: str | Path) -> RunConfig:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(path_or_name)
@@ -459,8 +419,10 @@ def load_config(path_or_name: str | Path) -> RunConfig:
             )
         text = candidate.read_text()
     data = _read_block_yaml(text)
-    if data is None:
-        data = _load_yaml(text)
+    if data is None:  # the only path that loads PyYAML
+        from .yaml_loader import load_yaml
+
+        data = load_yaml(text)
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
     return parse_config(data)
@@ -477,99 +439,15 @@ def build_budget(config: RunConfig) -> circuit.ExchangeBudget:
         )
     except circuit.OccupationOverflow as exc:
         raise ConfigError("environment.temperature_k", str(exc)) from None
-    except circuit.UncoupledInput as exc:  # Im Z vanishes, or pulls a trap below zero
+    except circuit.UncoupledInput as exc:  # no exchange: Im Z, one trap, or both ("traps")
         keys = {"res": "resonator", "trap_L": "traps.logic", "trap_S": "traps.spectroscopy"}
-        raise ConfigError(keys[exc.culprit], str(exc)) from None
+        raise ConfigError(keys.get(exc.culprit, exc.culprit), str(exc)) from None
 
 
-def build_ring(config: RunConfig) -> "magnetics.RingMagnet":
-    """Bottle ring, calibrated when the scenario requests it."""
-    if config.magnet is None:
-        raise ConfigError("magnet", "missing required key")
-    b2 = config.magnet["calibrate_b2_tesla_per_m2"]
-    try:
-        return config.ring if b2 is None else config.ring.calibrated_to(b2)
-    except ValueError as exc:  # a vanishing B2, or a rescaled M beyond the float range
-        raise ConfigError("magnet.calibrate_b2_tesla_per_m2", str(exc)) from None
+def __getattr__(name: str):
+    # `build_protocol` lives in `protocol`, which loads numpy, and resolves here too
+    if name == "build_protocol":
+        from .protocol import build_protocol
 
-
-def build_protocol(
-    config: RunConfig, seed: int | None = None
-) -> "protocol.ProtocolConfig":
-    """Assemble the full per-cycle configuration from the scenario."""
-    from . import protocol, spectroscopy
-
-    if (p := config.protocol) is None:
-        raise ConfigError("protocol", "missing required key")
-    detection, drive, grid = p["detection"], p["drive"], p["drive"]["grid"]
-    seed = config.seed if seed is None else seed
-    if seed < 0:
-        raise ConfigError("seed", f"must be non-negative, got {seed}")
-    budget = build_budget(config)
-    trap_s = config.trap_spectroscopy
-    shifts_l = spectroscopy.shift_set_for_trap(config.trap_logic)
-    if not shifts_l.delta > 0.0:  # no readout threshold lies between 0 and delta
-        raise ConfigError(
-            "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
-        )
-    if (shifts_s := spectroscopy.shift_set_for_trap(trap_s)).broadening < 0.0:
-        raise ConfigError("traps.spectroscopy.b2_tesla_per_m2",  # the line would vanish
-                          "must give a non-negative cyclotron linewidth")
-    threshold = detection["threshold_hz"]
-    if threshold is None:
-        threshold = 0.5 * shifts_l.delta
-    elif not 0.0 < threshold < shifts_l.delta:
-        delta_hz = angular_to_hz(shifts_l.delta)
-        raise ConfigError("protocol.detection.threshold_hz",
-                          f"must lie between 0 and the logic-trap delta, {delta_hz!r} Hz")
-    pc = protocol.ProtocolConfig(
-        budget=budget,
-        shifts_L=shifts_l,
-        shifts_S=shifts_s,
-        pi_pulse_fidelity=p["pi_pulse_fidelity"],
-        sideband_cooling_residual=p["sideband_cooling_residual"],
-        detection=protocol.DetectionModel(
-            averaging_time=detection["averaging_time_s"],
-            noise_density=detection["noise_density_hz_per_sqrt_hz"],
-            threshold=threshold,
-        ),
-        drive=protocol.DriveModel(
-            detunings=tuple(linspace(grid["start_hz"], grid["stop_hz"], grid["points"])),
-            profile=drive["profile"],
-            peak_probability=drive["peak_probability"],
-        ),
-        field_noise=p["field_noise_per_sqrt_minute"],
-        cycles=p["cycles"],
-        seed=seed,
-        omega_c_spec=cyclotron_frequency(trap_s.B, trap_s.q, trap_s.m),
-        cooling_time=p["cooling_time_s"],
-        pulse_time=p["pulse_time_s"],
-        mode=p["mode"],
-    )
-    if not math.isfinite(pc.cycle_time * pc.cycles):  # the last wall time
-        raise ConfigError("protocol", "cooling_time_s, pulse_time_s and detection."
-                          "averaging_time_s put cycles x cycle time beyond the float range")
-    return pc
-
-
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """`num` evenly spaced floats from `start` to `stop`, both included.
-
-    The same arithmetic as `numpy.linspace`, so the values agree bit for
-    bit: i * step + start, with i / (num - 1) * (stop - start) + start where
-    the step underflows to zero, and the last value set to `stop`.
-    """
-    if num < 0:
-        raise ValueError(f"Number of samples, {num}, must be non-negative.")
-    start, stop = float(start), float(stop)
-    delta = stop - start
-    if num <= 1:
-        return [0.0 * delta + start] * num
-    div = num - 1
-    step = delta / div
-    if step == 0.0:
-        values = [i / div * delta + start for i in range(num)]
-    else:
-        values = [i * step + start for i in range(num)]
-    values[-1] = stop
-    return values
+        return build_protocol
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,8 @@ internally; anything quoted in Hz crosses the boundary through
 ``hz_to_angular`` / ``angular_to_hz`` exactly once.
 
 The package's records are named tuples; `Checked` validates the ones whose
-values have a range.
+values have a range. `linspace` gives the evenly spaced grids of the field
+profile, a sweep and the drive, bit for bit as numpy would, without numpy.
 """
 
 import math
@@ -62,6 +63,29 @@ def particle_mass_charge(name: str) -> tuple[float, float]:
         raise ValueError(
             f"unknown particle {name!r}; expected one of {sorted(PARTICLES)}"
         ) from None
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from `start` to `stop`, both included.
+
+    The same arithmetic as `numpy.linspace`, so the values agree bit for
+    bit: i * step + start, with i / (num - 1) * (stop - start) + start where
+    the step underflows to zero, and the last value set to `stop`.
+    """
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num <= 1:
+        return [0.0 * delta + start] * num
+    div = num - 1
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
 class Checked:

@@ -30,13 +30,17 @@ import math
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-import numpy as np
-
+# the package's modules before numpy, so none compiles with numpy resident
+from . import config as cfg
+from . import spectroscopy
 from .circuit import ExchangeBudget
-from .constants import G_E, Checked
+from .constants import G_E, Checked, angular_to_hz, cyclotron_frequency, linspace
 from .spectroscopy import ShiftSet
 
+import numpy as np
+
 __all__ = [
+    "build_protocol",
     "DetectionModel",
     "DriveModel",
     "ExchangeParams",
@@ -71,6 +75,9 @@ DETECTION_SNR_Z = 3.0
 DETECTION_TIME_FLOOR = 0.050  # [s]
 DETECTION_BOTTLE_RATIO = 30.0
 
+# above |x| for any standard normal x that numpy's Generator draws (its
+# ziggurat tail stops near 13.7), so sigma * x is finite where this is
+NORMAL_BOUND = 16.0
 RECORDS_CHUNK = 1024  # record rows formatted per write, cycles per block past ONE_BLOCK
 ONE_BLOCK = 8192  # a point of at most this many cycles is drawn as one block
 # a record row's text around its two floats, by numpy index: the four stage
@@ -261,6 +268,69 @@ class TimingBudget(NamedTuple):
     total: float
     exchange_dominates: bool
     detection_speedup: float  # vs. a bottle DETECTION_BOTTLE_RATIO times smaller
+
+
+def build_protocol(config: cfg.RunConfig, seed: int | None = None) -> ProtocolConfig:
+    """Assemble the full per-cycle configuration from the scenario.
+
+    Two leaves are checked against the logic trap's bottle shift delta_L:
+    traps.logic.b2_tesla_per_m2 must make it positive, and
+    protocol.detection.threshold_hz must lie between 0 and delta_L."""
+    if (p := config.protocol) is None:
+        raise cfg.ConfigError("protocol", "missing required key")
+    detection, drive, grid = p["detection"], p["drive"], p["drive"]["grid"]
+    seed = config.seed if seed is None else seed
+    if seed < 0:
+        raise cfg.ConfigError("seed", f"must be non-negative, got {seed}")
+    budget = cfg.build_budget(config)
+    trap_s = config.trap_spectroscopy
+    shifts_l = spectroscopy.shift_set_for_trap(config.trap_logic)
+    if not shifts_l.delta > 0.0:  # no readout threshold lies between 0 and delta
+        raise cfg.ConfigError(
+            "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
+        )
+    if (shifts_s := spectroscopy.shift_set_for_trap(trap_s)).broadening < 0.0:
+        raise cfg.ConfigError("traps.spectroscopy.b2_tesla_per_m2",  # the line would vanish
+                              "must give a non-negative cyclotron linewidth")
+    threshold = detection["threshold_hz"]
+    if threshold is None:
+        threshold = 0.5 * shifts_l.delta
+    elif not 0.0 < threshold < shifts_l.delta:
+        delta_hz = angular_to_hz(shifts_l.delta)
+        raise cfg.ConfigError("protocol.detection.threshold_hz", "must lie between 0 and "
+                              f"the logic-trap delta, {delta_hz!r} Hz")
+    pc = ProtocolConfig(
+        budget=budget,
+        shifts_L=shifts_l,
+        shifts_S=shifts_s,
+        pi_pulse_fidelity=p["pi_pulse_fidelity"],
+        sideband_cooling_residual=p["sideband_cooling_residual"],
+        detection=DetectionModel(
+            averaging_time=detection["averaging_time_s"],
+            noise_density=detection["noise_density_hz_per_sqrt_hz"],
+            threshold=threshold,
+        ),
+        drive=DriveModel(
+            detunings=tuple(linspace(grid["start_hz"], grid["stop_hz"], grid["points"])),
+            profile=drive["profile"],
+            peak_probability=drive["peak_probability"],
+        ),
+        field_noise=p["field_noise_per_sqrt_minute"],
+        cycles=p["cycles"],
+        seed=seed,
+        omega_c_spec=cyclotron_frequency(trap_s.B, trap_s.q, trap_s.m),
+        cooling_time=p["cooling_time_s"],
+        pulse_time=p["pulse_time_s"],
+        mode=p["mode"],
+    )
+    if not pc.detection.sigma * NORMAL_BOUND < math.inf:  # no finite measured shift
+        raise cfg.ConfigError("protocol.detection", "noise_density_hz_per_sqrt_hz over the "
+                              "root of averaging_time_s puts the frequency noise beyond the "
+                              "float range")
+    if not math.isfinite(pc.cycle_time * pc.cycles):  # the last wall time
+        raise cfg.ConfigError("protocol", "cooling_time_s, pulse_time_s and detection."
+                              "averaging_time_s put cycles x cycle time beyond the float range")
+    return pc
 
 
 def drive_probability(

@@ -33,7 +33,7 @@ def electron_budget() -> circuit.ExchangeBudget:
 @pytest.fixture(scope="module")
 def electron_protocol() -> protocol.ProtocolConfig:
     rc = cfg.load_config("paper-electron")
-    return cfg.build_protocol(rc)
+    return protocol.build_protocol(rc)
 
 
 def test_criterion_01_exchange_time(electron_budget):

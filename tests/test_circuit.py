@@ -238,11 +238,19 @@ class TestQlsBudget:
             circuit.qls_budget(res, trap_logic, trap_spectroscopy, T_ENV)
         assert exc.value.culprit == "res"
 
-    def test_underflowing_exchange_rate_names_the_resonator(self, trap_logic, trap_spectroscopy):
-        # |Im Z| ~1e-112 ohm, and two 1e100 m traps make l_L l_S overflow, so
-        # |Im Z| / (2 sqrt(l_L l_S)) is exactly zero
+    def test_overflowing_inductance_product_names_the_traps(self, trap_logic, trap_spectroscopy):
+        # two 1e100 m traps make l_L l_S overflow, so |Im Z| / (2 sqrt(l_L l_S))
+        # is exactly zero whatever the resonator; the traps, not Im Z, are at fault
         res = circuit.ResonatorParams.detuned_below(1.0e103, 1.0e-110, OMEGA_Z, DETUNE)
         traps = [t._replace(d_eff=1.0e100) for t in (trap_logic, trap_spectroscopy)]
+        with pytest.raises(circuit.UncoupledInput, match="l_L \\* l_S of the two traps") as exc:
+            circuit.qls_budget(res, *traps, T_ENV)
+        assert exc.value.culprit == "traps"
+
+    def test_underflowing_exchange_rate_names_the_resonator(self, trap_logic, trap_spectroscopy):
+        # |Im Z| ~2e-204 ohm over a finite sqrt(l_L l_S) ~1e148 H rounds to zero
+        res = circuit.ResonatorParams.detuned_below(1.0e195, 1.0e-202, OMEGA_Z, DETUNE)
+        traps = [t._replace(d_eff=1.0e70) for t in (trap_logic, trap_spectroscopy)]
         with pytest.raises(circuit.UncoupledInput, match="exchange rate underflows") as exc:
             circuit.qls_budget(res, *traps, T_ENV)
         assert exc.value.culprit == "res"

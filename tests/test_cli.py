@@ -23,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wireqls import cli, magnetics
-from wireqls.cmd_field import cmd_field
+from wireqls.cmd_field import build_ring, cmd_field
 from wireqls.cmd_sweep import cmd_sweep
+from wireqls.constants import linspace
 from wireqls.protocol import ONE_BLOCK
 from wireqls import config as cfg
 
@@ -174,19 +175,29 @@ class TestBudgetCommand:
             assert (code, out, err) == (2, "", f"config error: {report}\n"), command
         assert run_cli(capsys, "field", "--config", path)[0] == 0
 
-    def test_underflowing_exchange_rate_names_the_resonator(self, capsys, tmp_path, electron_raw):
+    @pytest.mark.parametrize("d_eff, r_p, c_p, report", [
+        (1.0e70, 1.0e-202, 1.0e195, "resonator: the exchange rate underflows to zero"),
+        (1.0e100, 1.0e-110, 1.0e103, "traps: l_L * l_S of the two traps overflows; "
+                                     "the exchange rate rounds to zero"),
+        (1.0e100, 5.0e5, 1.0e-11, "traps: l_L * l_S of the two traps overflows; "
+                                  "the exchange rate rounds to zero"),
+    ])
+    def test_zero_exchange_rate_names_the_resonator_or_the_traps(
+        self, capsys, tmp_path, electron_raw, d_eff, r_p, c_p, report
+    ):
         # |Im Z| / (2 sqrt(l_L l_S)) rounds to zero, which exchange_time
-        # would reject with a message that names no input
-        for leaf, value in (("traps.logic.d_eff_m", 1.0e100),
-                            ("traps.spectroscopy.d_eff_m", 1.0e100),
-                            ("resonator.R_p_ohm", 1.0e-110),
-                            ("resonator.C_p_farad", 1.0e103)):
+        # would reject with a message that names no input: from a tiny Im Z
+        # over a finite product, or from l_L l_S overflowing, which is the
+        # traps' doing whatever the resonator (it blamed the resonator)
+        for leaf, value in (("traps.logic.d_eff_m", d_eff),
+                            ("traps.spectroscopy.d_eff_m", d_eff),
+                            ("resonator.R_p_ohm", r_p),
+                            ("resonator.C_p_farad", c_p)):
             set_key(electron_raw, leaf, value)
         path = write_scenario(tmp_path, electron_raw)
-        report = "config error: resonator: the exchange rate underflows to zero\n"
         for command, *flags in (["budget"], ["sweep", *SWEEP], ["lineshape"], ["protocol"]):
             code, out, err = run_cli(capsys, command, "--config", path, *flags)
-            assert (code, out, err) == (2, "", report), command
+            assert (code, out, err) == (2, "", f"config error: {report}\n"), command
         assert run_cli(capsys, "field", "--config", path)[0] == 0
 
     @pytest.mark.parametrize("command", ["budget", "field"])
@@ -214,7 +225,6 @@ class TestBudgetCommand:
         [
             ("traps.logic.d_eff_m", 0.0),
             ("traps.logic.axial_frequency_hz", 0.0),
-            ("traps.logic.axial_frequency_hz", 1.0e308),  # overflows to inf rad/s
             ("traps.logic.temperature_k", -1.0),
             ("traps.logic.field_tesla", -1.0),
             ("magnet.inner_radius_m", 0.0),
@@ -524,10 +534,10 @@ def field_whole(rc: cfg.RunConfig, args) -> tuple[str, str]:
     """`cmd_field` with every row in memory at once, built from
     `on_axis_field` and `gradients`: the oracle of the streamed command's
     bytes."""
-    ring = cfg.build_ring(rc)
+    ring = build_ring(rc)
     p = rc.magnet["profile"]
     sites = {"logic": p["logic_site_m"], "spectroscopy": p["spectroscopy_site_m"]}
-    grid = cfg.linspace(p["z_min_m"], p["z_max_m"], p["samples"])
+    grid = linspace(p["z_min_m"], p["z_max_m"], p["samples"])
     grid = sorted(set(grid).union(sites.values()))
     background = rc.magnet["background_field_tesla"]
     field = [magnetics.on_axis_field(ring, z) + background for z in grid]
@@ -1072,13 +1082,19 @@ MODELS = ["magnetics", "protocol", "spectroscopy"]
     (["sweep", "--config", "paper-electron", *SWEEP], 0, ["cmd_sweep", "magnetics"]),
     (["sweep", "--config", "paper-proton", *SWEEP], 0, ["cmd_sweep"]),
     (["budget", "--config", "paper-electron", "--seed", "3"], 2, []),
+    # text the block reader declines: only then is the PyYAML reader loaded
+    (["budget", "--config", "{flow}"], 0, ["cmd_budget", "magnetics", "yaml_loader"]),
+    (["lineshape", "--config", "{flow}"], 0, ["cmd_lineshape", *MODELS, "yaml_loader"]),
 ])
-def test_command_loads_its_own_module_and_no_parser(argv, status, loaded):
+def test_command_loads_its_own_module_and_no_parser(tmp_path, electron_raw, argv, status, loaded):
     # main imports only its command's module, and a scenario without a
     # `magnet` block loads no ring model; the parser reads argv from the
     # command table, so argparse, and the gettext and locale modules it
     # loads, serve only as its oracle in tests; no module takes its
     # annotations as strings, so no command loads __future__
+    flow = tmp_path / "flow.yaml"
+    flow.write_text(yaml.safe_dump(electron_raw, default_flow_style=True))
+    argv = [arg.format(flow=flow) for arg in argv]
     out = run_python(  # one process each
         "import contextlib, io, sys\n"
         "from wireqls import cli\n"
@@ -1095,6 +1111,35 @@ def test_command_loads_its_own_module_and_no_parser(argv, status, loaded):
     assert out.splitlines() == [
         str(status), "[]", str(sorted(f"wireqls.{name}" for name in common + loaded))
     ]
+
+
+@pytest.mark.parametrize("command", ["lineshape", "protocol"])
+def test_numpy_command_compiles_its_modules_before_numpy(tmp_path, command):
+    # the import system looks a module up before it reads or compiles its
+    # source, so a `wireqls` lookup after numpy's is a compile with numpy
+    # resident, on top of the command's peak RSS; an import sorted to put
+    # numpy first, in cmd_lineshape or above the package's own in protocol,
+    # fails here. (sys.modules order cannot tell: a module's key moves to
+    # the end when it has finished executing, after the numpy it imports.)
+    report = tmp_path / "lookups.json"
+    child = run_python(
+        "import atexit, json, runpy, sys\n"
+        "class Lookups:\n"
+        "    names = []\n"
+        "    @classmethod\n"
+        "    def find_spec(cls, name, path=None, target=None):\n"
+        "        cls.names.append(name)\n"
+        "sys.meta_path.insert(0, Lookups)\n"
+        f"atexit.register(lambda: open({str(report)!r}, 'w').write(json.dumps(Lookups.names)))\n"
+        f"sys.argv = ['wireqls', {command!r}, '--config', 'paper-electron']\n"
+        f"{ENTRIES['module']}\n",
+        check=False,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    names = json.loads(report.read_text())
+    assert {"numpy", f"wireqls.cmd_{command}", "wireqls.protocol"} <= set(names)
+    after = names[names.index("numpy"):]
+    assert [name for name in after if name.partition(".")[0] == "wireqls"] == []
 
 
 def test_no_module_of_the_package_names_argparse_or_future():
@@ -1559,6 +1604,41 @@ def test_every_numeric_leaf_ends_cleanly(capsys, monkeypatch, dotted):
             assert not re.match(r"error: \(\d+, ", err), where
 
 
+COMMANDS = ("budget", "field", "lineshape", "protocol")
+AXIAL = ("traps.logic.axial_frequency_hz", "traps.spectroscopy.axial_frequency_hz")
+BEYOND_FLOAT = "must be finite in rad/s, 2 pi times the value in Hz"
+
+
+def with_leaves(raw: dict, leaves: dict) -> dict:
+    """A copy of `raw` with each dotted leaf set, or left out where its
+    value is None. An axial frequency sets both traps', which must agree,
+    and a `detune_hz` replaces `detune_linewidths` unless that is drawn too."""
+    raw = copy.deepcopy(raw)
+    for dotted, value in leaves.items():
+        for path in AXIAL if dotted in AXIAL else (dotted,):
+            *parents, leaf = path.split(".")
+            node = functools.reduce(dict.get, parents, raw)
+            if value is None:
+                node.pop(leaf, None)
+            else:
+                node[leaf] = value
+    if leaves.get("resonator.detune_hz") is not None and \
+            "resonator.detune_linewidths" not in leaves:
+        del raw["resonator"]["detune_linewidths"]
+    return raw
+
+
+def run_in_process(raw: dict, command: str) -> tuple[int, str, str]:
+    """`command` on the scenario mapping `raw`, with warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        patch.setattr(cfg, "load_config", lambda _: cfg.parse_config(raw))
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", "edge"])
+    return code, out.getvalue(), err.getvalue()
+
+
 ROWS = {path: (kind, default, accept) for path, kind, default, accept in cfg.SCHEMA}
 JOINT_LEAVES = [
     *(path for path, (kind, _, _) in ROWS.items()
@@ -1581,7 +1661,8 @@ def edge_values(dotted: str) -> list:
     values |= {-v for v in values}
     if kind is int:  # an int's neighbours are one apart
         values = {int(v) for v in values if float(v).is_integer()}
-        values |= {int(v) + step for v in (accept.lo, accept.hi) for step in (-1, 1)}
+        ends = (accept.lo, accept.hi) if isinstance(accept, cfg.Range) else ()
+        values |= {int(v) + step for v in ends for step in (-1, 1)}
     return sorted(values) + ([] if default is cfg.REQUIRED else [None])
 
 
@@ -1608,13 +1689,7 @@ def joint_leaves(draw) -> dict:
 def test_a_failing_field_writes_nothing(leaves):
     # every mix of magnet leaves and trap sizes ends in output, or in exit 1
     # or 2 with one line on stderr, and then nothing on stdout and no file
-    raw = copy.deepcopy(cfg.load_config("paper-electron").raw)
-    for dotted, value in leaves.items():
-        if value is None:
-            *parents, leaf = dotted.split(".")
-            del functools.reduce(dict.get, parents, raw)[leaf]
-        else:
-            set_key(raw, dotted, value)
+    raw = with_leaves(cfg.load_config("paper-electron").raw, leaves)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         # the commands parse the mapping itself, without a YAML file
         patch.setattr(cfg, "load_config", lambda _: cfg.parse_config(raw))
@@ -1635,3 +1710,121 @@ def test_a_failing_field_writes_nothing(leaves):
                 assert not (filename and (Path(tmp) / filename).exists()), where
             else:
                 assert (out == "") == (filename is not None), where
+
+
+class TestOneLeafEdgeValues:
+    """Values of one or two leaves that ended in exit 1 or in infinite
+    numbers on paper-electron now exit 2, with one line that names the leaf
+    or block at fault."""
+
+    @pytest.mark.parametrize("leaves, report", [
+        # C_p R_p underflowed to zero (`float division by zero`, exit 1), or
+        # overflowed (a zero width; exit 2 at the placement's next check)
+        ({"resonator.R_p_ohm": 5.0e-324}, "resonator.R_p_ohm: R_p puts C_p * R_p"),
+        ({"resonator.R_p_ohm": 1.0e-320}, "resonator.R_p_ohm: R_p puts C_p * R_p"),
+        ({"resonator.C_p_farad": 1.0e308}, "resonator.C_p_farad: C_p puts C_p * R_p"),
+        # Q = R_p omega_res C_p overflowed: budget printed `Q: inf`
+        ({"resonator.C_p_farad": 1.0e140, "resonator.R_p_ohm": 1.0e160},
+         "resonator.R_p_ohm: R_p puts the quality factor"),
+        # q B / m underflowed to zero (lineshape and protocol exited 1 with
+        # `omega_c_spec must be positive`, budget and field 0), or overflowed
+        ({"traps.spectroscopy.field_tesla": 1.0e-320},
+         "traps.spectroscopy: B puts the cyclotron frequency"),
+        ({"traps.logic.field_tesla": 1.0e300}, "traps.logic: B puts the cyclotron frequency"),
+        # 2 pi x 1e308 Hz is infinite in rad/s: protocol printed inf and -inf
+        ({"protocol.detection.noise_density_hz_per_sqrt_hz": 1.0e308},
+         f"protocol.detection.noise_density_hz_per_sqrt_hz: {BEYOND_FLOAT}"),
+    ])
+    def test_exits_2_with_one_keyed_line(self, electron_raw, leaves, report):
+        raw = with_leaves(electron_raw, leaves)
+        for command in COMMANDS:
+            code, out, err = run_in_process(raw, command)
+            assert (code, out) == (2, ""), (command, err)
+            assert err.startswith(f"config error: {report}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dotted", [p for p, kind, _, _ in cfg.SCHEMA if kind is cfg.HZ])
+    def test_hz_leaf_infinite_in_rad_per_s_names_itself(self, electron_raw, dotted):
+        # a Range applies to the number as written; a value with no Range,
+        # or a Range past 1/(2 pi) of the float maximum, met the model as inf
+        if dotted == "resonator.detune_hz":  # the one or the other
+            del electron_raw["resonator"]["detune_linewidths"]
+        set_key(electron_raw, dotted, 1.0e308)
+        code, out, err = run_in_process(electron_raw, "budget")
+        accept = ROWS[dotted][2]
+        ranged = isinstance(accept, cfg.Range) and not accept.lo <= 1.0e308 <= accept.hi
+        text = accept.text if ranged else BEYOND_FLOAT
+        assert (code, out, err) == (2, "", f"config error: {dotted}: {text}\n")
+
+    @pytest.mark.parametrize("leaves", [
+        {"protocol.detection.noise_density_hz_per_sqrt_hz": 1.0e307},
+        {"protocol.detection.averaging_time_s": 5.0e-324,
+         "protocol.detection.noise_density_hz_per_sqrt_hz": 1.0e150},
+    ])
+    def test_frequency_noise_beyond_the_float_range_names_detection(self, electron_raw, leaves):
+        # sigma = noise density / sqrt(averaging time) overflowed, or left no
+        # room for a normal draw times it: protocol printed inf and -inf
+        raw = with_leaves(electron_raw, leaves)
+        for command in ("lineshape", "protocol"):
+            code, out, err = run_in_process(raw, command)
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: protocol.detection: ") and err.count("\n") == 1
+            assert "beyond the float range" in err
+        assert [run_in_process(raw, command)[0] for command in ("budget", "field")] == [0, 0]
+
+
+# leaves whose accepted upper values are work, not edges: drawn only up to
+# SMALL, or beyond the Range, where the parse rejects them at once
+SIZES = ("protocol.cycles", "protocol.drive.grid.points", "magnet.profile.samples")
+SMALL = 1000
+# the least subnormal is in edge_values; these add deeper ones and the
+# decades between 1e300 and the float maximum
+EXTREMES = (1.0e-320, 1.0e-310, 1.0e303, 1.0e305, 1.0e307, 1.0e308)
+NON_FINITE = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
+
+
+def schema_values(dotted: str) -> list:
+    """`edge_values` of a leaf, with subnormals and decades up to the float
+    maximum for a float, and the size leaves kept small."""
+    kind, _, accept = ROWS[dotted]
+    values = edge_values(dotted)
+    if dotted in SIZES:
+        return [v for v in values if v is None or not SMALL < v <= accept.hi]
+    if kind is int:
+        return values
+    numbers = {v for v in values if v is not None}
+    numbers |= {sign * v for v in EXTREMES for sign in (1.0, -1.0)}
+    return sorted(numbers) + ([None] if None in values else [])
+
+
+@st.composite
+def schema_leaves(draw) -> dict:
+    paths = draw(st.lists(st.sampled_from(NUMERIC_LEAVES), min_size=1, max_size=3, unique=True))
+    return {path: draw(st.sampled_from(schema_values(path))) for path in paths}
+
+
+@example({"resonator.R_p_ohm": 5.0e-324})
+@example({"traps.spectroscopy.field_tesla": 1.0e-320})
+@example({"protocol.detection.noise_density_hz_per_sqrt_hz": 1.0e308})
+@example({"traps.logic.d_eff_m": 1.0e100, "traps.spectroscopy.d_eff_m": 1.0e100})
+@example({"protocol.detection.averaging_time_s": 5.0e-324,
+          "protocol.detection.noise_density_hz_per_sqrt_hz": 1.0e150})
+@example({"resonator.C_p_farad": 1.0e140, "resonator.R_p_ohm": 1.0e160})
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(schema_leaves())
+def test_every_accepted_mix_of_leaves_ends_cleanly(leaves):
+    # any 1-3 numeric leaves at their edges end, in each command, in output
+    # with finite numbers, or in one line that is more than an errno tuple
+    # or a bare arithmetic error; only lineshape exits 1, for a line with
+    # nothing to fit
+    base = cfg.load_config("paper-electron").raw
+    raw = with_leaves(base, {"protocol.cycles": 20, **leaves})
+    for command in COMMANDS:
+        code, out, err = run_in_process(raw, command)
+        where = f"{command} with {leaves}: {err!r}"
+        assert code in (0, 1, 2), where
+        assert err.count("\n") <= 1 and "Traceback" not in err, where
+        assert not re.match(r"error: \(\d+, ", err), where
+        assert err != "error: float division by zero\n", where
+        assert code != 1 or (command == "lineshape"
+                             and "lineshape has no excitation to fit" in err), where
+        assert not NON_FINITE.search(out), where

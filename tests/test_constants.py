@@ -60,7 +60,7 @@ def test_particle_presets():
 
 
 def _paper_protocol():
-    return cfg.build_protocol(cfg.load_config("paper-electron"))
+    return protocol.build_protocol(cfg.load_config("paper-electron"))
 
 
 # (a valid record, one field set to a value its check rejects, the message)

@@ -191,7 +191,7 @@ class TestAnalyticOracle:
     def test_swap_keyword_reads_as_the_replaced_config(self):
         # the keyword stands in for the config's swap, float for float, at
         # every grid point of the bundled electron scenario
-        config = cfg.build_protocol(cfg.load_config("paper-electron"))
+        config = protocol.build_protocol(cfg.load_config("paper-electron"))
         swap = 0.5
         replaced = config._replace(swap_probability=swap)
         assert len(config.drive.detunings) == 46
