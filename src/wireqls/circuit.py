@@ -73,6 +73,14 @@ class ResonatorParams(Checked, _ResonatorFields):
         """Q = R_p * omega_res * C_p = omega_res / delta_omega_res."""
         return self.R_p * self.omega_res * self.C_p
 
+    @staticmethod
+    def time_constant(C_p: float, R_p: float) -> float:
+        """C_p * R_p, the inverse of the resonator's linewidth [s]."""
+        if not 0.0 < (tau := C_p * R_p) < math.inf:  # blame the smaller, or the larger
+            culprit = "R_p" if (R_p < C_p) == (tau == 0.0) else "C_p"
+            raise ValueError(f"{culprit} puts C_p * R_p beyond the float range")
+        return tau
+
     @classmethod
     def detuned_below(
         cls, C_p: float, R_p: float, omega_z: float, detune_linewidths: float
@@ -83,10 +91,7 @@ class ResonatorParams(Checked, _ResonatorFields):
             raise ValueError("detuning must be positive (resonator below omega_z)")
         if omega_z <= 0:
             raise ValueError("omega_z must be positive")
-        if not 0.0 < (tau := C_p * R_p) < math.inf:  # blame the smaller, or the larger
-            culprit = "R_p" if (R_p < C_p) == (tau == 0.0) else "C_p"
-            raise ValueError(f"{culprit} puts C_p * R_p beyond the float range")
-        width = 1.0 / tau
+        width = 1.0 / cls.time_constant(C_p, R_p)
         omega_res = omega_z - detune_linewidths * width
         if omega_res <= 0:
             raise ValueError("places omega_res at or below zero")

@@ -7,17 +7,17 @@ same name in a module of its own (`cmd_budget`, `cmd_field`,
 `cmd_lineshape`, `cmd_protocol`, `cmd_sweep`), and `main` imports only the
 one it runs. A process compiles and loads only what its command uses:
 
-  every command        cli, config, circuit, constants and its own module;
+  every command        cli, config, schema, circuit, constants, its module;
                        yaml_loader and PyYAML for text not in block YAML
   field                magnetics
   the others           magnetics where the scenario has a `magnet` block
   lineshape, protocol  spectroscopy, protocol and numpy; `protocol` loads
                        orjson only for a table of more than ONE_BLOCK rows
 
-A compile adds to the peak RSS where no bytecode is cached, so what only
-some commands run is not in `config` (`protocol.build_protocol`,
-`cmd_field.build_ring`, `yaml_loader`), and `protocol` imports numpy after
-the package's modules: a numpy command compiles its code before numpy.
+A compile adds to the peak RSS where no bytecode is cached, so no module
+`budget`, `field` or `sweep` compiles is larger than this one (`config`
+keeps neither the schema nor code only some commands run), and a numpy
+command compiles its code before numpy.
 
 numpy.random loads hashlib only to seed a generator without a seed, and
 every stream here has one. So a command process's `main` blocks `_hashlib` (it
@@ -53,6 +53,7 @@ if __name__ == "__main__":  # a command process; see `run`
     gc.disable()
 
 from . import config as cfg
+from .schema import OUTPUT_FORMATS, ConfigError
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -82,7 +83,7 @@ def _emit(body: "str | Writer", out_dir: str | None, filename: str) -> None:
 _FLAGS = {
     "--config": dict(required=True, help="scenario path or bundled name"),
     "--out": dict(default=None, help="output directory (default stdout)"),
-    "--format": dict(choices=cfg.OUTPUT_FORMATS, default=None, help="csv (report) or records"),
+    "--format": dict(choices=OUTPUT_FORMATS, default=None, help="csv (report) or records"),
     "--seed": dict(type=int, default=None, help="override scenario seed"),
     "--axis": dict(required=True, help="dotted config path"),
     "--range": dict(required=True, help="start:stop:points"),
@@ -194,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         filename, body = command(rc, args)
         _emit(body, args.out if args.out is not None else rc.output_dir, filename)
         return 0
-    except cfg.ConfigError as exc:
+    except ConfigError as exc:
         status, report = 2, f"config error: {exc}"
     except (ValueError, OSError, ArithmeticError) as exc:
         status, report = 1, f"error: {exc}"

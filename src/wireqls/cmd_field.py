@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING
 from . import config as cfg
 from . import magnetics
 from .constants import linspace
+from .schema import ConfigError
 
 if TYPE_CHECKING:
     from typing import TextIO
@@ -22,12 +23,12 @@ __all__ = ["build_ring", "cmd_field"]
 def build_ring(config: cfg.RunConfig) -> magnetics.RingMagnet:
     """Bottle ring, calibrated when the scenario requests it."""
     if config.magnet is None:
-        raise cfg.ConfigError("magnet", "missing required key")
+        raise ConfigError("magnet", "missing required key")
     b2 = config.magnet["calibrate_b2_tesla_per_m2"]
     try:
         return config.ring if b2 is None else config.ring.calibrated_to(b2)
     except ValueError as exc:  # a vanishing B2, or a rescaled M beyond the float range
-        raise cfg.ConfigError("magnet.calibrate_b2_tesla_per_m2", str(exc)) from None
+        raise ConfigError("magnet.calibrate_b2_tesla_per_m2", str(exc)) from None
 
 
 def cmd_field(rc: cfg.RunConfig, args: SimpleNamespace) -> "tuple[str, Writer]":

@@ -3,11 +3,13 @@ scenario, one CSV row per swept value. The scenario edits that only a
 sweep makes, `set_by_path` and `sweep_configs`, live here, so that no
 other command compiles them."""
 
+import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import config as cfg
 from .constants import linspace
+from .schema import MAX_GRID, SCHEMA, ConfigError, _leaf, _walk
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
@@ -29,14 +31,14 @@ def set_by_path(data: dict, dotted: str, value) -> dict:
     for part in parents:
         child = node.get(part)
         if not isinstance(child, dict):
-            raise cfg.ConfigError(dotted, "no such key in the scenario")
+            raise ConfigError(dotted, "no such key in the scenario")
         node[part] = dict(child)
         node = node[part]
     if leaf not in node:
-        raise cfg.ConfigError(dotted, "no such key in the scenario")
+        raise ConfigError(dotted, "no such key in the scenario")
     current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise cfg.ConfigError(dotted, "sweep axis must name a numeric leaf")
+        raise ConfigError(dotted, "sweep axis must name a numeric leaf")
     if isinstance(current, int) and float(value).is_integer():
         value = int(value)
     node[leaf] = value
@@ -49,15 +51,15 @@ def sweep_configs(
     """`cfg.parse_config(set_by_path(config.raw, dotted, value))` for each
     of `values`. The scenario is walked once; each point re-checks only the
     swept leaf, then runs the checks that span several leaves."""
-    walked = cfg._walk(config.raw, "")
-    rows = {row[0]: row for row in cfg.SCHEMA}
+    walked = _walk(config.raw, "")
+    rows = {row[0]: row for row in SCHEMA}
     for value in values:
         data = set_by_path(config.raw, dotted, value)
         leaf = data
         for key in dotted.split("."):
             leaf = leaf[key]  # the value as set_by_path wrote it
         _, kind, _, accept = rows[dotted]
-        swept = cfg._leaf(dotted, kind, accept, leaf)
+        swept = _leaf(dotted, kind, accept, leaf)
         yield cfg._build(set_by_path(walked, dotted, swept), data)
 
 
@@ -72,9 +74,11 @@ def cmd_sweep(rc: cfg.RunConfig, args: SimpleNamespace) -> tuple[str, str]:
         if points < 0:
             raise ValueError(points)
     except (ValueError, TypeError):
-        raise cfg.ConfigError("range", "expected start:stop:points") from None
-    if points > cfg.MAX_GRID:
-        raise cfg.ConfigError("range", f"at most {cfg.MAX_GRID} points")
+        raise ConfigError("range", "expected start:stop:points") from None
+    if points > MAX_GRID:
+        raise ConfigError("range", f"at most {MAX_GRID} points")
+    if not all(map(math.isfinite, (start, stop, stop - start))):  # else a point is nan
+        raise ConfigError("range", "start, stop and stop - start must be finite")
     values = linspace(start, stop, points)
     header = (
         f"{args.axis},omega_ex_rad_per_s,t_ex_s,gamma_per_s,n_bar,figure,feasible\n"

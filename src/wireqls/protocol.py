@@ -35,6 +35,7 @@ from . import config as cfg
 from . import spectroscopy
 from .circuit import ExchangeBudget
 from .constants import G_E, Checked, angular_to_hz, cyclotron_frequency, linspace
+from .schema import ConfigError
 from .spectroscopy import ShiftSet
 
 import numpy as np
@@ -277,28 +278,28 @@ def build_protocol(config: cfg.RunConfig, seed: int | None = None) -> ProtocolCo
     traps.logic.b2_tesla_per_m2 must make it positive, and
     protocol.detection.threshold_hz must lie between 0 and delta_L."""
     if (p := config.protocol) is None:
-        raise cfg.ConfigError("protocol", "missing required key")
+        raise ConfigError("protocol", "missing required key")
     detection, drive, grid = p["detection"], p["drive"], p["drive"]["grid"]
     seed = config.seed if seed is None else seed
     if seed < 0:
-        raise cfg.ConfigError("seed", f"must be non-negative, got {seed}")
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     budget = cfg.build_budget(config)
     trap_s = config.trap_spectroscopy
     shifts_l = spectroscopy.shift_set_for_trap(config.trap_logic)
     if not shifts_l.delta > 0.0:  # no readout threshold lies between 0 and delta
-        raise cfg.ConfigError(
+        raise ConfigError(
             "traps.logic.b2_tesla_per_m2", "must give a positive bottle shift"
         )
     if (shifts_s := spectroscopy.shift_set_for_trap(trap_s)).broadening < 0.0:
-        raise cfg.ConfigError("traps.spectroscopy.b2_tesla_per_m2",  # the line would vanish
-                              "must give a non-negative cyclotron linewidth")
+        raise ConfigError("traps.spectroscopy.b2_tesla_per_m2",  # the line would vanish
+                          "must give a non-negative cyclotron linewidth")
     threshold = detection["threshold_hz"]
     if threshold is None:
         threshold = 0.5 * shifts_l.delta
     elif not 0.0 < threshold < shifts_l.delta:
         delta_hz = angular_to_hz(shifts_l.delta)
-        raise cfg.ConfigError("protocol.detection.threshold_hz", "must lie between 0 and "
-                              f"the logic-trap delta, {delta_hz!r} Hz")
+        raise ConfigError("protocol.detection.threshold_hz", "must lie between 0 and "
+                          f"the logic-trap delta, {delta_hz!r} Hz")
     pc = ProtocolConfig(
         budget=budget,
         shifts_L=shifts_l,
@@ -324,12 +325,12 @@ def build_protocol(config: cfg.RunConfig, seed: int | None = None) -> ProtocolCo
         mode=p["mode"],
     )
     if not pc.detection.sigma * NORMAL_BOUND < math.inf:  # no finite measured shift
-        raise cfg.ConfigError("protocol.detection", "noise_density_hz_per_sqrt_hz over the "
-                              "root of averaging_time_s puts the frequency noise beyond the "
-                              "float range")
+        raise ConfigError("protocol.detection", "noise_density_hz_per_sqrt_hz over the "
+                          "root of averaging_time_s puts the frequency noise beyond the "
+                          "float range")
     if not math.isfinite(pc.cycle_time * pc.cycles):  # the last wall time
-        raise cfg.ConfigError("protocol", "cooling_time_s, pulse_time_s and detection."
-                              "averaging_time_s put cycles x cycle time beyond the float range")
+        raise ConfigError("protocol", "cooling_time_s, pulse_time_s and detection."
+                          "averaging_time_s put cycles x cycle time beyond the float range")
     return pc
 
 

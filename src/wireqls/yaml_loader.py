@@ -6,7 +6,7 @@ block YAML scenario, as every bundled one is, loads neither it nor PyYAML.
 
 import yaml
 
-from .config import ConfigError
+from .schema import ConfigError
 
 __all__ = ["load_yaml"]
 

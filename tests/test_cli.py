@@ -22,7 +22,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wireqls import cli, magnetics
+from wireqls import cli, magnetics, schema
 from wireqls.cmd_field import build_ring, cmd_field
 from wireqls.cmd_sweep import cmd_sweep
 from wireqls.constants import linspace
@@ -360,8 +360,8 @@ class TestBudgetCommand:
 
     def test_total_cycles_bounded(self, capsys, tmp_path, electron_raw):
         protocol = electron_raw["protocol"]
-        protocol["cycles"] = cfg.MAX_CYCLES
-        protocol["drive"]["grid"]["points"] = cfg.MAX_TOTAL_CYCLES // cfg.MAX_CYCLES
+        protocol["cycles"] = schema.MAX_CYCLES
+        protocol["drive"]["grid"]["points"] = schema.MAX_TOTAL_CYCLES // schema.MAX_CYCLES
         cfg.parse_config(electron_raw)  # the cap itself is accepted
         protocol["drive"]["grid"]["points"] += 1
         path = write_scenario(tmp_path, electron_raw)
@@ -372,9 +372,9 @@ class TestBudgetCommand:
 
     @pytest.mark.parametrize("dotted", ["protocol.drive.grid.points", "magnet.profile.samples"])
     def test_grid_size_bounded(self, capsys, tmp_path, electron_raw, dotted):
-        set_key(electron_raw, dotted, cfg.MAX_GRID)
+        set_key(electron_raw, dotted, schema.MAX_GRID)
         cfg.parse_config(electron_raw)  # the cap itself is accepted
-        set_key(electron_raw, dotted, cfg.MAX_GRID + 1)
+        set_key(electron_raw, dotted, schema.MAX_GRID + 1)
         path = write_scenario(tmp_path, electron_raw)
         code, out, err = run_cli(capsys, "budget", "--config", path)
         assert code == 2
@@ -459,7 +459,7 @@ class TestFieldCommand:
     def test_profile_extent_bounded(self, capsys, tmp_path, electron_raw, key):
         dotted = f"magnet.profile.{key}"
         sign = -1.0 if key == "z_min_m" else 1.0
-        set_key(electron_raw, dotted, sign * cfg.MAX_PROFILE_M)
+        set_key(electron_raw, dotted, sign * schema.MAX_PROFILE_M)
         cfg.parse_config(electron_raw)  # the bound itself is accepted
         set_key(electron_raw, dotted, sign * 1.0e300)
         path = write_scenario(tmp_path, electron_raw)
@@ -471,7 +471,7 @@ class TestFieldCommand:
     @pytest.mark.parametrize("key", ["inner_radius_m", "outer_radius_m", "height_m"])
     def test_ring_size_bounded(self, capsys, tmp_path, electron_raw, key):
         magnet = electron_raw["magnet"]
-        magnet.update(outer_radius_m=cfg.MAX_PROFILE_M, height_m=cfg.MAX_PROFILE_M)
+        magnet.update(outer_radius_m=schema.MAX_PROFILE_M, height_m=schema.MAX_PROFILE_M)
         cfg.parse_config(electron_raw)  # the bound itself is accepted
         magnet[key] = 1.0e300
         path = write_scenario(tmp_path, electron_raw)
@@ -604,10 +604,10 @@ class TestFieldStream:
 
         traced_write(2_000)  # first-call allocations are not the profile's
         small_chars, small = traced_write(2_000)
-        large_chars, large = traced_write(cfg.MAX_GRID)
+        large_chars, large = traced_write(schema.MAX_GRID)
         assert large_chars > 40 * small_chars > 0  # both profiles went through
         assert large - small < 500_000, (
-            f"writer peak {large / 1e6:.2f} MB at {cfg.MAX_GRID} samples vs "
+            f"writer peak {large / 1e6:.2f} MB at {schema.MAX_GRID} samples vs "
             f"{small / 1e6:.2f} MB at 2,000"
         )
 
@@ -907,7 +907,7 @@ class TestLineshapeAndProtocolCommands:
     def test_drive_grid_ends_bounded(self, capsys, tmp_path, electron_raw, key, sign):
         grid = electron_raw["protocol"]["drive"]["grid"]
         electron_raw["protocol"]["cycles"] = 50
-        grid.update({"start_hz": -cfg.MAX_DRIVE_HZ, "stop_hz": cfg.MAX_DRIVE_HZ,
+        grid.update({"start_hz": -schema.MAX_DRIVE_HZ, "stop_hz": schema.MAX_DRIVE_HZ,
                      "points": 3})
         path = write_scenario(tmp_path, electron_raw)
         code, out, err = run_cli(capsys, "lineshape", "--config", path)
@@ -1107,10 +1107,39 @@ def test_command_loads_its_own_module_and_no_parser(tmp_path, electron_raw, argv
         "print(sorted({'__future__', 'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
         "print(sorted(name for name in sys.modules if name.startswith('wireqls.')))\n"
     )
-    common = ["circuit", "cli", "config", "constants"]
+    common = ["circuit", "cli", "config", "constants", "schema"]
     assert out.splitlines() == [
         str(status), "[]", str(sorted(f"wireqls.{name}" for name in common + loaded))
     ]
+
+
+def test_numpy_free_commands_compile_no_module_larger_than_cli():
+    # without a bytecode cache each compile holds a module's syntax tree and
+    # code objects for a moment, on top of the process's RSS; every command
+    # compiles cli, so a module that peaks above it (config grown by SCHEMA
+    # rows, say) would set the peak RSS of budget, field and sweep
+    files = run_python(
+        "import contextlib, io, sys\n"
+        "from wireqls import cli\n"
+        f"for argv in ({['budget', '--config', 'paper-electron']!r},"
+        f" {['field', '--config', 'paper-electron']!r},"
+        f" {['sweep', '--config', 'paper-electron', *SWEEP]!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('\\n'.join(sorted(module.__file__ for name, module in sys.modules.items()"
+        " if name.partition('.')[0] == 'wireqls')))\n"
+    ).splitlines()
+    peaks = {}
+    for path in map(Path, files):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {"cli.py", "config.py", "schema.py", "cmd_field.py", "cmd_sweep.py"} <= peaks.keys()
+    assert [name for name, peak in peaks.items() if peak > peaks["cli.py"]] == []
 
 
 @pytest.mark.parametrize("command", ["lineshape", "protocol"])
@@ -1543,6 +1572,18 @@ class TestSweepCommand:
         assert out == ""
         assert err == "config error: range: at most 100000 points\n"
 
+    @pytest.mark.parametrize("spec", ["1:inf:3", "-inf:1:3", "nan:1:3", "1e308:-1e308:3",
+                                      "1:inf:0"])
+    def test_non_finite_range_names_range(self, capsys, spec):
+        # 1e308:-1e308 is finite at both ends, but its span overflows, and
+        # linspace's 0 * inf would hand the axis a nan nobody wrote
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", "paper-electron",
+            "--axis", "resonator.detune_linewidths", f"--range={spec}",
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: range: start, stop and stop - start must be finite\n"
+
     def test_sweep_leaves_scenario_unchanged(self):
         rc = cfg.load_config("paper-electron")
         before = copy.deepcopy(rc.raw)
@@ -1573,7 +1614,7 @@ class TestSweepCommand:
 
 
 FUZZ_VALUES = (0, -1, 1e-300, 1e300, 0.5, 1e-12, 3, 1e6)
-NUMERIC_LEAVES = [path for path, kind, _, _ in cfg.SCHEMA if kind is not str]
+NUMERIC_LEAVES = [path for path, kind, _, _ in schema.SCHEMA if kind is not str]
 
 
 @pytest.mark.parametrize("dotted", NUMERIC_LEAVES)
@@ -1588,7 +1629,7 @@ def test_every_numeric_leaf_ends_cleanly(capsys, monkeypatch, dotted):
         set_key(raw, dotted, value)
         try:
             rc = cfg.parse_config(raw)
-        except cfg.ConfigError:
+        except schema.ConfigError:
             pass
         else:
             assert cfg.parse_config(copy.deepcopy(rc.raw)) == rc
@@ -1639,7 +1680,7 @@ def run_in_process(raw: dict, command: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-ROWS = {path: (kind, default, accept) for path, kind, default, accept in cfg.SCHEMA}
+ROWS = {path: (kind, default, accept) for path, kind, default, accept in schema.SCHEMA}
 JOINT_LEAVES = [
     *(path for path, (kind, _, _) in ROWS.items()
       if path.startswith("magnet.") and kind is not str),
@@ -1655,15 +1696,15 @@ def edge_values(dotted: str) -> list:
     kind, default, accept = ROWS[dotted]
     values = {0.0, math.ulp(0.0), sys.float_info.max,
               *(float(f"1e{k}") for k in range(-300, 309, 10))}
-    for edge in (accept.lo, accept.hi) if isinstance(accept, cfg.Range) else ():
+    for edge in (accept.lo, accept.hi) if isinstance(accept, schema.Range) else ():
         if math.isfinite(edge):
             values |= {edge, *(math.nextafter(edge, to) for to in (-math.inf, math.inf))}
     values |= {-v for v in values}
     if kind is int:  # an int's neighbours are one apart
         values = {int(v) for v in values if float(v).is_integer()}
-        ends = (accept.lo, accept.hi) if isinstance(accept, cfg.Range) else ()
+        ends = (accept.lo, accept.hi) if isinstance(accept, schema.Range) else ()
         values |= {int(v) + step for v in ends for step in (-1, 1)}
-    return sorted(values) + ([] if default is cfg.REQUIRED else [None])
+    return sorted(values) + ([] if default is schema.REQUIRED else [None])
 
 
 @st.composite
@@ -1742,7 +1783,7 @@ class TestOneLeafEdgeValues:
             assert (code, out) == (2, ""), (command, err)
             assert err.startswith(f"config error: {report}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("dotted", [p for p, kind, _, _ in cfg.SCHEMA if kind is cfg.HZ])
+    @pytest.mark.parametrize("dotted", [p for p, kind, _, _ in schema.SCHEMA if kind is schema.HZ])
     def test_hz_leaf_infinite_in_rad_per_s_names_itself(self, electron_raw, dotted):
         # a Range applies to the number as written; a value with no Range,
         # or a Range past 1/(2 pi) of the float maximum, met the model as inf
@@ -1751,7 +1792,7 @@ class TestOneLeafEdgeValues:
         set_key(electron_raw, dotted, 1.0e308)
         code, out, err = run_in_process(electron_raw, "budget")
         accept = ROWS[dotted][2]
-        ranged = isinstance(accept, cfg.Range) and not accept.lo <= 1.0e308 <= accept.hi
+        ranged = isinstance(accept, schema.Range) and not accept.lo <= 1.0e308 <= accept.hi
         text = accept.text if ranged else BEYOND_FLOAT
         assert (code, out, err) == (2, "", f"config error: {dotted}: {text}\n")
 

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wireqls import circuit, protocol
+from wireqls import circuit, protocol, schema
 from wireqls import config as cfg
 from wireqls.cmd_field import build_ring
 from wireqls.cmd_sweep import set_by_path, sweep_configs
@@ -50,44 +50,44 @@ class TestLoading:
         assert rc.scenario == "paper-electron"
 
     def test_unknown_scenario_name(self):
-        with pytest.raises(cfg.ConfigError):
+        with pytest.raises(schema.ConfigError):
             cfg.load_config("no-such-scenario")
 
 
 class TestStrictSchema:
     def test_unknown_key_rejected_with_path(self, electron_raw):
         electron_raw["resonator"]["Q"] = 6000.0
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "resonator.Q"
 
     def test_unknown_nested_key(self, electron_raw):
         electron_raw["traps"]["logic"]["voltage"] = 1.0
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "traps.logic.voltage"
 
     def test_missing_required_key_with_path(self, electron_raw):
         del electron_raw["traps"]["logic"]["d_eff_m"]
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "traps.logic.d_eff_m"
 
     def test_type_errors(self, electron_raw):
         electron_raw["seed"] = "tuesday"
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "seed"
 
     def test_bad_particle(self, electron_raw):
         electron_raw["particle"] = "muon"
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "particle"
 
     def test_bad_output_format(self, electron_raw):
         electron_raw["output"]["format"] = "xml"
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             cfg.parse_config(electron_raw)
         assert exc.value.path == "output.format"
 
@@ -98,14 +98,14 @@ class TestStrictSchema:
 
     def test_detuning_conventions_exclusive(self, electron_raw):
         electron_raw["resonator"]["detune_hz"] = 1e6
-        with pytest.raises(cfg.ConfigError):
+        with pytest.raises(schema.ConfigError):
             cfg.parse_config(electron_raw)  # both given
         del electron_raw["resonator"]["detune_linewidths"]
         rc = cfg.parse_config(electron_raw)  # absolute placement alone is fine
         expected = TWO_PI * 1e6 * rc.resonator.C_p * rc.resonator.R_p
         assert rc.detune_linewidths == pytest.approx(expected, rel=1e-12)
         del electron_raw["resonator"]["detune_hz"]
-        with pytest.raises(cfg.ConfigError):
+        with pytest.raises(schema.ConfigError):
             cfg.parse_config(electron_raw)  # neither given
 
     def test_resonator_at_or_below_zero_names_its_key(self, electron_rc, electron_raw):
@@ -118,7 +118,7 @@ class TestStrictSchema:
             electron_raw["resonator"]["detune_linewidths"] = detune
             try:
                 rc = cfg.parse_config(electron_raw)
-            except cfg.ConfigError as exc:
+            except schema.ConfigError as exc:
                 assert exc.path == "resonator.detune_linewidths"
                 assert str(exc) == (
                     "resonator.detune_linewidths: places omega_res at or below zero"
@@ -131,16 +131,20 @@ class TestStrictSchema:
                 assert rc.resonator == placed
                 assert rc.resonator.omega_res > 0.0
         del electron_raw["resonator"]["detune_linewidths"]
-        for detune_hz, message in (
-            (1.0e9, "places omega_res at or below zero"),
-            (-1.0e6, "must be positive"),
-            (0.0, "must be positive"),
+        # C_p * R_p is checked before detune_hz * C_p * R_p, so its own underflow names its factor
+        for detune_hz, R_p, path, message in (
+            (1.0e9, 5.0e5, "resonator.detune_hz", "places omega_res at or below zero"),
+            (-1.0e6, 5.0e5, "resonator.detune_hz", "must be positive"),
+            (0.0, 5.0e5, "resonator.detune_hz", "must be positive"),
+            (1.0e7, 5e-324, "resonator.R_p_ohm", "R_p puts C_p * R_p beyond the float range"),
+            (1e-300, 1e-20, "resonator.detune_hz",
+             "detune_hz * C_p * R_p underflows to zero linewidths"),
         ):
-            electron_raw["resonator"]["detune_hz"] = detune_hz
-            with pytest.raises(cfg.ConfigError) as exc:
+            electron_raw["resonator"].update(detune_hz=detune_hz, R_p_ohm=R_p)
+            with pytest.raises(schema.ConfigError) as exc:
                 cfg.parse_config(electron_raw)
-            assert exc.value.path == "resonator.detune_hz"
-            assert str(exc.value) == f"resonator.detune_hz: {message}"
+            assert exc.value.path == path
+            assert str(exc.value) == f"{path}: {message}"
 
 
 class TestUnitBoundary:
@@ -193,10 +197,10 @@ class TestBuilders:
 
     def test_missing_block_reported(self):
         rc = cfg.load_config("paper-proton")  # no magnet/protocol blocks
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             build_ring(rc)
         assert exc.value.path == "magnet"
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             protocol.build_protocol(rc)
         assert exc.value.path == "protocol"
 
@@ -251,7 +255,7 @@ class TestLeavesReachModels:
     they build; a leaf nobody reads, or a mistyped key, fails here."""
 
     def test_table_covers_every_leaf(self):
-        leaves = {row[0] for row in cfg.SCHEMA if row[0].startswith(("magnet.", "protocol."))}
+        leaves = {row[0] for row in schema.SCHEMA if row[0].startswith(("magnet.", "protocol."))}
         assert set(OTHER_VALUES) == leaves
 
     @pytest.mark.parametrize("dotted", sorted(OTHER_VALUES))
@@ -287,18 +291,18 @@ class TestSweepPathHelper:
         assert electron_raw["resonator"]["detune_linewidths"] == 30.0  # copy
 
     def test_missing_path(self, electron_raw):
-        with pytest.raises(cfg.ConfigError):
+        with pytest.raises(schema.ConfigError):
             set_by_path(electron_raw, "resonator.nope", 1.0)
 
     def test_non_numeric_leaf(self, electron_raw):
-        with pytest.raises(cfg.ConfigError) as exc:
+        with pytest.raises(schema.ConfigError) as exc:
             set_by_path(electron_raw, "particle", 1.0)
         assert "numeric" in str(exc.value)
 
     @settings(max_examples=150, deadline=None)
     @given(
         name=st.sampled_from(["paper-electron", "paper-proton"]),
-        dotted=st.sampled_from([row[0] for row in cfg.SCHEMA] + ["traps", "no.such"]),
+        dotted=st.sampled_from([row[0] for row in schema.SCHEMA] + ["traps", "no.such"]),
         values=st.lists(
             st.one_of(
                 st.floats(allow_nan=False, allow_infinity=False),
@@ -364,7 +368,7 @@ class TestLinspace:
             linspace(0.0, 1.0, -1)
 
 
-LEAVES = [row[0] for row in cfg.SCHEMA]
+LEAVES = [row[0] for row in schema.SCHEMA]
 # any value a scenario leaf may be given, valid or not
 YAML_VALUES = st.one_of(
     st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=20),
@@ -413,7 +417,7 @@ class TestYamlLoaders:
         )
         path = tmp_path / "flow.yaml"
         path.write_text("{scenario: flow}\n")
-        with pytest.raises(cfg.ConfigError, match="seed: missing required key"):
+        with pytest.raises(schema.ConfigError, match="seed: missing required key"):
             cfg.load_config(path)
         assert len(loaders) == 1 and issubclass(loaders[0], yaml.CSafeLoader)
 
@@ -424,7 +428,7 @@ class TestYamlLoaders:
         path = tmp_path / "dup.yaml"
         path.write_text("scenario: a\nseed: 1\nseed: 2\n")
         message = "<root>: invalid YAML: found duplicate key 'seed' at line 3, column 1"
-        with pytest.raises(cfg.ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(schema.ConfigError, match=f"^{re.escape(message)}$"):
             cfg.load_config(path)
 
     @pytest.mark.parametrize("name", cfg.bundled_scenarios())
