@@ -19,7 +19,7 @@ when it is well below one.
 import math
 from typing import NamedTuple
 
-from .constants import HBAR, K_B, Checked
+from .constants import HBAR, K_B, checked
 
 __all__ = [
     "ResonatorParams",
@@ -42,20 +42,17 @@ __all__ = [
 FEASIBILITY_THRESHOLD = 1.0  # an exchange is feasible iff its figure lies below
 
 
-class _ResonatorFields(NamedTuple):
+@checked
+class ResonatorParams(NamedTuple):
+    """Parallel LCR resonator: inductance, capacitance, parallel resistance."""
+
     L_p: float  # [H]
     C_p: float  # [F]
     R_p: float  # [Ohm]
 
-
-class ResonatorParams(Checked, _ResonatorFields):
-    """Parallel LCR resonator: inductance, capacitance, parallel resistance."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
         for name in ("L_p", "C_p", "R_p"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"resonator {name} must be positive")
 
     @property
@@ -105,7 +102,10 @@ class ResonatorParams(Checked, _ResonatorFields):
         return placed
 
 
-class _TrapFields(NamedTuple):
+@checked
+class TrapParams(NamedTuple):
+    """One trap's geometry, operating point and trapped particle."""
+
     d_eff: float     # effective trap size [m]
     omega_z: float   # resonator-shifted axial frequency [rad/s]
     B: float         # axial magnetic field [T]
@@ -113,12 +113,6 @@ class _TrapFields(NamedTuple):
     T_axial: float   # axial mode temperature [K]
     m: float         # particle mass [kg]
     q: float         # particle charge [C]
-
-
-class TrapParams(Checked, _TrapFields):
-    """One trap's geometry, operating point and trapped particle."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.d_eff <= 0:
@@ -137,7 +131,7 @@ class TrapParams(Checked, _TrapFields):
             raise ValueError("B must be positive")
         if not 0.0 < abs(self.q) * self.B / self.m < math.inf:
             raise ValueError("B puts the cyclotron frequency q B / m outside the float range")
-        if self.T_axial < 0:
+        if not self.T_axial >= 0:
             raise ValueError("T_axial must be non-negative")
 
 

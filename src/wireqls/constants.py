@@ -4,11 +4,13 @@ Every quantity in this package is SI. Angular frequencies are rad/s
 internally; anything quoted in Hz crosses the boundary through
 ``hz_to_angular`` / ``angular_to_hz`` exactly once.
 
-The package's records are named tuples; `Checked` validates the ones whose
-values have a range. `linspace` gives the evenly spaced grids of the field
-profile, a sweep and the drive, bit for bit as numpy would, without numpy.
+The package's records are named tuples, one class each; `@checked` makes
+one with a range check it on every construction, and NaN fails a range.
+`linspace` gives the evenly spaced grids of the field profile, a sweep and
+the drive, bit for bit as numpy would, without numpy.
 """
 
+import functools
 import math
 
 TWO_PI = 2.0 * math.pi
@@ -88,21 +90,17 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-class Checked:
-    """Mixin that validates a named-tuple record on every construction.
+def checked(cls):
+    """Run a NamedTuple record's `_check` (raises ValueError) on every
+    construction, `_replace` included; the constructor keeps its signature."""
+    new = cls.__new__
 
-    A record puts it before its NamedTuple base, `class R(Checked, _RFields)`,
-    declares `__slots__ = ()` and defines `_check`, which raises ValueError.
-    `_replace` builds through `_make`, so a replaced record is checked too.
-    """
-
-    __slots__ = ()
-
+    @functools.wraps(new)
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls

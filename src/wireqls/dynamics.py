@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Checked
+from .constants import checked
 from .protocol import ExchangeParams
 
 __all__ = [
@@ -53,15 +53,12 @@ class TruncationError(RuntimeError):
     """Raised when population reaches the truncation boundary."""
 
 
-class _StateFields(NamedTuple):
-    n_max: int
-    rho: np.ndarray
-
-
-class TwoModeState(Checked, _StateFields):
+@checked
+class TwoModeState(NamedTuple):
     """Density matrix on the joint Fock basis, index = n_S*(n_max+1) + n_L."""
 
-    __slots__ = ()
+    n_max: int
+    rho: np.ndarray
 
     def _check(self) -> None:
         if self.n_max < 2:

@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterable
 from typing import IO, NamedTuple
 
-from .constants import Checked
+from .constants import checked
 
 __all__ = [
     "MU0_M_SATURATION",
@@ -46,18 +46,15 @@ MU_0 = 4e-7 * math.pi  # vacuum permeability [H/m]
 MU0_M_SATURATION = 2.35
 
 
-class _RingFields(NamedTuple):
+@checked
+class RingMagnet(NamedTuple):
+    """Uniformly axially magnetized annular cylinder."""
+
     r_in: float           # inner radius [m]
     r_out: float          # outer radius [m]
     height: float         # axial extent [m]
     magnetization: float  # axial magnetization M [A/m]
     center_z: float = 0.0
-
-
-class RingMagnet(Checked, _RingFields):
-    """Uniformly axially magnetized annular cylinder."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if not 0.0 < self.r_in < self.r_out:
@@ -66,7 +63,7 @@ class RingMagnet(Checked, _RingFields):
             _face_term(0.0, self.r_in**2)
         except ArithmeticError:
             raise ValueError("r_in outside the float range of the face terms") from None
-        if self.height <= 0:
+        if not self.height > 0:
             raise ValueError("height must be positive")
         if not math.isfinite(self.magnetization):
             raise ValueError("magnetization must be finite")

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import config as cfg
 from . import spectroscopy
 from .circuit import ExchangeBudget
-from .constants import G_E, Checked, angular_to_hz, cyclotron_frequency, linspace
+from .constants import G_E, angular_to_hz, checked, cyclotron_frequency, linspace
 from .schema import ConfigError
 from .spectroscopy import ShiftSet
 
@@ -87,43 +87,37 @@ _FLAGS_TEXT = np.array([",".join(f"{c:04b}") + "," for c in range(16)], dtype=ob
 _JUMP_TEXT = np.array([",0,", ",1,"], dtype=object)
 
 
-class _ExchangeFields(NamedTuple):
+@checked
+class ExchangeParams(NamedTuple):
+    """Rates of the damped two-mode exchange, step (iv); all in SI angular
+    units. `dynamics` gives its master equation."""
+
     omega_ex: float      # beam-splitter coupling [rad/s]
     gamma_L: float       # logic-mode damping [1/s]
     gamma_S: float       # spectroscopy-mode damping [1/s]
     n_bar: float         # bath occupation
     detuning: float = 0.0  # omega_z mismatch between the traps [rad/s]
 
-
-class ExchangeParams(Checked, _ExchangeFields):
-    """Rates of the damped two-mode exchange, step (iv); all in SI angular
-    units. `dynamics` gives its master equation."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
-        if self.omega_ex < 0 or self.gamma_L < 0 or self.gamma_S < 0:
+        if not (self.omega_ex >= 0 and self.gamma_L >= 0 and self.gamma_S >= 0):
             raise ValueError("rates must be non-negative")
-        if self.n_bar < 0:
+        if not self.n_bar >= 0:
             raise ValueError("n_bar must be non-negative")
 
 
-class _DetectionFields(NamedTuple):
+@checked
+class DetectionModel(NamedTuple):
+    """Axial-frequency estimator: white frequency noise over an averaging
+    window, thresholded at `threshold` (conventionally delta_L/2)."""
+
     averaging_time: float  # [s]
     noise_density: float   # [rad/s per sqrt(Hz)]
     threshold: float       # [rad/s]
 
-
-class DetectionModel(Checked, _DetectionFields):
-    """Axial-frequency estimator: white frequency noise over an averaging
-    window, thresholded at `threshold` (conventionally delta_L/2)."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
-        if self.averaging_time <= 0:
+        if not self.averaging_time > 0:
             raise ValueError("averaging_time must be positive")
-        if self.noise_density < 0:
+        if not self.noise_density >= 0:
             raise ValueError("noise_density must be non-negative")
 
     @property
@@ -132,13 +126,8 @@ class DetectionModel(Checked, _DetectionFields):
         return self.noise_density / math.sqrt(self.averaging_time)
 
 
-class _DriveFields(NamedTuple):
-    detunings: tuple[float, ...]  # drive detuning grid [rad/s]
-    profile: str = "exponential"
-    peak_probability: float = 1.0
-
-
-class DriveModel(Checked, _DriveFields):
+@checked
+class DriveModel(NamedTuple):
     """Spectroscopy drive: detuning grid plus excitation lineshape.
 
     The thermal (Boltzmann) lineshape is exponential, nonzero only above
@@ -148,7 +137,9 @@ class DriveModel(Checked, _DriveFields):
     the line center.
     """
 
-    __slots__ = ()
+    detunings: tuple[float, ...]  # drive detuning grid [rad/s]
+    profile: str = "exponential"
+    peak_probability: float = 1.0
 
     def _check(self) -> None:
         if self.profile not in ("exponential", "gaussian"):
@@ -157,7 +148,10 @@ class DriveModel(Checked, _DriveFields):
             raise ValueError("peak_probability must lie in [0, 1]")
 
 
-class _ProtocolFields(NamedTuple):
+@checked
+class ProtocolConfig(NamedTuple):
+    """Everything one cycle needs; see module docstring for the sequence."""
+
     budget: ExchangeBudget
     shifts_L: ShiftSet
     shifts_S: ShiftSet
@@ -174,16 +168,10 @@ class _ProtocolFields(NamedTuple):
     mode: str = "cyclotron"           # or "anomaly"
     swap_probability: float | None = None  # override; default from the budget
 
-
-class ProtocolConfig(Checked, _ProtocolFields):
-    """Everything one cycle needs; see module docstring for the sequence."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
         if not 0.0 <= self.pi_pulse_fidelity <= 1.0:
             raise ValueError("pi_pulse_fidelity must lie in [0, 1]")
-        if self.sideband_cooling_residual < 0:
+        if not self.sideband_cooling_residual >= 0:
             raise ValueError("sideband_cooling_residual must be non-negative")
         if self.cycles < 1:
             raise ValueError("cycles must be at least 1")
@@ -193,9 +181,9 @@ class ProtocolConfig(Checked, _ProtocolFields):
             raise ValueError(
                 "detection threshold must lie between 0 and the logic-trap delta"
             )
-        if self.field_noise < 0:
+        if not self.field_noise >= 0:
             raise ValueError("field_noise must be non-negative")
-        if self.omega_c_spec <= 0:
+        if not self.omega_c_spec > 0:
             raise ValueError("omega_c_spec must be positive")
 
     @property
@@ -224,22 +212,19 @@ class ProtocolRecords(NamedTuple):
     wall_time: np.ndarray        # cumulative at cycle end [s]
 
 
-class _LineshapeFields(NamedTuple):
+@checked
+class Lineshape(NamedTuple):
+    """Declared-jump fraction per drive detuning with binomial errors."""
+
     detunings: np.ndarray  # [rad/s]
     fractions: np.ndarray
     errors: np.ndarray
     cycles: int
 
-
-class Lineshape(Checked, _LineshapeFields):
-    """Declared-jump fraction per drive detuning with binomial errors."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
-        if np.any(self.fractions < 0.0) or np.any(self.fractions > 1.0):
+        if not np.all((self.fractions >= 0.0) & (self.fractions <= 1.0)):
             raise ValueError("fractions must lie in [0, 1]")
-        if np.any(self.errors < 0.0):
+        if not np.all(self.errors >= 0.0):
             raise ValueError("errors must be non-negative")
 
 

@@ -1,9 +1,14 @@
+import importlib
+import inspect
 import math
+import pickle
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import wireqls
 from wireqls import circuit, constants, dynamics, magnetics, protocol
 from wireqls import config as cfg
 
@@ -103,13 +108,62 @@ CHECKED_CASES = {
 }
 
 
+# (record, field, message): a range check that NaN must fail, as ValueError
+NAN_CASES = [
+    ("ResonatorParams", "L_p", "resonator L_p must be positive"),
+    ("ResonatorParams", "C_p", "resonator C_p must be positive"),
+    ("ResonatorParams", "R_p", "resonator R_p must be positive"),
+    ("TrapParams", "T_axial", "T_axial must be non-negative"),
+    ("RingMagnet", "height", "height must be positive"),
+    ("ExchangeParams", "omega_ex", "rates must be non-negative"),
+    ("ExchangeParams", "gamma_L", "rates must be non-negative"),
+    ("ExchangeParams", "gamma_S", "rates must be non-negative"),
+    ("ExchangeParams", "n_bar", "n_bar must be non-negative"),
+    ("DetectionModel", "averaging_time", "averaging_time must be positive"),
+    ("DetectionModel", "noise_density", "noise_density must be non-negative"),
+    ("ProtocolConfig", "sideband_cooling_residual",
+     "sideband_cooling_residual must be non-negative"),
+    ("ProtocolConfig", "field_noise", "field_noise must be non-negative"),
+    ("ProtocolConfig", "omega_c_spec", "omega_c_spec must be positive"),
+    ("Lineshape", "fractions", "fractions must lie in [0, 1]"),
+    ("Lineshape", "errors", "errors must be non-negative"),
+]
+ARRAY_FIELDS = {"fractions", "errors"}  # a NaN among valid entries
+
+REJECT_ROWS = [
+    pytest.param(name, CHECKED_CASES[name][1], CHECKED_CASES[name][2], id=name)
+    for name in sorted(CHECKED_CASES)
+] + [
+    pytest.param(
+        name,
+        {field: np.array([0.5, math.nan]) if field in ARRAY_FIELDS else math.nan},
+        message,
+        id=f"{name}-{field}-nan",
+    )
+    for name, field, message in NAN_CASES
+]
+
+
 def test_every_checked_record_has_a_case():
-    assert {c.__name__ for c in constants.Checked.__subclasses__()} == set(CHECKED_CASES)
+    # every class of the package that defines a range check, decorated or not
+    modules = [
+        importlib.import_module(f"wireqls.{info.name}")
+        for info in pkgutil.iter_modules(wireqls.__path__)
+    ]
+    records = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and obj.__module__ == module.__name__
+        and "_check" in vars(obj)
+    }
+    assert records == set(CHECKED_CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CHECKED_CASES))
-def test_checked_record_rejects_bad_value_built_and_replaced(name):
-    make, bad, message = CHECKED_CASES[name]
+@pytest.mark.parametrize("name, bad, message", REJECT_ROWS)
+def test_checked_record_rejects_bad_value_built_and_replaced(name, bad, message):
+    make = CHECKED_CASES[name][0]
     record = make()
     assert type(record).__name__ == name
     assert type(record)(*record) == record
@@ -121,6 +175,22 @@ def test_checked_record_rejects_bad_value_built_and_replaced(name):
         type(record)._make({**record._asdict(), **bad}.values())
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], record[0])
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_CASES))
+def test_checked_record_constructor_names_its_fields(name):
+    record_type = type(CHECKED_CASES[name][0]())
+    assert tuple(inspect.signature(record_type).parameters) == record_type._fields
+    with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) missing"):
+        record_type()
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_CASES))
+def test_checked_record_round_trips_through_pickle(name):
+    record = CHECKED_CASES[name][0]()
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record) and repr(restored) == repr(record)
+    assert not hasattr(restored, "__dict__")
 
 
 def test_calibration_rejects_a_non_finite_magnetization():
