@@ -17,9 +17,9 @@ when it is well below one.
 """
 
 import math
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
-from .constants import HBAR, K_B, checked
+from .constants import FINITE, HBAR, K_B, NON_NEGATIVE, POSITIVE, checked
 
 __all__ = [
     "ResonatorParams",
@@ -46,14 +46,9 @@ FEASIBILITY_THRESHOLD = 1.0  # an exchange is feasible iff its figure lies below
 class ResonatorParams(NamedTuple):
     """Parallel LCR resonator: inductance, capacitance, parallel resistance."""
 
-    L_p: float  # [H]
-    C_p: float  # [F]
-    R_p: float  # [Ohm]
-
-    def _check(self) -> None:
-        for name in ("L_p", "C_p", "R_p"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"resonator {name} must be positive")
+    L_p: Annotated[float, POSITIVE]  # [H]
+    C_p: Annotated[float, POSITIVE]  # [F]
+    R_p: Annotated[float, POSITIVE]  # [Ohm]
 
     @property
     def omega_res(self) -> float:
@@ -106,33 +101,25 @@ class ResonatorParams(NamedTuple):
 class TrapParams(NamedTuple):
     """One trap's geometry, operating point and trapped particle."""
 
-    d_eff: float     # effective trap size [m]
-    omega_z: float   # resonator-shifted axial frequency [rad/s]
-    B: float         # axial magnetic field [T]
-    B2_local: float  # local quadratic field gradient [T/m^2]
-    T_axial: float   # axial mode temperature [K]
-    m: float         # particle mass [kg]
-    q: float         # particle charge [C]
+    d_eff: Annotated[float, POSITIVE]            # effective trap size [m]
+    omega_z: Annotated[float, POSITIVE, FINITE]  # resonator-shifted axial frequency [rad/s]
+    B: Annotated[float, POSITIVE]                # axial magnetic field [T]
+    B2_local: Annotated[float, FINITE]           # local quadratic field gradient [T/m^2]
+    T_axial: Annotated[float, NON_NEGATIVE]      # axial mode temperature [K]
+    m: Annotated[float, POSITIVE]                # particle mass [kg]
+    q: float                                     # particle charge [C]
 
     def _check(self) -> None:
-        if self.d_eff <= 0:
-            raise ValueError("d_eff must be positive")
+        if not abs(self.q) > 0.0:  # NaN fails too
+            raise ValueError("q must be nonzero")
         try:
             l = _series_l(self)
         except OverflowError:
             l = math.inf
         if not 0.0 < l < math.inf:
             raise ValueError("d_eff puts l = m (2 d_eff / q)^2 outside the float range")
-        if self.omega_z <= 0:
-            raise ValueError("omega_z must be positive")
-        if not math.isfinite(self.omega_z):
-            raise ValueError("omega_z must be finite")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
         if not 0.0 < abs(self.q) * self.B / self.m < math.inf:
             raise ValueError("B puts the cyclotron frequency q B / m outside the float range")
-        if not self.T_axial >= 0:
-            raise ValueError("T_axial must be non-negative")
 
 
 class SeriesModeEquivalent(NamedTuple):

@@ -4,14 +4,19 @@ Every quantity in this package is SI. Angular frequencies are rad/s
 internally; anything quoted in Hz crosses the boundary through
 ``hz_to_angular`` / ``angular_to_hz`` exactly once.
 
-The package's records are named tuples, one class each; `@checked` makes
-one with a range check it on every construction, and NaN fails a range.
+The package's records are named tuples, one class each. A record declares
+a field's interval on the field's own line, `Annotated[float, POSITIVE]`,
+with the same `Range` as the schema's leaves; `@checked` tests those
+ranges, then the record's `_check`, on every construction, and NaN fails a
+range.
 `linspace` gives the evenly spaced grids of the field profile, a sweep and
 the drive, bit for bit as numpy would, without numpy.
 """
 
 import functools
 import math
+import sys
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,15 +95,43 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
+class Range(NamedTuple):
+    """The closed interval lo <= x <= hi a number accepts: a schema leaf's,
+    or a record field's declared as `Annotated[float, <Range>]`."""
+
+    lo: float
+    hi: float
+    text: str  # the error message
+
+
+# math.ulp(0.0) is the least positive float, so lo <= x means x > 0
+POSITIVE = Range(math.ulp(0.0), math.inf, "must be positive")
+NON_NEGATIVE = Range(0.0, math.inf, "must be non-negative")
+PROBABILITY = Range(0.0, 1.0, "must lie in [0, 1]")
+FINITE = Range(-sys.float_info.max, sys.float_info.max, "must be finite")
+
+
 def checked(cls):
-    """Run a NamedTuple record's `_check` (raises ValueError) on every
-    construction, `_replace` included; the constructor keeps its signature."""
-    new = cls.__new__
+    """Check a NamedTuple record on every construction, `_replace` included:
+    each `Range` its fields are annotated with, in field order, then its
+    `_check` if it has one; either raises ValueError. The constructor keeps
+    its signature."""
+    new, check = cls.__new__, getattr(cls, "_check", None)
+    ranges = tuple(
+        (i, name, bound)
+        for i, name in enumerate(cls._fields)
+        for bound in getattr(cls.__annotations__[name], "__metadata__", ())
+        if isinstance(bound, Range)
+    )
 
     @functools.wraps(new)
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
-        self._check()
+        for i, name, (lo, hi, text) in ranges:
+            if not lo <= self[i] <= hi:  # NaN fails both
+                raise ValueError(f"{name} {text}")
+        if check is not None:
+            check(self)
         return self
 
     cls.__new__ = staticmethod(__new__)

@@ -22,11 +22,11 @@ level accumulates more than TRUNCATION_LIMIT population.
 """
 
 import math
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .constants import checked
+from .constants import Range, checked
 from .protocol import ExchangeParams
 
 __all__ = [
@@ -57,12 +57,10 @@ class TruncationError(RuntimeError):
 class TwoModeState(NamedTuple):
     """Density matrix on the joint Fock basis, index = n_S*(n_max+1) + n_L."""
 
-    n_max: int
+    n_max: Annotated[int, Range(2, math.inf, "must be at least 2")]
     rho: np.ndarray
 
     def _check(self) -> None:
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
         dim = (self.n_max + 1) ** 2
         if self.rho.shape != (dim, dim):
             raise ValueError(f"rho must be {dim}x{dim} for n_max={self.n_max}")

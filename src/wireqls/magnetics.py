@@ -25,9 +25,9 @@ so `write_profile_csv` streams a profile of any length in constant memory.
 
 import math
 from collections.abc import Iterable
-from typing import IO, NamedTuple
+from typing import IO, Annotated, NamedTuple
 
-from .constants import checked
+from .constants import FINITE, POSITIVE, checked
 
 __all__ = [
     "MU0_M_SATURATION",
@@ -50,11 +50,11 @@ MU0_M_SATURATION = 2.35
 class RingMagnet(NamedTuple):
     """Uniformly axially magnetized annular cylinder."""
 
-    r_in: float           # inner radius [m]
-    r_out: float          # outer radius [m]
-    height: float         # axial extent [m]
-    magnetization: float  # axial magnetization M [A/m]
-    center_z: float = 0.0
+    r_in: float                              # inner radius [m]
+    r_out: Annotated[float, FINITE]          # outer radius [m]
+    height: Annotated[float, POSITIVE]       # axial extent [m]
+    magnetization: Annotated[float, FINITE]  # axial magnetization M [A/m]
+    center_z: Annotated[float, FINITE] = 0.0
 
     def _check(self) -> None:
         if not 0.0 < self.r_in < self.r_out:
@@ -63,10 +63,6 @@ class RingMagnet(NamedTuple):
             _face_term(0.0, self.r_in**2)
         except ArithmeticError:
             raise ValueError("r_in outside the float range of the face terms") from None
-        if not self.height > 0:
-            raise ValueError("height must be positive")
-        if not math.isfinite(self.magnetization):
-            raise ValueError("magnetization must be finite")
 
     @classmethod
     def saturated(

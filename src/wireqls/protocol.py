@@ -28,13 +28,16 @@ Cycles at distinct detuning points use independent RNG streams derived from
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 # the package's modules before numpy, so none compiles with numpy resident
 from . import config as cfg
 from . import spectroscopy
 from .circuit import ExchangeBudget
-from .constants import G_E, angular_to_hz, checked, cyclotron_frequency, linspace
+from .constants import (
+    FINITE, G_E, NON_NEGATIVE, POSITIVE, PROBABILITY, Range, angular_to_hz, checked,
+    cyclotron_frequency, linspace,
+)
 from .schema import ConfigError
 from .spectroscopy import ShiftSet
 
@@ -92,17 +95,11 @@ class ExchangeParams(NamedTuple):
     """Rates of the damped two-mode exchange, step (iv); all in SI angular
     units. `dynamics` gives its master equation."""
 
-    omega_ex: float      # beam-splitter coupling [rad/s]
-    gamma_L: float       # logic-mode damping [1/s]
-    gamma_S: float       # spectroscopy-mode damping [1/s]
-    n_bar: float         # bath occupation
-    detuning: float = 0.0  # omega_z mismatch between the traps [rad/s]
-
-    def _check(self) -> None:
-        if not (self.omega_ex >= 0 and self.gamma_L >= 0 and self.gamma_S >= 0):
-            raise ValueError("rates must be non-negative")
-        if not self.n_bar >= 0:
-            raise ValueError("n_bar must be non-negative")
+    omega_ex: Annotated[float, NON_NEGATIVE]  # beam-splitter coupling [rad/s]
+    gamma_L: Annotated[float, NON_NEGATIVE]   # logic-mode damping [1/s]
+    gamma_S: Annotated[float, NON_NEGATIVE]   # spectroscopy-mode damping [1/s]
+    n_bar: Annotated[float, NON_NEGATIVE]     # bath occupation
+    detuning: Annotated[float, FINITE] = 0.0  # omega_z mismatch between the traps [rad/s]
 
 
 @checked
@@ -110,15 +107,9 @@ class DetectionModel(NamedTuple):
     """Axial-frequency estimator: white frequency noise over an averaging
     window, thresholded at `threshold` (conventionally delta_L/2)."""
 
-    averaging_time: float  # [s]
-    noise_density: float   # [rad/s per sqrt(Hz)]
-    threshold: float       # [rad/s]
-
-    def _check(self) -> None:
-        if not self.averaging_time > 0:
-            raise ValueError("averaging_time must be positive")
-        if not self.noise_density >= 0:
-            raise ValueError("noise_density must be non-negative")
+    averaging_time: Annotated[float, POSITIVE]     # [s]
+    noise_density: Annotated[float, NON_NEGATIVE]  # [rad/s per sqrt(Hz)]
+    threshold: Annotated[float, FINITE]            # [rad/s]
 
     @property
     def sigma(self) -> float:
@@ -139,13 +130,11 @@ class DriveModel(NamedTuple):
 
     detunings: tuple[float, ...]  # drive detuning grid [rad/s]
     profile: str = "exponential"
-    peak_probability: float = 1.0
+    peak_probability: Annotated[float, PROBABILITY] = 1.0
 
     def _check(self) -> None:
         if self.profile not in ("exponential", "gaussian"):
             raise ValueError("profile must be 'exponential' or 'gaussian'")
-        if not 0.0 <= self.peak_probability <= 1.0:
-            raise ValueError("peak_probability must lie in [0, 1]")
 
 
 @checked
@@ -155,36 +144,28 @@ class ProtocolConfig(NamedTuple):
     budget: ExchangeBudget
     shifts_L: ShiftSet
     shifts_S: ShiftSet
-    pi_pulse_fidelity: float
-    sideband_cooling_residual: float  # residual n_bar after step (i)
+    pi_pulse_fidelity: Annotated[float, PROBABILITY]
+    sideband_cooling_residual: Annotated[float, NON_NEGATIVE]  # residual n_bar after step (i)
     detection: DetectionModel
     drive: DriveModel
-    field_noise: float                # relative field step per sqrt(minute)
-    cycles: int
+    field_noise: Annotated[float, NON_NEGATIVE]  # relative field step per sqrt(minute)
+    cycles: Annotated[int, Range(1, math.inf, "must be at least 1")]
     seed: int
-    omega_c_spec: float               # spectroscopy cyclotron frequency [rad/s]
-    cooling_time: float = 0.100       # [s]
-    pulse_time: float = 1e-3          # [s] per sideband pulse
-    mode: str = "cyclotron"           # or "anomaly"
-    swap_probability: float | None = None  # override; default from the budget
+    omega_c_spec: Annotated[float, POSITIVE]     # spectroscopy cyclotron frequency [rad/s]
+    cooling_time: Annotated[float, NON_NEGATIVE] = 0.100  # [s]
+    pulse_time: Annotated[float, NON_NEGATIVE] = 1e-3     # [s] per sideband pulse
+    mode: str = "cyclotron"                      # or "anomaly"
+    swap_probability: float | None = None        # override; default from the budget
 
     def _check(self) -> None:
-        if not 0.0 <= self.pi_pulse_fidelity <= 1.0:
-            raise ValueError("pi_pulse_fidelity must lie in [0, 1]")
-        if not self.sideband_cooling_residual >= 0:
-            raise ValueError("sideband_cooling_residual must be non-negative")
-        if self.cycles < 1:
-            raise ValueError("cycles must be at least 1")
         if self.mode not in ("cyclotron", "anomaly"):
             raise ValueError("mode must be 'cyclotron' or 'anomaly'")
         if not 0.0 < self.detection.threshold < self.shifts_L.delta:
             raise ValueError(
                 "detection threshold must lie between 0 and the logic-trap delta"
             )
-        if not self.field_noise >= 0:
-            raise ValueError("field_noise must be non-negative")
-        if not self.omega_c_spec > 0:
-            raise ValueError("omega_c_spec must be positive")
+        if self.swap_probability is not None and not 0.0 <= self.swap_probability <= 1.0:
+            raise ValueError("swap_probability must lie in [0, 1]")
 
     @property
     def cycle_time(self) -> float:

@@ -11,13 +11,16 @@ the checks that span several of them.
 Every command compiles this module and `config`, and a compile's transient
 memory adds to the process's peak RSS where no bytecode is cached, so the
 rows and the walk live apart from the model that reads them.
+
+A leaf's interval is a `constants.Range`, the same class the checked
+records annotate their fields with.
 """
 
 import math
-import sys
-from typing import NamedTuple
 
-from .constants import PARTICLES, hz_to_angular
+from .constants import (
+    FINITE, NON_NEGATIVE, PARTICLES, POSITIVE, PROBABILITY, Range, hz_to_angular,
+)
 
 __all__ = ["SCHEMA", "ConfigError"]
 
@@ -31,18 +34,6 @@ MAX_DRIVE_HZ = 1.0e12  # |drive grid end| [Hz], above any modelled cyclotron lin
 MAX_PROFILE_M = 10.0  # |field profile end, trap site or ring center|, ring size [m]
 
 
-class Range(NamedTuple):
-    """The closed interval lo <= x <= hi a numeric leaf accepts."""
-
-    lo: float
-    hi: float
-    text: str  # the error message
-
-
-# math.ulp(0.0) is the least positive float, so lo <= x means x > 0
-POSITIVE = Range(math.ulp(0.0), math.inf, "must be positive")
-NON_NEGATIVE = Range(0.0, math.inf, "must be non-negative")
-PROBABILITY = Range(0.0, 1.0, "must lie in [0, 1]")
 PROFILE_EXTENT = Range(-MAX_PROFILE_M, MAX_PROFILE_M, f"must lie within +-{MAX_PROFILE_M:g}")
 RING_SIZE = Range(-math.inf, MAX_PROFILE_M, f"must be at most {MAX_PROFILE_M:g}")
 DRIVE_EXTENT = Range(-MAX_DRIVE_HZ, MAX_DRIVE_HZ, f"must lie within +-{MAX_DRIVE_HZ:g}")
@@ -141,7 +132,6 @@ def _block_tree() -> dict:
 
 
 _TREE = _block_tree()
-_FLOAT_MAX = sys.float_info.max
 
 
 def _leaf(path: str, kind, accept, value):
@@ -159,12 +149,12 @@ def _leaf(path: str, kind, accept, value):
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
-        if not abs(value) <= _FLOAT_MAX:  # also rejects nan
+        if not abs(value) <= FINITE.hi:  # also rejects nan
             raise ConfigError(path, f"expected a finite number, got {value!r}")
         value = float(value)
     if accept is not None and not accept.lo <= value <= accept.hi:
         raise ConfigError(path, accept.text)
-    if kind is HZ and not abs(value := hz_to_angular(value)) <= _FLOAT_MAX:
+    if kind is HZ and not abs(value := hz_to_angular(value)) <= FINITE.hi:
         raise ConfigError(path, "must be finite in rad/s, 2 pi times the value in Hz")
     return value
 

@@ -427,3 +427,14 @@ class TestTrapParams:
     def test_non_finite_axial_frequency_rejected(self, omega_z):
         with pytest.raises(ValueError, match="omega_z"):
             circuit.TrapParams(1e-3, omega_z, 6.0, 0.0, 0.01, M_E, E)
+
+    @pytest.mark.parametrize("q", [0.0, -0.0, math.nan])
+    def test_zero_or_nan_charge_rejected_before_l(self, q):
+        # q = 0 raised ZeroDivisionError from l = m (2 d_eff / q)^2
+        with pytest.raises(ValueError, match="^q must be nonzero$"):
+            circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, 0.01, M_E, q)
+
+    @pytest.mark.parametrize("m", [0.0, -M_E, math.nan])
+    def test_nonpositive_mass_named_not_blamed_on_d_eff(self, m):
+        with pytest.raises(ValueError, match="^m must be positive$"):
+            circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, 0.01, m, E)

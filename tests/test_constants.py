@@ -72,7 +72,7 @@ def _paper_protocol():
 CHECKED_CASES = {
     "ResonatorParams": (
         lambda: circuit.ResonatorParams(1e-6, 1e-11, 5e5),
-        {"C_p": 0.0}, "resonator C_p must be positive",
+        {"C_p": 0.0}, "C_p must be positive",
     ),
     "TrapParams": (
         lambda: circuit.TrapParams(1e-3, 1.2e9, 6.0, 9000.0, 0.01, constants.M_E, constants.E),
@@ -110,21 +110,38 @@ CHECKED_CASES = {
 
 # (record, field, message): a range check that NaN must fail, as ValueError
 NAN_CASES = [
-    ("ResonatorParams", "L_p", "resonator L_p must be positive"),
-    ("ResonatorParams", "C_p", "resonator C_p must be positive"),
-    ("ResonatorParams", "R_p", "resonator R_p must be positive"),
+    ("ResonatorParams", "L_p", "L_p must be positive"),
+    ("ResonatorParams", "C_p", "C_p must be positive"),
+    ("ResonatorParams", "R_p", "R_p must be positive"),
+    ("TrapParams", "d_eff", "d_eff must be positive"),
+    ("TrapParams", "omega_z", "omega_z must be positive"),
+    ("TrapParams", "B", "B must be positive"),
+    ("TrapParams", "B2_local", "B2_local must be finite"),
     ("TrapParams", "T_axial", "T_axial must be non-negative"),
+    ("TrapParams", "m", "m must be positive"),
+    ("TrapParams", "q", "q must be nonzero"),
+    ("RingMagnet", "r_in", "require 0 < r_in < r_out"),
+    ("RingMagnet", "r_out", "r_out must be finite"),
     ("RingMagnet", "height", "height must be positive"),
-    ("ExchangeParams", "omega_ex", "rates must be non-negative"),
-    ("ExchangeParams", "gamma_L", "rates must be non-negative"),
-    ("ExchangeParams", "gamma_S", "rates must be non-negative"),
+    ("RingMagnet", "magnetization", "magnetization must be finite"),
+    ("RingMagnet", "center_z", "center_z must be finite"),
+    ("ExchangeParams", "omega_ex", "omega_ex must be non-negative"),
+    ("ExchangeParams", "gamma_L", "gamma_L must be non-negative"),
+    ("ExchangeParams", "gamma_S", "gamma_S must be non-negative"),
     ("ExchangeParams", "n_bar", "n_bar must be non-negative"),
+    ("ExchangeParams", "detuning", "detuning must be finite"),
     ("DetectionModel", "averaging_time", "averaging_time must be positive"),
     ("DetectionModel", "noise_density", "noise_density must be non-negative"),
+    ("DetectionModel", "threshold", "threshold must be finite"),
+    ("DriveModel", "peak_probability", "peak_probability must lie in [0, 1]"),
+    ("ProtocolConfig", "pi_pulse_fidelity", "pi_pulse_fidelity must lie in [0, 1]"),
     ("ProtocolConfig", "sideband_cooling_residual",
      "sideband_cooling_residual must be non-negative"),
     ("ProtocolConfig", "field_noise", "field_noise must be non-negative"),
     ("ProtocolConfig", "omega_c_spec", "omega_c_spec must be positive"),
+    ("ProtocolConfig", "cooling_time", "cooling_time must be non-negative"),
+    ("ProtocolConfig", "pulse_time", "pulse_time must be non-negative"),
+    ("ProtocolConfig", "swap_probability", "swap_probability must lie in [0, 1]"),
     ("Lineshape", "fractions", "fractions must lie in [0, 1]"),
     ("Lineshape", "errors", "errors must be non-negative"),
 ]
@@ -144,8 +161,18 @@ REJECT_ROWS = [
 ]
 
 
+def _declares_a_check(cls) -> bool:
+    # a `_check` of its own, or a field annotated with a Range
+    hints = vars(cls).get("__annotations__", {}).values()
+    return "_check" in vars(cls) or any(
+        isinstance(bound, constants.Range)
+        for hint in hints
+        for bound in getattr(hint, "__metadata__", ())
+    )
+
+
 def test_every_checked_record_has_a_case():
-    # every class of the package that defines a range check, decorated or not
+    # every class of the package that declares a check, decorated or not
     modules = [
         importlib.import_module(f"wireqls.{info.name}")
         for info in pkgutil.iter_modules(wireqls.__path__)
@@ -156,9 +183,30 @@ def test_every_checked_record_has_a_case():
         for name, obj in vars(module).items()
         if isinstance(obj, type)
         and obj.__module__ == module.__name__
-        and "_check" in vars(obj)
+        and _declares_a_check(obj)
     }
     assert records == set(CHECKED_CASES)
+
+
+def test_every_float_field_has_a_nan_case():
+    # a new float field of a checked record needs its NaN row
+    rows = {(name, field) for name, field, _ in NAN_CASES}
+    missing = [
+        (name, field)
+        for name, (make, _, _) in CHECKED_CASES.items()
+        for field, value in make()._asdict().items()
+        if isinstance(value, float) and (name, field) not in rows
+    ]
+    assert missing == []
+
+
+def test_schema_and_records_share_one_range_class():
+    from wireqls import schema
+
+    assert schema.Range is constants.Range
+    assert schema.POSITIVE is constants.POSITIVE
+    hint = circuit.TrapParams.__annotations__["d_eff"]
+    assert hint.__metadata__ == (constants.POSITIVE,)
 
 
 @pytest.mark.parametrize("name, bad, message", REJECT_ROWS)

@@ -21,6 +21,9 @@ class TestGeometryValidation:
             magnetics.RingMagnet(
                 r_in=1e-3, r_out=1e-2, height=1e-3, magnetization=math.inf
             )
+        # an infinite outer radius gave B1 = B2 = nan on the axis
+        with pytest.raises(ValueError, match="^r_out must be finite$"):
+            magnetics.RingMagnet(r_in=1e-3, r_out=math.inf, height=1e-3, magnetization=1e6)
 
     def test_inner_radius_edge_where_the_face_field_overflows(self):
         # the least accepted r_in, found by bisection over the floats: at it

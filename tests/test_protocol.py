@@ -202,6 +202,18 @@ class TestAnalyticOracle:
             moved += p != protocol.analytic_jump_probability(config, det)
         assert moved > 0  # the keyword is not the config's own swap
 
+    @pytest.mark.parametrize("swap", [math.nan, 1.5, -0.1])
+    def test_swap_override_must_be_a_probability(self, swap):
+        # a NaN override never swapped, and 1.5 gave a jump probability of 1.17
+        config = protocol.build_protocol(cfg.load_config("paper-electron"))
+        message = r"^swap_probability must lie in \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            config._replace(swap_probability=swap)
+        with pytest.raises(ValueError, match=message):
+            protocol.analytic_jump_probability(config, 0.0, swap_probability=swap)
+        for edge in (None, 0.0, 1.0):
+            assert config._replace(swap_probability=edge).swap_probability == edge
+
     @settings(max_examples=80, deadline=None)
     @given(
         pi=st.sampled_from([0.0, 0.5, 1.0]),
