@@ -19,7 +19,7 @@ when it is well below one.
 import math
 from typing import Annotated, NamedTuple
 
-from .constants import FINITE, HBAR, K_B, NON_NEGATIVE, POSITIVE, checked
+from .constants import FINITE, HBAR, K_B, NON_NEGATIVE, POSITIVE, Range, checked
 
 __all__ = [
     "ResonatorParams",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 FEASIBILITY_THRESHOLD = 1.0  # an exchange is feasible iff its figure lies below
+OPEN_UNIT = Range(math.ulp(0.0), math.nextafter(1.0, 0.0), "must lie in (0, 1)")
 
 
 @checked
@@ -79,10 +80,8 @@ class ResonatorParams(NamedTuple):
     ) -> "ResonatorParams":
         """Solve for L_p so that omega_res sits the requested number of line
         widths below omega_z (the trap-voltage retuning convention)."""
-        if detune_linewidths <= 0:
-            raise ValueError("detuning must be positive (resonator below omega_z)")
-        if omega_z <= 0:
-            raise ValueError("omega_z must be positive")
+        POSITIVE.check("omega_z", omega_z)
+        POSITIVE.check("detune_linewidths", detune_linewidths)
         width = 1.0 / cls.time_constant(C_p, R_p)
         omega_res = omega_z - detune_linewidths * width
         if omega_res <= 0:
@@ -107,10 +106,10 @@ class TrapParams(NamedTuple):
     B2_local: Annotated[float, FINITE]           # local quadratic field gradient [T/m^2]
     T_axial: Annotated[float, NON_NEGATIVE]      # axial mode temperature [K]
     m: Annotated[float, POSITIVE]                # particle mass [kg]
-    q: float                                     # particle charge [C]
+    q: Annotated[float, FINITE]                  # particle charge [C]
 
     def _check(self) -> None:
-        if not abs(self.q) > 0.0:  # NaN fails too
+        if self.q == 0.0:
             raise ValueError("q must be nonzero")
         try:
             l = _series_l(self)
@@ -160,8 +159,7 @@ def impedance(res: ResonatorParams, omega: float) -> complex:
     Z(w) = [1/R_p + i w C_p + 1/(i w L_p)]^-1. Purely real (= R_p) at
     omega_res; inductive (Im > 0) below, capacitive (Im < 0) above.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    POSITIVE.check("omega", omega)
     admittance = 1.0 / res.R_p + 1j * omega * res.C_p + 1.0 / (1j * omega * res.L_p)
     return 1.0 / admittance
 
@@ -177,6 +175,7 @@ def series_equivalent(trap: TrapParams, z_im: float = 0.0) -> SeriesModeEquivale
     -Im[Z(w_z)]/l, so the bare frequency that the trap voltage must realize
     is omega_z0 = omega_z + Im[Z(w_z)]/l; c follows from l c omega_z0^2 = 1.
     """
+    FINITE.check("z_im", z_im)
     l = _series_l(trap)
     omega_z0 = trap.omega_z + z_im / l
     if omega_z0 <= 0:
@@ -186,17 +185,15 @@ def series_equivalent(trap: TrapParams, z_im: float = 0.0) -> SeriesModeEquivale
 
 def exchange_rate(z_im_abs: float, l_L: float, l_S: float) -> float:
     """Exchange rate |Im Z(w_z)| / (2 sqrt(l_L l_S)) in rad/s."""
-    if l_L <= 0 or l_S <= 0:
-        raise ValueError("series inductances must be positive")
-    if z_im_abs < 0:
-        raise ValueError("z_im_abs is a magnitude and must be non-negative")
+    NON_NEGATIVE.check("z_im_abs", z_im_abs)
+    POSITIVE.check("l_L", l_L)
+    POSITIVE.check("l_S", l_S)
     return z_im_abs / (2.0 * math.sqrt(l_L * l_S))
 
 
 def exchange_time(omega_ex: float) -> float:
     """Full swap time pi/(2 omega_ex) in seconds."""
-    if omega_ex <= 0:
-        raise ValueError("omega_ex must be positive")
+    POSITIVE.check("omega_ex", omega_ex)
     return math.pi / (2.0 * omega_ex)
 
 
@@ -222,10 +219,8 @@ def thermal_occupation(omega_z: float, T: float) -> float:
 
     Raises OccupationOverflow where k_B T / (hbar w) exceeds the float range.
     """
-    if omega_z <= 0:
-        raise ValueError("omega_z must be positive")
-    if T < 0:
-        raise ValueError("temperature must be non-negative")
+    POSITIVE.check("omega_z", omega_z)
+    NON_NEGATIVE.check("T", T)
     if K_B * T == 0.0:  # T = 0, or k_B T underflows: the occupation is zero
         return 0.0
     try:
@@ -323,8 +318,7 @@ def optimize_detuning(
     reach zero). At n_bar = 0 (T = 0) every positive detuning meets the
     constraint, and the result is 0.0.
     """
-    if not 0.0 < constraint < 1.0:
-        raise ValueError("constraint must lie in (0, 1)")
+    OPEN_UNIT.check("constraint", constraint)
     omega_z = common_axial_frequency(trap_L, trap_S)
     l_L = series_equivalent(trap_L).l
     l_S = series_equivalent(trap_S).l

@@ -7,8 +7,9 @@ internally; anything quoted in Hz crosses the boundary through
 The package's records are named tuples, one class each. A record declares
 a field's interval on the field's own line, `Annotated[float, POSITIVE]`,
 with the same `Range` as the schema's leaves; `@checked` tests those
-ranges, then the record's `_check`, on every construction, and NaN fails a
-range.
+ranges, then the record's `_check`, on every construction. A function tests
+its arguments with the same ranges through `Range.check`, as
+`POSITIVE.check("T", T)`, and NaN fails every range.
 `linspace` gives the evenly spaced grids of the field profile, a sweep and
 the drive, bit for bit as numpy would, without numpy.
 """
@@ -38,6 +39,27 @@ PARTICLES: dict[str, tuple[float, float]] = {
 }
 
 
+class Range(NamedTuple):
+    """The closed interval lo <= x <= hi a number accepts: a schema leaf's,
+    or a record field's declared as `Annotated[float, <Range>]`."""
+
+    lo: float
+    hi: float
+    text: str  # the error message
+
+    def check(self, name: str, value: float) -> None:
+        """Raise ValueError("<name> <text>") unless lo <= value <= hi; NaN fails."""
+        if not self.lo <= value <= self.hi:
+            raise ValueError(f"{name} {self.text}")
+
+
+# math.ulp(0.0) is the least positive float, so lo <= x means x > 0
+POSITIVE = Range(math.ulp(0.0), math.inf, "must be positive")
+NON_NEGATIVE = Range(0.0, math.inf, "must be non-negative")
+PROBABILITY = Range(0.0, 1.0, "must lie in [0, 1]")
+FINITE = Range(-sys.float_info.max, sys.float_info.max, "must be finite")
+
+
 def hz_to_angular(f: float) -> float:
     """Convert a frequency in Hz to rad/s (multiply by 2*pi)."""
     return TWO_PI * f
@@ -51,14 +73,13 @@ def angular_to_hz(omega: float) -> float:
 def cyclotron_frequency(B: float, q: float = E, m: float = M_E) -> float:
     """Cyclotron frequency |q|B/m in rad/s for a charge q in field B.
 
-    B and m must be positive; q may carry either sign.
+    B and m must be positive; q is finite and nonzero, of either sign.
     """
-    if B <= 0:
-        raise ValueError("magnetic field must be positive")
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    POSITIVE.check("B", B)
+    FINITE.check("q", q)
     if q == 0:
-        raise ValueError("charge must be nonzero")
+        raise ValueError("q must be nonzero")
+    POSITIVE.check("m", m)
     return abs(q) * B / m
 
 
@@ -79,8 +100,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     bit: i * step + start, with i / (num - 1) * (stop - start) + start where
     the step underflows to zero, and the last value set to `stop`.
     """
-    if num < 0:
-        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    NON_NEGATIVE.check("num", num)
     start, stop = float(start), float(stop)
     delta = stop - start
     if num <= 1:
@@ -93,22 +113,6 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
         values = [i * step + start for i in range(num)]
     values[-1] = stop
     return values
-
-
-class Range(NamedTuple):
-    """The closed interval lo <= x <= hi a number accepts: a schema leaf's,
-    or a record field's declared as `Annotated[float, <Range>]`."""
-
-    lo: float
-    hi: float
-    text: str  # the error message
-
-
-# math.ulp(0.0) is the least positive float, so lo <= x means x > 0
-POSITIVE = Range(math.ulp(0.0), math.inf, "must be positive")
-NON_NEGATIVE = Range(0.0, math.inf, "must be non-negative")
-PROBABILITY = Range(0.0, 1.0, "must lie in [0, 1]")
-FINITE = Range(-sys.float_info.max, sys.float_info.max, "must be finite")
 
 
 def checked(cls):
@@ -127,9 +131,8 @@ def checked(cls):
     @functools.wraps(new)
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
-        for i, name, (lo, hi, text) in ranges:
-            if not lo <= self[i] <= hi:  # NaN fails both
-                raise ValueError(f"{name} {text}")
+        for i, name, bound in ranges:
+            bound.check(name, self[i])
         if check is not None:
             check(self)
         return self

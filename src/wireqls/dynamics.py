@@ -26,7 +26,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .constants import Range, checked
+from .constants import NON_NEGATIVE, POSITIVE, Range, checked
 from .protocol import ExchangeParams
 
 __all__ = [
@@ -190,8 +190,7 @@ def evolve(
         The propagated state. Raises TruncationError if the top Fock level
         ends up with more than TRUNCATION_LIMIT population.
     """
-    if t < 0:
-        raise ValueError("duration must be non-negative")
+    NON_NEGATIVE.check("t", t)
     state.validate()
     if t == 0.0 or rate_scale(params) == 0.0:
         return TwoModeState(n_max=state.n_max, rho=state.rho.copy())
@@ -234,8 +233,7 @@ def swap_fidelity(
     marginal P(n_L = 1). Equals 1 for an ideal lossless resonant exchange;
     monotonically degraded by damping, bath occupation, and detuning.
     """
-    if params.omega_ex <= 0:
-        raise ValueError("swap fidelity requires a positive exchange rate")
+    POSITIVE.check("omega_ex", params.omega_ex)
     initial = TwoModeState.fock(n_max, 1, 0)
     t_ex = math.pi / (2.0 * params.omega_ex)
     final = evolve(initial, params, t_ex, method=method, step=step)

@@ -164,8 +164,8 @@ class ProtocolConfig(NamedTuple):
             raise ValueError(
                 "detection threshold must lie between 0 and the logic-trap delta"
             )
-        if self.swap_probability is not None and not 0.0 <= self.swap_probability <= 1.0:
-            raise ValueError("swap_probability must lie in [0, 1]")
+        if self.swap_probability is not None:
+            PROBABILITY.check("swap_probability", self.swap_probability)
 
     @property
     def cycle_time(self) -> float:
@@ -345,8 +345,7 @@ def swap_probability(params: ExchangeParams) -> float:
     Agrees with the Fock-space oracle `dynamics.swap_fidelity` up to its
     truncation error.
     """
-    if params.omega_ex <= 0:
-        raise ValueError("swap probability requires a positive exchange rate")
+    POSITIVE.check("omega_ex", params.omega_ex)
     t = math.pi / (2.0 * params.omega_ex)
     # entries of A t, so the exchange entry is -i pi/2 at any rate
     a = (-1j * params.detuning - 0.5 * params.gamma_S) * t
@@ -621,8 +620,7 @@ def required_averaging_time(delta: float, noise_density: float) -> float:
     """Averaging time needed to resolve a shift `delta` at DETECTION_SNR_Z
     sigma against the threshold delta/2: (2 z noise / delta)^2, floored by
     the DETECTION_TIME_FLOOR overhead."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    POSITIVE.check("delta", delta)
     return max(
         (2.0 * DETECTION_SNR_Z * noise_density / delta) ** 2, DETECTION_TIME_FLOOR
     )

@@ -16,7 +16,7 @@ Gamma_h = q^2 S_E(w) / (4 m hbar w).
 from typing import NamedTuple
 
 from .circuit import TrapParams
-from .constants import E, HBAR, K_B, M_E, TWO_PI
+from .constants import E, HBAR, K_B, M_E, NON_NEGATIVE, POSITIVE, TWO_PI
 
 __all__ = [
     "ShiftSet",
@@ -56,8 +56,7 @@ class HeatingModel(NamedTuple):
 
 def bottle_delta(B2: float, omega_z: float, m: float = M_E, q: float = E) -> float:
     """Bottle shift per quantum, hbar |q| B2 / (m^2 omega_z) [rad/s]."""
-    if omega_z <= 0:
-        raise ValueError("omega_z must be positive")
+    POSITIVE.check("omega_z", omega_z)
     return HBAR * abs(q) * B2 / (m**2 * omega_z)
 
 
@@ -65,10 +64,8 @@ def cyclotron_broadening(
     B2: float, T_z: float, omega_z: float, m: float = M_E, q: float = E
 ) -> float:
     """Thermal cyclotron linewidth (q B2 / m) * k_B T_z / (m omega_z^2)."""
-    if T_z < 0:
-        raise ValueError("temperature must be non-negative")
-    if omega_z <= 0:
-        raise ValueError("omega_z must be positive")
+    NON_NEGATIVE.check("T_z", T_z)
+    POSITIVE.check("omega_z", omega_z)
     return abs(q) * B2 / m * (K_B * T_z / (m * omega_z**2))
 
 
@@ -76,8 +73,9 @@ def electric_field_noise(
     model: HeatingModel, omega_z: float, d_eff: float, T: float
 ) -> float:
     """Evaluate the scaled noise density S_E at (omega_z, d_eff, T)."""
-    if omega_z <= 0 or d_eff <= 0 or T <= 0:
-        raise ValueError("heating-model inputs must be positive")
+    POSITIVE.check("omega_z", omega_z)
+    POSITIVE.check("d_eff", d_eff)
+    POSITIVE.check("T", T)
     f = omega_z / TWO_PI
     return (
         model.S_E_ref

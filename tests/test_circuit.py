@@ -428,10 +428,16 @@ class TestTrapParams:
         with pytest.raises(ValueError, match="omega_z"):
             circuit.TrapParams(1e-3, omega_z, 6.0, 0.0, 0.01, M_E, E)
 
-    @pytest.mark.parametrize("q", [0.0, -0.0, math.nan])
-    def test_zero_or_nan_charge_rejected_before_l(self, q):
-        # q = 0 raised ZeroDivisionError from l = m (2 d_eff / q)^2
-        with pytest.raises(ValueError, match="^q must be nonzero$"):
+    @pytest.mark.parametrize("q, message", [
+        pytest.param(0.0, "q must be nonzero", id="0.0"),
+        pytest.param(-0.0, "q must be nonzero", id="-0.0"),
+        pytest.param(math.nan, "q must be finite", id="nan"),
+        pytest.param(math.inf, "q must be finite", id="inf"),
+    ])
+    def test_zero_or_nan_charge_rejected_before_l(self, q, message):
+        # the charge is named before l = m (2 d_eff / q)^2 divides by it (q = 0)
+        # or rounds to 0 (an infinite q), which would blame d_eff
+        with pytest.raises(ValueError, match=f"^{message}$"):
             circuit.TrapParams(1e-3, OMEGA_Z, 6.0, 0.0, 0.01, M_E, q)
 
     @pytest.mark.parametrize("m", [0.0, -M_E, math.nan])

@@ -1,15 +1,17 @@
+import ast
 import importlib
 import inspect
 import math
 import pickle
 import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wireqls
-from wireqls import circuit, constants, dynamics, magnetics, protocol
+from wireqls import circuit, constants, dynamics, magnetics, protocol, spectroscopy
 from wireqls import config as cfg
 
 
@@ -119,7 +121,7 @@ NAN_CASES = [
     ("TrapParams", "B2_local", "B2_local must be finite"),
     ("TrapParams", "T_axial", "T_axial must be non-negative"),
     ("TrapParams", "m", "m must be positive"),
-    ("TrapParams", "q", "q must be nonzero"),
+    ("TrapParams", "q", "q must be finite"),
     ("RingMagnet", "r_in", "require 0 < r_in < r_out"),
     ("RingMagnet", "r_out", "r_out must be finite"),
     ("RingMagnet", "height", "height must be positive"),
@@ -158,6 +160,9 @@ REJECT_ROWS = [
         id=f"{name}-{field}-nan",
     )
     for name, field, message in NAN_CASES
+] + [
+    # l = m (2 d_eff / q)^2 is 0 at an infinite q; the charge is named, not d_eff
+    pytest.param("TrapParams", {"q": math.inf}, "q must be finite", id="TrapParams-q-inf"),
 ]
 
 
@@ -245,3 +250,200 @@ def test_calibration_rejects_a_non_finite_magnetization():
     ring = magnetics.RingMagnet.saturated(5e-3, 1.5e-2, 5e-3)
     with pytest.raises(ValueError, match="^magnetization must be finite$"):
         ring.calibrated_to(1e308)
+
+
+def _sample(name):
+    return CHECKED_CASES[name][0]()
+
+
+def _exchange(omega_ex):
+    return _sample("ExchangeParams")._replace(omega_ex=omega_ex)
+
+
+# (function and argument, a call with that argument set to x, an
+# out-of-range x, the message); each row is also called with x = NaN
+FUNCTION_CASES = [
+    ("detuned_below-omega_z",
+     lambda x: circuit.ResonatorParams.detuned_below(1e-11, 5e5, x, 30.0),
+     0.0, "omega_z must be positive"),
+    ("detuned_below-detune_linewidths",
+     lambda x: circuit.ResonatorParams.detuned_below(1e-11, 5e5, 1.2e9, x),
+     -1.0, "detune_linewidths must be positive"),
+    ("impedance-omega",
+     lambda x: circuit.impedance(_sample("ResonatorParams"), x),
+     0.0, "omega must be positive"),
+    ("series_equivalent-z_im",
+     lambda x: circuit.series_equivalent(_sample("TrapParams"), z_im=x),
+     math.inf, "z_im must be finite"),
+    ("exchange_rate-z_im_abs", lambda x: circuit.exchange_rate(x, 1e-3, 1e-3),
+     -1.0, "z_im_abs must be non-negative"),
+    ("exchange_rate-l_L", lambda x: circuit.exchange_rate(1.0, x, 1e-3),
+     0.0, "l_L must be positive"),
+    ("exchange_rate-l_S", lambda x: circuit.exchange_rate(1.0, 1e-3, x),
+     -1e-3, "l_S must be positive"),
+    ("exchange_time-omega_ex", circuit.exchange_time, 0.0, "omega_ex must be positive"),
+    ("thermal_occupation-omega_z", lambda x: circuit.thermal_occupation(x, 0.01),
+     0.0, "omega_z must be positive"),
+    ("thermal_occupation-T", lambda x: circuit.thermal_occupation(1.2e9, x),
+     -1.0, "T must be non-negative"),
+    ("optimize_detuning-constraint",
+     lambda x: circuit.optimize_detuning(
+         _sample("ResonatorParams"), _sample("TrapParams"), _sample("TrapParams"), 0.01, x),
+     1.0, "constraint must lie in (0, 1)"),
+    ("cyclotron_frequency-B", constants.cyclotron_frequency, 0.0, "B must be positive"),
+    ("cyclotron_frequency-q", lambda x: constants.cyclotron_frequency(6.0, q=x),
+     -math.inf, "q must be finite"),
+    ("cyclotron_frequency-m", lambda x: constants.cyclotron_frequency(6.0, m=x),
+     0.0, "m must be positive"),
+    ("linspace-num", lambda x: constants.linspace(0.0, 1.0, x),
+     -1, "num must be non-negative"),
+    ("bottle_delta-omega_z", lambda x: spectroscopy.bottle_delta(9000.0, x),
+     0.0, "omega_z must be positive"),
+    ("cyclotron_broadening-T_z",
+     lambda x: spectroscopy.cyclotron_broadening(9000.0, x, 1.2e9),
+     -1.0, "T_z must be non-negative"),
+    ("cyclotron_broadening-omega_z",
+     lambda x: spectroscopy.cyclotron_broadening(9000.0, 0.01, x),
+     0.0, "omega_z must be positive"),
+    ("electric_field_noise-omega_z",
+     lambda x: spectroscopy.electric_field_noise(spectroscopy.HeatingModel(), x, 1e-4, 6.0),
+     0.0, "omega_z must be positive"),
+    ("electric_field_noise-d_eff",
+     lambda x: spectroscopy.electric_field_noise(spectroscopy.HeatingModel(), 1.2e9, x, 6.0),
+     0.0, "d_eff must be positive"),
+    ("electric_field_noise-T",
+     lambda x: spectroscopy.electric_field_noise(spectroscopy.HeatingModel(), 1.2e9, 1e-4, x),
+     0.0, "T must be positive"),
+    ("required_averaging_time-delta",
+     lambda x: protocol.required_averaging_time(x, 1.0), 0.0, "delta must be positive"),
+    ("evolve-t",
+     lambda x: dynamics.evolve(_sample("TwoModeState"), _sample("ExchangeParams"), x),
+     -1.0, "t must be non-negative"),
+    ("ProtocolConfig-swap_probability",
+     lambda x: _paper_protocol()._replace(swap_probability=x),
+     1.5, "swap_probability must lie in [0, 1]"),
+]
+# ExchangeParams holds no NaN omega_ex, so these two see only a zero rate
+ZERO_RATE_CASES = [
+    ("swap_probability-omega_ex", protocol.swap_probability),
+    ("swap_fidelity-omega_ex", dynamics.swap_fidelity),
+]
+
+FUNCTION_ROWS = [
+    pytest.param(call, bad, message, id=f"{name}-{kind}")
+    for name, call, out_of_range, message in FUNCTION_CASES
+    for kind, bad in (("nan", math.nan), ("out", out_of_range))
+] + [
+    pytest.param(lambda x, f=f: f(_exchange(x)), bad, "omega_ex must be positive",
+                 id=f"{name}-{bad}")
+    for name, f in ZERO_RATE_CASES
+    for bad in (0.0, -0.0)
+]
+
+
+@pytest.mark.parametrize("call, bad, message", FUNCTION_ROWS)
+def test_function_rejects_an_argument_outside_its_range(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_range_check_is_closed_and_names_the_value():
+    bound = constants.Range(0.0, 1.0, "must lie in [0, 1]")
+    for value in (0.0, 0.5, 1.0):
+        assert bound.check("x", value) is None
+    for value in (-1e-300, 1.0 + 1e-15, math.nan):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+            bound.check("x", value)
+
+
+def test_open_unit_range_excludes_both_ends():
+    circuit.OPEN_UNIT.check("c", math.ulp(0.0))
+    circuit.OPEN_UNIT.check("c", math.nextafter(1.0, 0.0))
+    for value in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^c must lie in \(0, 1\)$"):
+            circuit.OPEN_UNIT.check("c", value)
+
+
+ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, not those of the functions it nests."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _raises_value_error(statements) -> bool:
+    return any(
+        isinstance(node, ast.Raise) and node.exc is not None
+        and "ValueError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+        for statement in statements
+        for node in ast.walk(statement)
+    )
+
+
+def hand_range_checks(source: str) -> list[tuple[int, str]]:
+    """(line, parameter) of each comparison that tests one of its function's
+    own parameters against numbers only, by <, <=, > or >=, in the test of
+    an `if` whose body raises ValueError: a range check that `Range.check`
+    should make, and that NaN passes."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} - {"self"}
+        for node in _own_nodes(func):
+            if not isinstance(node, ast.If) or not _raises_value_error(node.body):
+                continue
+            for compare in ast.walk(node.test):
+                if not isinstance(compare, ast.Compare):
+                    continue
+                operands = [compare.left, *compare.comparators]
+                names = [n.id for n in operands if isinstance(n, ast.Name)]
+                if (all(isinstance(op, ORDER_OPS) for op in compare.ops)
+                        and len(names) == 1 and names[0] in params
+                        and sum(map(_is_number, operands)) == len(operands) - 1):
+                    found.append((compare.lineno, names[0]))
+    return sorted(found)
+
+
+def test_census_finds_a_hand_written_range_check():
+    source = (
+        "def f(self, x, y, n_max):\n"
+        "    if x <= 0 or not 0.0 < y < 1.0:\n"
+        "        raise ValueError('x or y')\n"
+        "    if not (0 <= y <= n_max):  # compares with another parameter\n"
+        "        raise ValueError('y')\n"
+        "    if x > 1:  # raises no ValueError\n"
+        "        return x\n"
+        "    z = x\n"
+        "    if z < 0:  # not a parameter\n"
+        "        raise ValueError('z')\n"
+        "    def g(w):\n"
+        "        if w < -1:\n"
+        "            raise ValueError('w')\n"
+    )
+    assert hand_range_checks(source) == [(2, "x"), (2, "y"), (12, "w")]
+
+
+def test_no_function_hand_writes_a_range_check():
+    # the package tests a number against an interval only through Range.check
+    src = Path(wireqls.__file__).parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(src.rglob("*.py"))
+        for line, name in hand_range_checks(path.read_text())
+    ]
+    assert found == []
